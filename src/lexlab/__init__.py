@@ -1,10 +1,8 @@
 """lexlab: exact lex ideals, saturation, Gotzmann data and local cohomology tables."""
 
-from .cohomology import (DegreeWindow, Differential, LCTable, SequentialCMVerdict,
-                         TaylorComplex, adjoin_variable, default_window,
-                         depth_and_dim, ext_dimensions, graded_component_rank,
-                         local_cohomology_table, sequentially_cm_verdict,
-                         tables_agree, taylor_complex, verify_complex)
+from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, adjoin_variable,
+                         default_window, depth_and_dim, ext_dimensions,
+                         local_cohomology_table, sequentially_cm_verdict, tables_agree)
 from .errors import (GeneratorCapExceeded, InternalInconsistency, LexlabError,
                      MacaulayViolation, ParseError, UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success / consistent, 2 parse error, 3 engine error (caps,
-unlucky coordinates, inadmissible data), 4 theorem violation.
+Exit codes: 0 success / consistent, 2 parse error, 3 engine error (unlucky
+coordinates, inadmissible data), 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
-from .cohomology import DegreeWindow, default_window, local_cohomology_table
+from .cohomology import DegreeWindow, local_cohomology_table
 from .errors import LexlabError, ParseError
 from .families import FamilySpec, enumerate_strongly_stable
 from .gotzmann import lex_ideal, lex_ideal_from_values
@@ -21,7 +19,6 @@ from .hilbert import hilbert_series
 from .ideals import MonomialIdeal, saturate
 from .parsing import parse_ideal, parse_ring, parse_window
 from .reports import (VERDICT_VIOLATION, ideal_to_json, probe_rigidity, verify_main)
-from .ring import Poly
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,14 +97,18 @@ def _emit(args, payload: dict, table: str) -> None:
         print(table)
 
 
+def _values(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad {option} values {text!r}") from exc
+
+
 def _family_spec(args, ring) -> FamilySpec:
     if bool(args.target) == bool(args.from_ideal):
         raise ParseError("give exactly one of --target or --from-ideal")
     if args.target:
-        try:
-            target = tuple(int(v) for v in args.target.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad target values {args.target!r}") from exc
+        target = _values(args.target, "--target")
     else:
         parsed = parse_ideal(args.from_ideal, ring)
         if not isinstance(parsed, MonomialIdeal):
@@ -138,8 +139,7 @@ def _dispatch(args) -> int:
         if bool(args.ideal) == bool(args.values):
             raise ParseError("give an ideal or --values, not both")
         if args.values:
-            values = tuple(int(v) for v in args.values.split(","))
-            result = lex_ideal_from_values(ring, values)
+            result = lex_ideal_from_values(ring, _values(args.values, "--values"))
         else:
             result = lex_ideal(_monomial_ideal(args, ring))
         _emit(args, ideal_to_json(result), str(result))
@@ -151,10 +151,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gin":
-        parsed = parse_ideal(args.ideal, ring)
-        gens = parsed if isinstance(parsed, MonomialIdeal) else parsed
-        result = gin(gens, ring=ring, trials=args.trials, seed=args.seed,
-                     bound=args.bound)
+        result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
+                     seed=args.seed, bound=args.bound)
         _emit(args, ideal_to_json(result), str(result))
         return 0
 

@@ -1,12 +1,15 @@
-"""Taylor resolutions, graded Ext dimensions and local cohomology tables.
+"""Local cohomology tables of monomial quotients from Takayama's degree complexes.
 
-All ranks are exact: a graded piece of the dualized resolution is a finite
-integer matrix whose rank is computed fraction-free.  The engine exploits the
-fine grading of a monomial resolution: each total degree splits into
-independent blocks indexed by exponent vectors, and a block is the signed
-incidence complex of the generator subsets whose lcm clears a threshold.
-Blocks whose complement family is a cone are exact and contribute nothing,
-which keeps the dense elimination confined to genuinely interesting degrees.
+For a in Z^n let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc.
+Sci. Math. Roumanie 48, 2005) gives dim H^i_m(R/I)_a = dim H~_(i-|G|-1)(Delta_a; Q),
+where Delta_a is the complex of faces F of [n] - G such that every minimal
+generator u has some j outside F and G with u_j > a_j; the entry vanishes
+unless a_j < rho_j for every j outside G, rho_j being the largest exponent of
+x_j among the generators.  Delta_a depends only on G and on the bounded part
+of a off G, so each ideal reduces to finitely many degree types, and a table
+entry is a sum of binomial counts over them: no lattice enumeration, and a
+cost linear in the number of generators.  The complexes have at most n
+vertices and their homology is exact, by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -14,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import product
 from math import comb
+from operator import or_
 
-import numpy as np
-
-from .errors import GeneratorCapExceeded, InternalInconsistency
+from .errors import InternalInconsistency
 from .hilbert import dimension
-from .ideals import MonomialIdeal, is_strongly_stable, saturate
-from .linalg import fraction_free_rank, sparse_rank
-from .ring import Exp, RingSpec, enumerate_monomials, monomial_lcm, monomial_mul, total_degree
-
-GENERATOR_CAP = 20
+from .ideals import MonomialIdeal, is_strongly_stable
+from .linalg import fraction_free_rank
+from .ring import monomial_lcm, total_degree
 
 
 @dataclass(frozen=True)
@@ -57,354 +57,105 @@ def default_window(*ideals: MonomialIdeal) -> DegreeWindow:
     return DegreeWindow(-(hi + n + 2), hi)
 
 
-# -- complexes of graded free modules -----------------------------------------
+# -- the degree-complex engine -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Differential:
-    """A map of graded free modules with signed-monomial entries.
-
-    Degrees are the generator degrees of the summands; an entry
-    (row, col, coeff, monomial) sends the col generator to
-    coeff * monomial * (row generator).
-    """
-
-    ring: RingSpec
-    source_degrees: tuple[int, ...]
-    target_degrees: tuple[int, ...]
-    entries: tuple[tuple[int, int, int, Exp], ...]
-
-    def __post_init__(self) -> None:
-        for r, c, coeff, m in self.entries:
-            if not coeff:
-                raise ValueError("zero coefficient stored in a differential")
-            if self.target_degrees[r] + total_degree(m) != self.source_degrees[c]:
-                raise ValueError("entry monomial degree inconsistent with shifts")
-
-
-def graded_component_rank(diff: Differential, j: int) -> int:
-    """Rank over Q of the degree-j component of the map."""
-    n = diff.ring.n
-    src_offsets = []
-    src_monos = []
-    count = 0
-    for sd in diff.source_degrees:
-        monos = enumerate_monomials(n, j - sd) if j >= sd else ()
-        src_offsets.append(count)
-        src_monos.append(monos)
-        count += len(monos)
-    ncols = count
-    tgt_index: dict[tuple[int, Exp], int] = {}
-    count = 0
-    for r, td in enumerate(diff.target_degrees):
-        for u in (enumerate_monomials(n, j - td) if j >= td else ()):
-            tgt_index[(r, u)] = count
-            count += 1
-    nrows = count
-    cells = []
-    for r, c, coeff, m in diff.entries:
-        for k, u in enumerate(src_monos[c]):
-            cells.append((tgt_index[(r, monomial_mul(u, m))], src_offsets[c] + k, coeff))
-    return sparse_rank(cells, nrows, ncols)
-
-
-def _subset_sign(mask: int, i: int) -> int:
-    below = bin(mask & ((1 << i) - 1)).count("1")
-    return -1 if below % 2 else 1
-
-
-class TaylorComplex:
-    """Subset-indexed free resolution of R/I.
-
-    Position k is free of rank binom(mu, k); the summand of a generator
-    subset sits in degree equal to the total degree of the subset's lcm.
-    """
-
-    def __init__(self, ideal: MonomialIdeal, cap: int = GENERATOR_CAP):
-        mu = len(ideal.gens)
-        if mu > cap:
-            raise GeneratorCapExceeded(
-                f"{mu} generators exceed the resolution cap of {cap}")
-        self.ideal = ideal
-        self.ring = ideal.ring
-        self.gens = ideal.gens
-        self.mu = mu
-        self._masks: dict[int, list[int]] = {}
-        self._index: dict[int, dict[int, int]] = {}
-        self._lcm_cache: dict[int, Exp] = {0: ideal.ring.unit_monomial()}
-
-    @property
-    def length(self) -> int:
-        return self.mu
-
-    def rank(self, k: int) -> int:
-        return comb(self.mu, k) if 0 <= k <= self.mu else 0
-
-    def masks(self, k: int) -> list[int]:
-        if k not in self._masks:
-            out = [sum(1 << i for i in sel) for sel in combinations(range(self.mu), k)]
-            self._masks[k] = out
-            self._index[k] = {m: t for t, m in enumerate(out)}
-        return self._masks[k]
-
-    def subset_lcm(self, mask: int) -> Exp:
-        cached = self._lcm_cache.get(mask)
-        if cached is None:
-            low = (mask & -mask).bit_length() - 1
-            cached = monomial_lcm(self.subset_lcm(mask ^ (1 << low)), self.gens[low])
-            self._lcm_cache[mask] = cached
-        return cached
-
-    def shifts(self, k: int) -> tuple[int, ...]:
-        """Twists of position k: minus the degree of each subset lcm."""
-        return tuple(-total_degree(self.subset_lcm(m)) for m in self.masks(k))
-
-    def differential(self, k: int) -> Differential:
-        """The map from position k to position k-1."""
-        if not 1 <= k <= self.mu:
-            raise ValueError(f"no differential at position {k}")
-        src = self.masks(k)
-        tgt_index = self._index_for(k - 1)
-        entries = []
-        for col, mask in enumerate(src):
-            big = self.subset_lcm(mask)
-            for i in range(self.mu):
-                if mask & (1 << i):
-                    sub = mask ^ (1 << i)
-                    small = self.subset_lcm(sub)
-                    quot = tuple(a - b for a, b in zip(big, small))
-                    entries.append((tgt_index[sub], col, _subset_sign(mask, i), quot))
-        return Differential(
-            self.ring,
-            tuple(total_degree(self.subset_lcm(m)) for m in src),
-            tuple(total_degree(self.subset_lcm(m)) for m in self.masks(k - 1)),
-            tuple(entries))
-
-    def dual_differential(self, k: int) -> Differential:
-        """Hom(position k, omega) -> Hom(position k+1, omega), omega = R(-n)."""
-        if not 0 <= k < self.mu:
-            raise ValueError(f"no dual differential at position {k}")
-        n = self.ring.n
-        src = self.masks(k)
-        src_index = self._index_for(k)
-        entries = []
-        for row, mask in enumerate(self.masks(k + 1)):
-            big = self.subset_lcm(mask)
-            for i in range(self.mu):
-                if mask & (1 << i):
-                    sub = mask ^ (1 << i)
-                    small = self.subset_lcm(sub)
-                    quot = tuple(a - b for a, b in zip(big, small))
-                    entries.append((row, src_index[sub], _subset_sign(mask, i), quot))
-        return Differential(
-            self.ring,
-            tuple(n - total_degree(self.subset_lcm(m)) for m in src),
-            tuple(n - total_degree(self.subset_lcm(m)) for m in self.masks(k + 1)),
-            tuple(entries))
-
-    def _index_for(self, k: int) -> dict[int, int]:
-        self.masks(k)
-        return self._index[k]
-
-
-def taylor_complex(ideal: MonomialIdeal, cap: int = GENERATOR_CAP) -> TaylorComplex:
-    return TaylorComplex(ideal, cap)
-
-
-def verify_complex(tc: TaylorComplex) -> None:
-    """Check d o d = 0 symbolically on generators; raises on failure."""
-    for k in range(2, tc.mu + 1):
-        outer = tc.differential(k - 1)
-        inner = tc.differential(k)
-        by_col: dict[int, list[tuple[int, int, Exp]]] = {}
-        for r, c, coeff, m in outer.entries:
-            by_col.setdefault(c, []).append((r, coeff, m))
-        acc: dict[tuple[int, int, Exp], int] = {}
-        for mid, col, coeff1, m1 in inner.entries:
-            for r, coeff2, m2 in by_col.get(mid, ()):
-                key = (r, col, monomial_mul(m1, m2))
-                acc[key] = acc.get(key, 0) + coeff1 * coeff2
-        if any(acc.values()):
-            raise InternalInconsistency(f"composite of differentials {k - 1}, {k} is nonzero")
-
-
-# -- the local cohomology engine ----------------------------------------------
-
-
-class LocalCohomologyEngine:
-    """Exact graded Ext dimensions of R/I against omega = R(-n).
-
-    Works block by block in the fine grading; a block is determined by the
-    threshold vector c = max(0, 1 - a) of its exponent vector a, so results
-    are cached per threshold.
-    """
-
-    def __init__(self, ideal: MonomialIdeal, cap: int = GENERATOR_CAP):
-        self.ideal = ideal
-        self.n = ideal.ring.n
-        self.gens = ideal.gens
-        self.mu = len(ideal.gens)
-        if self.mu > cap:
-            raise GeneratorCapExceeded(
-                f"{self.mu} generators exceed the resolution cap of {cap}")
-        size = 1 << self.mu
-        lcms = np.zeros((size, self.n), dtype=np.int64)
-        arr = np.array(self.gens, dtype=np.int64).reshape(self.mu, self.n)
-        for mask in range(1, size):
-            low = (mask & -mask).bit_length() - 1
-            np.maximum(lcms[mask ^ (1 << low)], arr[low], out=lcms[mask])
-        self._lcms = lcms
-        self._popcount = [bin(m).count("1") for m in range(size)]
-        self._full_lcm = tuple(int(v) for v in lcms[size - 1]) if self.mu else (0,) * self.n
-        self._blocks: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._ext: dict[int, tuple[int, ...]] = {}
-
-    # each exponent vector a contributes the cohomology of the subset family
-    # U = { S : lcm(S) >= c } with c = max(0, 1 - a), computed on whichever of
-    # U or its complement is smaller.
-
-    def _block(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        cached = self._blocks.get(c)
-        if cached is None:
-            cached = self._compute_block(c)
-            self._blocks[c] = cached
-        return cached
-
-    def _compute_block(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        mu = self.mu
-        zeros = (0,) * (mu + 1)
-        if all(v == 0 for v in c):
-            # every subset present: the full boolean complex, which is exact
-            return zeros
-        present = np.all(self._lcms >= np.array(c, dtype=np.int64), axis=1)
-        if not bool(present.any()):
-            return zeros
-        active = [t for t in range(self.n) if c[t] > 0]
-        for g in self.gens:
-            if all(g[t] < c[t] for t in active):
-                return zeros  # g never helps a subset across the threshold
-        absent = np.nonzero(~present)[0].tolist()
-        absent_set = set(absent)
-        for i in range(mu):
-            bit = 1 << i
-            if all((m | bit) in absent_set for m in absent_set):
-                return zeros  # complement family is a cone with apex i
-        present_masks = np.nonzero(present)[0].tolist()
-        if len(present_masks) <= len(absent):
-            dims, ranks = self._coboundary_data(present_masks)
-            return tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
-                         for k in range(mu + 1))
-        dims, ranks = self._coboundary_data(absent)
-        betti = [0] * (mu + 1)
-        for k in range(1, mu + 1):
-            j = k - 1
-            betti[k] = dims[j] - ranks[j] - (ranks[j - 1] if j else 0)
-        return tuple(betti)
-
-    def _coboundary_data(self, masks: list[int]) -> tuple[list[int], list[int]]:
-        """Per-size counts and coboundary ranks of a subset family."""
-        mu = self.mu
-        by_size: dict[int, dict[int, int]] = {}
-        for m in masks:
-            layer = by_size.setdefault(self._popcount[m], {})
-            layer[m] = len(layer)
-        dims = [len(by_size.get(k, ())) for k in range(mu + 2)]
-        ranks = [0] * (mu + 2)
-        for k in range(mu + 1):
-            src = by_size.get(k)
-            tgt = by_size.get(k + 1)
-            if not src or not tgt:
-                continue
-            rows = [[0] * len(src) for _ in range(len(tgt))]
-            for m, col in src.items():
-                for i in range(mu):
-                    bit = 1 << i
-                    if not m & bit:
-                        up = tgt.get(m | bit)
-                        if up is not None:
-                            rows[up][col] = _subset_sign(m | bit, i)
-            ranks[k] = fraction_free_rank(rows)
-        return dims, ranks
-
-    def ext_dims_at(self, d: int) -> tuple[int, ...]:
-        """Vector of dim Ext^k(R/I, omega)_d for k = 0..mu."""
-        cached = self._ext.get(d)
-        if cached is not None:
-            return cached
-        n = self.n
-        if self.mu == 0:
-            val = comb(d - 1, n - 1) if d >= n else 0  # omega itself
-            vec = (val,)
-        else:
-            lows = [1 - v for v in self._full_lcm]
-            acc = [0] * (self.mu + 1)
-            for a in self._exponent_vectors(lows, d):
-                c = tuple(max(0, 1 - v) for v in a)
-                block = self._block(c)
-                for k, b in enumerate(block):
-                    acc[k] += b
-            vec = tuple(acc)
-        self._ext[d] = vec
-        return vec
-
-    def _exponent_vectors(self, lows: list[int], d: int):
-        """All integer vectors a >= lows with sum d and some coordinate <= 0."""
-        n = self.n
-
-        def rec(t: int, remaining: int, prefix: tuple[int, ...], nonpos: bool):
-            if t == n - 1:
-                if remaining >= lows[t] and (nonpos or remaining <= 0):
-                    yield prefix + (remaining,)
-                return
-            tail_min = sum(lows[t + 1:])
-            for v in range(lows[t], remaining - tail_min + 1):
-                yield from rec(t + 1, remaining - v, prefix + (v,), nonpos or v <= 0)
-
-        yield from rec(0, d, (), False)
+@lru_cache(maxsize=4096)
+def _reduced_homology(free: int, nonfaces: tuple[int, ...]) -> tuple[int, ...]:
+    """dim H~_(k-1)(Delta; Q) for k = 0..|free|, where Delta is the simplicial
+    complex on the vertex bit mask `free` with the given minimal non-faces."""
+    layers: list[dict[int, int]] = [{} for _ in range(free.bit_count() + 1)]
+    for face in range(free + 1):
+        if face & free == face and not any(face & m == m for m in nonfaces):
+            layer = layers[face.bit_count()]
+            layer[face] = len(layer)
+    ranks = [0] * (len(layers) + 1)  # ranks[k]: boundary map on the k-vertex faces
+    for k in range(1, len(layers)):
+        if not layers[k]:
+            break  # faces are closed under subsets: no larger ones either
+        rows = []
+        for face in layers[k]:
+            row = [0] * len(layers[k - 1])
+            sign = 1
+            for v in range(free.bit_length()):
+                if face >> v & 1:
+                    row[layers[k - 1][face ^ (1 << v)]] = sign
+                    sign = -sign
+            rows.append(row)
+        ranks[k] = fraction_free_rank(rows)
+    return tuple(len(layers[k]) - ranks[k] - ranks[k + 1] for k in range(len(layers)))
 
 
 @lru_cache(maxsize=256)
-def _engine(ideal: MonomialIdeal) -> LocalCohomologyEngine:
-    return LocalCohomologyEngine(ideal)
+def _engine(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Degree types of R/I.  Row i holds triples (g, s, mult): mult sums
+    dim H~_(i-g-1)(Delta_a) over the pairs (G, b) with |G| = g and |b| = s, and
+    each pair stands for every multidegree a that puts negative entries on G."""
+    n = ideal.ring.n
+    gens = ideal.gens
+    # Delta_a sees b only through the comparisons u_j > b_j, so each b_j runs
+    # over the cells [cut, next cut) between the exponents of x_j; b_j >= rho_j,
+    # the last cut, would make j a cone apex or the complex void
+    cuts = [sorted({u[j] for u in gens} | {0}) for j in range(n)]
+    # above[j][t]: per generator, the bit of j when its x_j exponent exceeds cut t
+    above = [[[1 << j if u[j] > c else 0 for u in gens] for c in cuts[j]] for j in range(n)]
+    zeros = [0] * len(gens)
+    types: dict[tuple[int, int, int], int] = {}
+    for negative in range(1 << n):
+        free = [j for j in range(n) if not negative >> j & 1]
+        free_mask = (1 << n) - 1 - negative
+        g = n - len(free)
+        for cell in product(*(range(len(cuts[j]) - 1) for j in free)):
+            columns = [above[j][t] for j, t in zip(free, cell)]
+            nonfaces = set(map(sum, zip(zeros, *columns)))  # one per generator
+            if 0 in nonfaces:
+                continue  # the void complex
+            minimal = tuple(sorted(m for m in nonfaces
+                                   if not any(o != m and o & m == o for o in nonfaces)))
+            if reduce(or_, minimal, 0) != free_mask:
+                continue  # a vertex in no minimal non-face is the apex of a cone
+            homology = _reduced_homology(free_mask, minimal)
+            sizes = {0: 1}  # points of the cell by total degree
+            for j, t in zip(free, cell):
+                sizes = _add_interval(sizes, cuts[j][t], cuts[j][t + 1])
+            for k, h in enumerate(homology):
+                if h:
+                    for s, count in sizes.items():
+                        key = (g + k, g, s)
+                        types[key] = types.get(key, 0) + h * count
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for (i, g, s), mult in sorted(types.items()):
+        rows[i].append((g, s, mult))
+    return tuple(map(tuple, rows))
+
+
+def _add_interval(sizes: dict[int, int], lo: int, hi: int) -> dict[int, int]:
+    """Counts by total degree after appending a coordinate in [lo, hi)."""
+    out: dict[int, int] = {}
+    for s, count in sizes.items():
+        for v in range(lo, hi):
+            out[s + v] = out.get(s + v, 0) + count
+    return out
+
+
+def _row_value(types: tuple[tuple[int, int, int], ...], d: int) -> int:
+    """Total degree d part of one row: a type (g, s) meets degree d in the
+    binom(s - d - 1, g - 1) ways of writing s - d as g positive parts."""
+    total = 0
+    for g, s, mult in types:
+        if g == 0:
+            total += mult if s == d else 0
+        elif s - d >= g:
+            total += mult * comb(s - d - 1, g - 1)
+    return total
 
 
 def ext_dimensions(ideal: MonomialIdeal, i: int, window: DegreeWindow) -> dict[int, int]:
-    """dim Ext^i(R/I, omega)_d for every degree d in the window."""
-    engine = _engine(ideal)
-    out = {}
-    for d in window.degrees():
-        vec = engine.ext_dims_at(d)
-        out[d] = vec[i] if 0 <= i < len(vec) else 0
-    return out
-
-
-def _ext_dimensions_direct(ideal: MonomialIdeal, i: int, window: DegreeWindow) -> dict[int, int]:
-    """Reference path: assemble the dualized resolution maps and take ranks."""
-    tc = TaylorComplex(ideal)
-    n = ideal.ring.n
-
-    def hom_dim(k: int, d: int) -> int:
-        if not 0 <= k <= tc.mu:
-            return 0
-        total = 0
-        for m in tc.masks(k):
-            e = d - (n - total_degree(tc.subset_lcm(m)))
-            if e >= 0:
-                total += comb(e + n - 1, n - 1)
-        return total
-
-    def rank(k: int, d: int) -> int:
-        if not 0 <= k < tc.mu:
-            return 0
-        return graded_component_rank(tc.dual_differential(k), d)
-
-    out = {}
-    for d in window.degrees():
-        if 0 <= i <= tc.mu:
-            out[d] = hom_dim(i, d) - rank(i, d) - rank(i - 1, d)
-        else:
-            out[d] = 0
-    return out
+    """dim Ext^i(R/I, omega)_d for every degree d in the window, by graded
+    local duality: Ext^i(R/I, omega)_d = H^(n-i)_m(R/I)_(-d)."""
+    rows = _engine(ideal)
+    types = rows[ideal.ring.n - i] if 0 <= i <= ideal.ring.n else ()
+    return {d: _row_value(types, -d) for d in window.degrees()}
 
 
 # -- local cohomology tables ----------------------------------------------------
@@ -453,19 +204,15 @@ class LCTable:
 
 
 def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = None) -> LCTable:
-    """h^i(R/I)_j for 0 <= i <= n and j in the window, via graded duality:
-    h^i(R/I)_j = dim Ext^(n-i)(R/I, omega)_(-j)."""
+    """h^i(R/I)_j for 0 <= i <= n and j in the window."""
     window = window or default_window(ideal)
-    engine = _engine(ideal)
-    n = ideal.ring.n
     entries: dict[tuple[int, int], int] = {}
-    for j in window.degrees():
-        vec = engine.ext_dims_at(-j)
-        for i in range(n + 1):
-            k = n - i
-            if k < len(vec) and vec[k]:
-                entries[(i, j)] = vec[k]
-    return LCTable(n, window, entries)
+    for i, types in enumerate(_engine(ideal)):
+        for j in window.degrees():
+            value = _row_value(types, j)
+            if value:
+                entries[(i, j)] = value
+    return LCTable(ideal.ring.n, window, entries)
 
 
 def tables_agree(a: LCTable, b: LCTable, window: DegreeWindow,
@@ -483,25 +230,14 @@ def tables_agree(a: LCTable, b: LCTable, window: DegreeWindow,
 
 
 def depth_and_dim(ideal: MonomialIdeal) -> tuple[int, int]:
-    """(depth, dim) of R/I; depth is witnessed in a window that is widened
-    downward until the first nonvanishing row appears."""
+    """(depth, dim) of R/I; the depth is the lowest row of the degree types,
+    since every type is nonzero in some degree."""
     if ideal.is_unit:
         raise ValueError("depth of the zero module is not defined here")
     dim = dimension(ideal)
-    if saturate(ideal) != ideal:
-        depth = 0
-    else:
-        window = default_window(ideal)
-        depth = None
-        for _ in range(5):
-            table = local_cohomology_table(ideal, window)
-            rows = table.nonzero_rows()
-            if rows:
-                depth = rows[0]
-                break
-            window = DegreeWindow(window.lo - 2 * (ideal.ring.n + 2), window.hi)
-        if depth is None:
-            raise InternalInconsistency(f"no nonvanishing cohomology found for {ideal}")
+    depth = next((i for i, types in enumerate(_engine(ideal)) if types), None)
+    if depth is None:
+        raise InternalInconsistency(f"no nonvanishing cohomology found for {ideal}")
     if is_strongly_stable(ideal):
         pd = max((max(t for t, e in enumerate(g) if e) + 1 for g in ideal.gens), default=0)
         if depth != ideal.ring.n - pd:

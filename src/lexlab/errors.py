@@ -20,7 +20,7 @@ class MacaulayViolation(LexlabError):
 
 
 class GeneratorCapExceeded(LexlabError):
-    """Resolution-based computation refused: too many minimal generators."""
+    """Subset-enumerating computation refused: too many minimal generators."""
 
 
 class UnluckyCoordinates(LexlabError):

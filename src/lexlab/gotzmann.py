@@ -42,7 +42,7 @@ def binomial_in_x(a: int, shift: int) -> tuple[Fraction, ...]:
     coeffs: tuple = (Fraction(1),)
     for t in range(1, a + 1):
         coeffs = poly_mul(coeffs, (Fraction(t - shift), Fraction(1)))
-        coeffs = tuple(c / t for c in coeffs)
+        coeffs = tuple(Fraction(c, t) for c in coeffs)  # c may be an int 0
     return tuple(coeffs)
 
 

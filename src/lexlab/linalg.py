@@ -60,45 +60,3 @@ def rational_rows_to_int(rows) -> list[list[int]]:
         out.append(ints)
     return out
 
-
-def sparse_rank(cells, nrows: int, ncols: int) -> int:
-    """Rank of a sparse integer matrix given as (row, col, value) triples.
-
-    Splits into connected components first; each component is eliminated
-    independently, which keeps the dense work proportional to the block sizes.
-    """
-    cells = [(r, c, v) for r, c, v in cells if v]
-    if not cells:
-        return 0
-
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for r, c, _ in cells:
-        union(("r", r), ("c", c))
-
-    groups: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-    for r, c, v in cells:
-        groups.setdefault(find(("r", r)), []).append((r, c, v))
-
-    total = 0
-    for block in groups.values():
-        rids = sorted({r for r, _, _ in block})
-        cids = sorted({c for _, c, _ in block})
-        ridx = {r: i for i, r in enumerate(rids)}
-        cidx = {c: i for i, c in enumerate(cids)}
-        dense = [[0] * len(cids) for _ in rids]
-        for r, c, v in block:
-            dense[ridx[r]][cidx[c]] += v
-        total += fraction_free_rank(dense)
-    return total

@@ -35,6 +35,17 @@ def brute_ideal_dim(ideal, d):
     return comb(d + n - 1, n - 1) - brute_quotient_dim(ideal, d)
 
 
+def grothendieck_serre_failures(ideal, table):
+    """Degrees of the table's window where sum_i (-1)^i h^i_j differs from
+    H(R/I, j) - P(R/I, j), with H counted by enumeration."""
+    from lexlab import hilbert_series
+    n = ideal.ring.n
+    data = hilbert_series(ideal)
+    return [j for j in table.window.degrees()
+            if sum((-1) ** i * table.get(i, j) for i in range(n + 1))
+            != brute_quotient_dim(ideal, j) - data.poly_value(j)]
+
+
 def numerator_from_values(values, n):
     """Series numerator from quotient dimensions: convolve with (1-t)^n."""
     coeffs = []

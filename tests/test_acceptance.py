@@ -8,14 +8,17 @@ import time
 from math import comb
 
 import pytest
-from helpers import brute_quotient_dim, random_ideal, random_stable_ideal
+from helpers import (brute_quotient_dim, grothendieck_serre_failures, random_ideal,
+                     random_stable_ideal)
 
 from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, adjoin_variable,
                     default_window, exchange_property, gin, gotzmann_representation,
                     hilbert_function, is_gotzmann, is_strongly_stable, lex_ideal,
                     local_cohomology_table, all_strongly_stable, saturate,
-                    saturated_lex_generators, hilbert_series, tables_agree)
+                    saturated_lex_generators, hilbert_series, tables_agree,
+                    lex_ideal_from_values, verify_main)
 from lexlab.hilbert import hilbert_numerator, macaulay_growth, values_from_numerator
+from lexlab.reports import VERDICT_VIOLATION
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -237,3 +240,23 @@ def test_criterion_10_hilbert_engine():
     elapsed = time.time() - t0
     report(10, ok and elapsed < 300, elapsed,
            "pivot = inclusion-exclusion = enumeration on 200 ideals, growth bound holds")
+
+
+def test_criterion_11_r4_equivalence_sweep():
+    t0 = time.time()
+    members = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    reports = [verify_main(I) for I in members]
+    violations = [r.ideal for r in reports if r.verdict == VERDICT_VIOLATION]
+    inconclusive = [r.ideal for r in reports if not r.conclusive]
+    holds = sum(r.condition_i for r in reports)
+    lex = lex_ideal_from_values(R4, (1, 4, 6, 4, 2, 1))
+    table = local_cohomology_table(lex)
+    gs_failures = grothendieck_serre_failures(lex, table)
+    elapsed = time.time() - t0
+    ok = (len(members) == 350 and not violations and not inconclusive
+          and len(lex.gens) == 14 and not gs_failures)
+    report(11, ok and elapsed < 120, elapsed,
+           f"(i) iff (ii) across {len(members)} strongly stable ideals in four variables "
+           f"({holds} with the exchange), {len(violations)} violations, "
+           f"{len(inconclusive)} inconclusive; 14-generator lex table satisfies "
+           f"Grothendieck-Serre")

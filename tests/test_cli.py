@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from helpers import grothendieck_serre_failures
 
 from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, parse_ideal,
                     parse_monomial, parse_polynomial, parse_ring)
 from lexlab.cli import main
+from lexlab.cohomology import LCTable
 from lexlab.reports import VerificationReport, probe_rigidity, verify_main
 from lexlab.families import FamilySpec
 
@@ -125,11 +127,25 @@ def test_cli_verify_negative_control(capsys):
 def test_cli_exit_codes(capsys):
     code, _, err = run(capsys, "hf", "--ring", "x,y,z", "x^2 + $")
     assert code == 2 and "parse error" in err
-    # 21 generators exceed the resolution cap
+    # 21 generators: beyond the Taylor oracle's cap, no limit for the library
     gens = ", ".join(f"x^{5-a-b}*y^{a}*z^{b}" if (5 - a - b) else f"y^{a}*z^{b}"
                      for a in range(6) for b in range(6 - a)).replace("y^0*", "").replace("*z^0", "")
-    code, _, err = run(capsys, "lc", "--ring", "x,y,z", gens)
+    code, out, _ = run(capsys, "lc", "--ring", "x,y,z", "--format", "json", gens)
+    assert code == 0
+    ideal = parse_ideal(gens, R3)
+    assert len(ideal.gens) == 21
+    table = LCTable.from_json(json.loads(out))
+    assert table.entries and not grothendieck_serre_failures(ideal, table)
+    # engine errors exit 3: 7 exceeds dim R_2 = 6
+    code, _, err = run(capsys, "lex", "--ring", "x,y,z", "--values", "1,3,7")
     assert code == 3
+
+
+def test_cli_malformed_numbers_exit_2(capsys):
+    code, _, err = run(capsys, "lex", "--ring", "x,y,z", "--values", "1,a")
+    assert code == 2 and "parse error" in err
+    code, _, err = run(capsys, "lc", "--ring", "x,y,z", "--window=3:1", EXAMPLE_TEXT)
+    assert code == 2 and "parse error" in err
 
 
 def test_cli_violation_exit_code(capsys, monkeypatch):

@@ -1,16 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from helpers import (brute_ideal_dim, brute_quotient_dim, random_ideal,
                      random_stable_ideal)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
+                           oracle_table, taylor_complex, verify_complex)
 
-from lexlab import (DegreeWindow, Differential, GeneratorCapExceeded, MonomialIdeal,
-                    RingSpec, SequentialCMVerdict, adjoin_variable, default_window,
-                    depth_and_dim, ext_dimensions, graded_component_rank, lex_ideal,
+import lexlab
+from lexlab import (DegreeWindow, GeneratorCapExceeded, MonomialIdeal, RingSpec,
+                    SequentialCMVerdict, adjoin_variable, all_strongly_stable,
+                    default_window, depth_and_dim, ext_dimensions, lex_ideal,
                     local_cohomology_table, saturate, sequentially_cm_verdict,
-                    tables_agree, taylor_complex, verify_complex)
-from lexlab.cohomology import LCTable, _ext_dimensions_direct
+                    tables_agree)
+from lexlab.cohomology import LCTable
 
 R1 = RingSpec(1)
 R2 = RingSpec(2)
@@ -123,6 +132,39 @@ def test_engine_matches_direct_ranks():
         I = random_ideal(rng, RingSpec(n), max_gens=4, max_deg=3)
         for i in range(n + 2):
             assert ext_dimensions(I, i, w) == _ext_dimensions_direct(I, i, w), (I, i)
+
+
+@st.composite
+def small_ideals(draw):
+    # a seed, because hypothesis's own draws favour tiny ideals
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_ideal(rng, RingSpec(rng.randint(1, 4)), max_gens=6, max_deg=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_ideals())
+@example(MonomialIdeal(R4))
+@example(MonomialIdeal(R3, ((0, 0, 0),)))
+def test_engine_matches_direct_ranks_property(I):
+    # Ext degrees below -8 vanish for generators of degree <= 3 in <= 4 variables
+    w = DegreeWindow(-8, 4)
+    for i in range(I.ring.n + 2):
+        assert ext_dimensions(I, i, w) == _ext_dimensions_direct(I, i, w), (I, i)
+
+
+def test_tables_match_block_oracle_on_sweep():
+    members = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
+    assert len(members) == 64
+    for I in members:
+        w = default_window(I)
+        assert local_cohomology_table(I, w) == oracle_table(I, w), I
+
+
+def test_import_leaves_numpy_out():
+    src = Path(lexlab.__file__).resolve().parent.parent
+    code = "import sys, lexlab; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- local cohomology tables ---------------------------------------------------------

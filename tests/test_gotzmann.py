@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
                      lex_greater, random_ideal, random_stable_ideal)
 
@@ -11,6 +14,7 @@ from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
                     is_strongly_stable, lex_ideal, lex_ideal_from_values,
                     local_cohomology_table, multiplicity, predict_lc_vanishing,
                     saturate, saturated_lex_generators)
+from lexlab.hilbert import hilbert_numerator
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -136,6 +140,52 @@ def test_gotzmann_representation_empty():
     g = gotzmann_representation((), 3)
     assert (g.a, g.h, g.l) == ((), 0, 0)
     assert saturated_lex_generators(g).is_unit
+
+
+def test_binomial_in_x_is_exact():
+    from lexlab.gotzmann import binomial_in_x
+    coeffs = binomial_in_x(2, 1)   # binom(X + 1, 2) = X/2 + X^2/2
+    assert coeffs == (0, Fraction(1, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+def _exact(values) -> bool:
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=st.integers(0, 6), shift=st.integers(-4, 8), x=st.integers(0, 12))
+def test_binomial_in_x_has_no_float(a, shift, x):
+    from lexlab.gotzmann import binomial_in_x
+    from lexlab.hilbert import poly_eval
+    coeffs = binomial_in_x(a, shift)
+    assert _exact(coeffs)
+    top = x + a - shift   # binom(top, a) = top (top - 1) ... (top - a + 1) / a!
+    assert poly_eval(coeffs, x) == Fraction(prod(top - k for k in range(a)), factorial(a))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 5), data=st.data())
+def test_gotzmann_representation_has_no_float(n, data):
+    from lexlab.gotzmann import binomial_in_x
+    from lexlab.hilbert import poly_add
+    a = sorted(data.draw(st.lists(st.integers(0, n - 2), max_size=6)), reverse=True)
+    p = ()
+    for i, ai in enumerate(a):
+        p = poly_add(p, binomial_in_x(ai, i))
+    g = gotzmann_representation(p, n)
+    assert g.a == tuple(a)
+    assert _exact(g.a) and _exact(g.v) and _exact((g.h, g.l))
+
+
+def test_lex_of_float_leak_regression():
+    # binom(X + 1, 2) in this ideal's Hilbert polynomial once came out in floats
+    I = MonomialIdeal(R4, ((3, 0, 0, 0), (2, 1, 0, 0), (2, 0, 1, 0)))
+    L = lex_ideal(I)
+    assert is_strongly_stable(L)
+    assert hilbert_numerator(L) == hilbert_numerator(I)
+    rep = exchange_property(I)
+    assert rep.holds and rep.left == rep.right == saturate(L)
 
 
 # -- saturated lex generators and vanishing ---------------------------------------
