@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InternalInconsistency, MacaulayViolation
-from .hilbert import (HilbertData, hilbert_series, macaulay_growth, poly_eval,
-                      poly_add, poly_mul, poly_sub, poly_trim, values_from_numerator)
+from .hilbert import (HilbertData, hilbert_series, macaulay_growth, poly_add,
+                      poly_mul, poly_sub, poly_trim, values_from_numerator)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
-from .ring import Exp, RingSpec, enumerate_monomials, monomial_mul
+from .ring import Exp, RingSpec, enumerate_monomials
 
 
 # -- Gotzmann representation of a Hilbert polynomial --------------------------
@@ -129,28 +131,42 @@ def _segment(n: int, d: int, size: int) -> tuple[Exp, ...]:
     return monos[:size]
 
 
+@lru_cache(maxsize=512)
+def _shadow_prefix(n: int, d: int) -> tuple[int, ...]:
+    """Entry k is the size of R_1 * L for L the first k degree-d lex monomials.
+
+    With x_m the last variable of u (m = 1 for u = 1), the products u * x_j
+    for j >= m list the shadow of a lex segment once each (Macaulay)."""
+    return (0, *accumulate(n - max((i for i, e in enumerate(u) if e), default=0)
+                           for u in enumerate_monomials(n, d)))
+
+
 def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
-    """Build the lex ideal from dim I_d for d = 0..D, checking consistency."""
+    """Build the lex ideal from dim I_d for d = 0..D, checking consistency.
+
+    The shadow of an initial lex segment is again one, so it is counted, not
+    built: the degree-d generators are the segment's monomials past it."""
     n = ring.n
     gens: list[Exp] = []
-    prev: set[Exp] = set()
     for d, dim_ideal in enumerate(ideal_dims):
         if d == 0:
             if dim_ideal != 0:
                 raise MacaulayViolation("a proper ideal has no degree-0 part")
             continue
-        seg = set(_segment(n, d, dim_ideal))
-        shadow = {monomial_mul(u, ring.variable(i)) for u in prev for i in range(n)}
-        if not shadow <= seg:
+        seg = _segment(n, d, dim_ideal)
+        shadow = _shadow_prefix(n, d - 1)[ideal_dims[d - 1]]
+        if shadow > dim_ideal:
             raise MacaulayViolation(
                 f"values violate Macaulay growth between degrees {d - 1} and {d}")
-        gens.extend(sorted(seg - shadow))
-        prev = seg
+        gens.extend(seg[shadow:])
     return MonomialIdeal(ring, tuple(gens))
 
 
+@lru_cache(maxsize=1024)
 def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The lex-segment ideal with the same Hilbert function as `ideal`."""
+    """The lex-segment ideal with the same Hilbert function as `ideal`.
+
+    Memoised by value: equal ideals share one computation and one result."""
     if ideal.is_unit:
         raise ValueError("lex ideal of the unit ideal is not defined")
     if ideal.is_zero:

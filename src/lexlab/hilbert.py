@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import GeneratorCapExceeded, InternalInconsistency
 from .ideals import MonomialIdeal, minimal_generators
-from .ring import Exp, RingSpec, monomial_lcm, total_degree
+from .ring import Exp, monomial_lcm, total_degree
 
 # -- small dense integer/rational polynomial helpers (coefficient lists) -----
 
@@ -66,7 +66,7 @@ def poly_eval(p, x) -> Fraction:
 # -- numerators ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _numerator_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
     if not gens:
         return (1,)

@@ -52,7 +52,10 @@ def parse_polynomial(text: str, ring: RingSpec) -> Poly:
     def parse_factor() -> tuple[Exp, Fraction]:
         kind, value, at = advance()
         if kind == "num":
-            return ring.unit_monomial(), Fraction(value.replace(" ", ""))
+            try:
+                return ring.unit_monomial(), Fraction("".join(value.split()))
+            except ZeroDivisionError:
+                raise ParseError("coefficient with a zero denominator", at) from None
         if kind != "name":
             raise ParseError("expected a coefficient or variable", at)
         if value not in var_index:

@@ -130,7 +130,7 @@ def compare(a: Exp, b: Exp, order: TermOrder = LEX) -> int:
     return (ka > kb) - (ka < kb)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def enumerate_monomials(n: int, d: int, order: TermOrder = LEX) -> tuple[Exp, ...]:
     """All degree-d monomials in n variables, strictly decreasing in the order."""
     if d < 0:

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
 from helpers import grothendieck_serre_failures
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, parse_ideal,
                     parse_monomial, parse_polynomial, parse_ring)
@@ -53,6 +58,13 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_polynomial("x^(2)", R3)
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x + 1/0*y", R3)
+    assert err.value.position == 4
+    assert main(["lex", "--ring", "x,y", "0/0*x"]) == 2
 
 
 def test_parse_rational_coefficients():
@@ -146,6 +158,54 @@ def test_cli_malformed_numbers_exit_2(capsys):
     assert code == 2 and "parse error" in err
     code, _, err = run(capsys, "lc", "--ring", "x,y,z", "--window=3:1", EXAMPLE_TEXT)
     assert code == 2 and "parse error" in err
+
+
+# -- the exit-code contract under fuzzed input ----------------------------------
+
+
+def _short_numbers(text):
+    # numbers of at most two digits keep every command's cost small
+    return not re.search(r"\d{3}", text)
+
+
+def _junk(alphabet):
+    return st.text(alphabet=st.sampled_from(alphabet) | st.characters(),
+                   max_size=14).filter(_short_numbers)
+
+
+def _monomial_text(exps):
+    return "*".join(f"{v}^{e}" for v, e in zip("xy", exps) if e) or "1"
+
+
+IDEAL_TEXT = _junk("xyz^*+-,/ ()0123456789") | st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(_monomial_text),
+    max_size=4).map(", ".join)
+VALUES_TEXT = _junk("0123456789,-+ _a.") | st.lists(
+    st.integers(-2, 12), max_size=6).map(lambda vs: ",".join(map(str, [1, *vs])))
+WINDOW_TEXT = _junk("0123456789:-+ ") | st.tuples(
+    st.integers(-30, 30), st.integers(-30, 30)).map(lambda w: f"{w[0]}:{w[1]}")
+
+
+def _exit_code(argv):
+    """main's exit code; argparse's own usage errors exit 2 by SystemExit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(IDEAL_TEXT, VALUES_TEXT, WINDOW_TEXT)
+def test_cli_fuzz_exit_codes(ideal, values, window):
+    # main catches LexlabError and ValueError; any other exception fails here
+    for argv in (["lex", "--ring", "x,y", "--", ideal],
+                 ["sat", "--ring", "x,y", "--", ideal],
+                 ["lc", "--ring", "x,y", f"--window={window}", "--", ideal],
+                 ["hf", "--ring", "x,y,z", f"--window={window}", "x^2, y*z"],
+                 ["lex", "--ring", "x,y,z", f"--values={values}"],
+                 ["enumerate", "--ring", "x,y", f"--target={values}", "--max-degree", "2"]):
+        assert _exit_code(argv) in (0, 2, 3), argv
 
 
 def test_cli_violation_exit_code(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 import random
+import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
                      lex_greater, random_ideal, random_stable_ideal)
+from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 
 from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
                     exchange_property, gotzmann_representation,
@@ -14,7 +16,8 @@ from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
                     is_strongly_stable, lex_ideal, lex_ideal_from_values,
                     local_cohomology_table, multiplicity, predict_lc_vanishing,
                     saturate, saturated_lex_generators)
-from lexlab.hilbert import hilbert_numerator
+from lexlab.families import all_strongly_stable
+from lexlab.hilbert import hilbert_numerator, values_from_numerator
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -95,6 +98,81 @@ def test_is_gotzmann_examples():
         for _ in range(rng.randint(1, 4)):
             e[rng.randrange(n)] += 1
         assert is_gotzmann(MonomialIdeal(RingSpec(n), (tuple(e),)))
+
+
+# -- the shadow-count builder against the set-based oracle ----------------------
+
+
+def _brute_shadow_size(n, d, size):
+    """|R_1 * L| for L the first `size` degree-d lex monomials, by building it."""
+    segment = sorted(all_exponents(n, d), reverse=True)[:size]
+    return len({tuple(e + (k == i) for k, e in enumerate(u))
+                for u in segment for i in range(n)})
+
+
+@st.composite
+def ideal_dims(draw):
+    """dim I_d for d = 0..D: with obey, each within Macaulay's bounds; else
+    free, so most sequences violate growth, and some leave [0, dim R_d]."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.integers(0, 8))
+    obey = draw(st.booleans())
+    dims = [0 if obey else draw(st.sampled_from((0, 0, 0, 1)))]
+    for d in range(1, top + 1):
+        full = comb(d + n - 1, n - 1)
+        low = _brute_shadow_size(n, d - 1, dims[-1]) if obey else 0
+        dims.append(draw(st.integers(low, full if obey else full + 1)))
+    return n, dims
+
+
+def _build(builder, n, dims):
+    try:
+        return builder(RingSpec(n), dims)
+    except MacaulayViolation as exc:
+        return f"MacaulayViolation: {exc}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ideal_dims())
+def test_segments_to_ideal_matches_set_oracle(case):
+    from lexlab.gotzmann import _segments_to_ideal
+    n, dims = case
+    assert _build(_segments_to_ideal, n, dims) == _build(oracle_segments_to_ideal, n, dims)
+
+
+def test_lex_ideal_matches_oracle_on_r4_family():
+    family = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    ideals = set(family) | {saturate(I) for I in family}
+    checked = 0
+    for I in ideals:
+        if I.is_unit:
+            continue
+        L = lex_ideal(I)
+        values = values_from_numerator(hilbert_numerator(I), 4, L.max_generator_degree() + 2)
+        dims = [comb(d + 3, 3) - v for d, v in enumerate(values)]
+        assert oracle_segments_to_ideal(R4, dims) == L, I
+        checked += 1
+    assert len(family) == checked == 350   # saturations stay in the family
+
+
+def test_lex_ideal_is_memoised_by_value():
+    gens = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2))
+    first = MonomialIdeal(RingSpec(3), gens)
+    second = MonomialIdeal(RingSpec(3), tuple(reversed(gens)))
+    assert first is not second and first == second
+    assert lex_ideal(first) is lex_ideal(second) == EXAMPLE_LEX
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for name, module in sys.modules.items():
+        if name.startswith("lexlab."):
+            for attr, value in vars(module).items():
+                if hasattr(value, "cache_parameters") and value.__module__ == name:
+                    caches[f"{name}.{attr}"] = value.cache_parameters()["maxsize"]
+    assert {"lexlab.gotzmann.lex_ideal", "lexlab.gotzmann._shadow_prefix",
+            "lexlab.hilbert._numerator_pivot", "lexlab.ring.enumerate_monomials"} <= set(caches)
+    assert all(size is not None for size in caches.values()), caches
 
 
 # -- Gotzmann representation ------------------------------------------------------

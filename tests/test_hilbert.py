@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
                      random_ideal)
 
@@ -11,6 +13,7 @@ from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
                     hilbert_numerator, hilbert_series, macaulay_growth,
                     macaulay_rep, multiplicity)
 from lexlab.gotzmann import lex_ideal
+from lexlab.hilbert import _interpolate, poly_eval
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -166,3 +169,33 @@ def test_numerator_strategies_agree_randomly():
     for _ in range(30):
         I = random_ideal(rng, R4, max_gens=6, max_deg=5)
         assert hilbert_numerator(I, "pivot") == hilbert_numerator(I, "inclusion-exclusion")
+
+
+# -- exactness: no float in any Hilbert data -------------------------------------
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to five generators of degree <= 3 each in 1-4 variables; the zero
+    and unit ideals included."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return MonomialIdeal(RingSpec(n), tuple(draw(st.lists(exps, max_size=5))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_hilbert_data_is_exact(ideal):
+    data = hilbert_series(ideal)
+    assert all(type(v) is int for v in data.values + data.numerator + (data.d0,))
+    assert all(type(c) is Fraction for c in data.polynomial)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-20, 20),
+                          st.integers(-50, 50) | st.fractions(-5, 5, max_denominator=7)),
+                min_size=1, max_size=6, unique_by=lambda point: point[0]))
+def test_interpolate_is_exact(points):
+    poly = _interpolate(points)
+    assert all(type(c) is Fraction for c in poly)
+    assert all(poly_eval(poly, x) == y for x, y in points)
