@@ -3,21 +3,21 @@
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, adjoin_variable,
                          default_window, depth_and_dim, ext_dimensions,
                          local_cohomology_table, sequentially_cm_verdict, tables_agree)
-from .errors import (GeneratorCapExceeded, InternalInconsistency, LexlabError,
-                     MacaulayViolation, ParseError, UnluckyCoordinates)
+from .errors import (InternalInconsistency, LexlabError, MacaulayViolation, ParseError,
+                     UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable
 from .gotzmann import (ExchangeReport, GotzmannData, exchange_property,
                        gotzmann_representation, is_gotzmann, lex_ideal,
                        lex_ideal_from_values, predict_lc_vanishing,
                        saturated_lex_generators)
 from .groebner import (CoordinateChange, GBasis, buchberger, gin, initial_ideal,
-                       normal_form, polynomial_degree_dim, spoly)
+                       normal_form, spoly)
 from .hilbert import (HilbertData, MacaulayRep, dimension, hilbert_function,
                       hilbert_numerator, hilbert_series, macaulay_growth,
                       macaulay_rep, multiplicity, values_from_numerator)
-from .ideals import (MonomialIdeal, colon, contains, depth_positive_stable,
-                     graded_generator_counts, intersect, is_strongly_stable,
-                     maximal_ideal, minimalize, saturate, strong_stability_witness)
+from .ideals import (MonomialIdeal, colon, depth_positive_stable, graded_generator_counts,
+                     intersect, is_strongly_stable, maximal_ideal, saturate,
+                     strong_stability_witness)
 from .parsing import parse_ideal, parse_monomial, parse_polynomial, parse_ring
 from .reports import (RigidityReport, VerificationReport, probe_rigidity, verify_main)
 from .ring import (DEGREVLEX, LEX, Exp, Poly, RingSpec, TermOrder, borel_move,

@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--from-ideal", dest="from_ideal")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -123,6 +122,8 @@ def _dispatch(args) -> int:
     if args.command == "hf":
         ideal = _monomial_ideal(args, ring)
         w = _window(args)
+        if w and w.hi < ideal.max_generator_degree() + ring.n:
+            raise ParseError("hf --window must reach max generator degree + n")
         data = hilbert_series(ideal, w.hi if w else None)
         poly = " + ".join(f"{c}*X^{k}" if k else str(c)
                           for k, c in enumerate(data.polynomial)) or "0"
@@ -179,7 +180,7 @@ def _dispatch(args) -> int:
 
     if args.command == "probe-rigidity":
         spec = _family_spec(args, ring)
-        report = probe_rigidity(spec, _window(args), jobs=args.jobs)
+        report = probe_rigidity(spec, _window(args))
         lines = [f"members: {len(report.members)}  ({report.note})"]
         for m in report.members:
             flags = "".join("=" if f else "!" for f in m.equal_rows)

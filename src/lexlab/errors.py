@@ -19,10 +19,6 @@ class MacaulayViolation(LexlabError):
     """Numeric data that cannot be the Hilbert function of any homogeneous ideal."""
 
 
-class GeneratorCapExceeded(LexlabError):
-    """Subset-enumerating computation refused: too many minimal generators."""
-
-
 class UnluckyCoordinates(LexlabError):
     """Independent random coordinate trials disagreed; retry with another seed."""
 

@@ -7,7 +7,7 @@ from math import comb
 from typing import Iterator, Union
 
 from .errors import MacaulayViolation
-from .hilbert import hilbert_numerator, macaulay_growth, values_from_numerator
+from .hilbert import hilbert_numerator, validate_hilbert_values, values_from_numerator
 from .ideals import MonomialIdeal
 from .ring import Exp, RingSpec, borel_move, enumerate_monomials, monomial_mul
 
@@ -32,21 +32,6 @@ def _target_values(spec: FamilySpec) -> list[int]:
         raise MacaulayViolation("target values must cover degrees up to max_degree")
     validate_hilbert_values(values, n)
     return values
-
-
-def validate_hilbert_values(values, n: int) -> None:
-    """Reject windows that no cyclic quotient can realize."""
-    if not values or values[0] != 1:
-        raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
-    for d, v in enumerate(values):
-        if v < 0 or v > comb(d + n - 1, n - 1):
-            raise MacaulayViolation(f"value {v} impossible in degree {d}")
-    for d in range(1, len(values) - 1):
-        if values[d] == 0 and values[d + 1] != 0:
-            raise MacaulayViolation(f"function restarts after vanishing in degree {d}")
-        if values[d] and values[d + 1] > macaulay_growth(values[d], d):
-            raise MacaulayViolation(
-                f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")
 
 
 def _adjacent_successors(u: Exp) -> tuple[Exp, ...]:

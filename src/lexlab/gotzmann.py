@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial
 
 from .errors import InternalInconsistency, MacaulayViolation
 from .hilbert import (HilbertData, hilbert_series, macaulay_growth, poly_add,
-                      poly_mul, poly_sub, poly_trim, values_from_numerator)
+                      poly_mul, poly_sub, poly_trim, validate_hilbert_values,
+                      values_from_numerator)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
-from .ring import Exp, RingSpec, enumerate_monomials
+from .ring import Exp, RingSpec
 
 
 # -- Gotzmann representation of a Hilbert polynomial --------------------------
@@ -124,28 +124,27 @@ def predict_lc_vanishing(data: GotzmannData) -> frozenset[int]:
 # -- lex ideals ----------------------------------------------------------------
 
 
-def _segment(n: int, d: int, size: int) -> tuple[Exp, ...]:
-    monos = enumerate_monomials(n, d)
-    if size > len(monos):
-        raise MacaulayViolation(f"degree-{d} segment of size {size} exceeds dim R_d")
-    return monos[:size]
-
-
-@lru_cache(maxsize=512)
-def _shadow_prefix(n: int, d: int) -> tuple[int, ...]:
-    """Entry k is the size of R_1 * L for L the first k degree-d lex monomials.
-
-    With x_m the last variable of u (m = 1 for u = 1), the products u * x_j
-    for j >= m list the shadow of a lex segment once each (Macaulay)."""
-    return (0, *accumulate(n - max((i for i, e in enumerate(u) if e), default=0)
-                           for u in enumerate_monomials(n, d)))
+def _lex_monomial(n: int, d: int, rank: int) -> Exp:
+    """The degree-d monomial with the given lex rank (rank 0 is x_1^d),
+    unranked without listing the degree."""
+    exp = []
+    rest = d
+    for k in range(n - 1, 0, -1):   # k variables follow this one
+        e = rest
+        while rank >= (block := comb(rest - e + k - 1, k - 1)):
+            rank -= block
+            e -= 1
+        exp.append(e)
+        rest -= e
+    return (*exp, rest)
 
 
 def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
     """Build the lex ideal from dim I_d for d = 0..D, checking consistency.
 
-    The shadow of an initial lex segment is again one, so it is counted, not
-    built: the degree-d generators are the segment's monomials past it."""
+    The shadow of an initial lex segment is again one (Macaulay), so only its
+    size is needed: dim R_d minus the largest quotient value that degree d-1
+    allows.  The degree-d generators are the segment's monomials past it."""
     n = ring.n
     gens: list[Exp] = []
     for d, dim_ideal in enumerate(ideal_dims):
@@ -153,12 +152,15 @@ def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
             if dim_ideal != 0:
                 raise MacaulayViolation("a proper ideal has no degree-0 part")
             continue
-        seg = _segment(n, d, dim_ideal)
-        shadow = _shadow_prefix(n, d - 1)[ideal_dims[d - 1]]
+        dim_ring = comb(d + n - 1, n - 1)
+        if dim_ideal > dim_ring:
+            raise MacaulayViolation(f"degree-{d} segment of size {dim_ideal} exceeds dim R_d")
+        shadow = 0 if d == 1 else dim_ring - macaulay_growth(
+            comb(d + n - 2, n - 1) - ideal_dims[d - 1], d - 1)
         if shadow > dim_ideal:
             raise MacaulayViolation(
                 f"values violate Macaulay growth between degrees {d - 1} and {d}")
-        gens.extend(seg[shadow:])
+        gens.extend(_lex_monomial(n, d, rank) for rank in range(shadow, dim_ideal))
     return MonomialIdeal(ring, tuple(gens))
 
 
@@ -197,16 +199,8 @@ def lex_ideal_from_values(ring: RingSpec, values) -> MonomialIdeal:
     validated against Macaulay growth.
     """
     values = list(values)
-    if not values or values[0] != 1:
-        raise MacaulayViolation("Hilbert function of a proper cyclic quotient starts at 1")
     n = ring.n
-    for d, v in enumerate(values):
-        if v < 0 or v > comb(d + n - 1, n - 1):
-            raise MacaulayViolation(f"value {v} out of range in degree {d}")
-    for d in range(1, len(values) - 1):
-        if values[d + 1] > macaulay_growth(values[d], d):
-            raise MacaulayViolation(
-                f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")
+    validate_hilbert_values(values, n)
     dims = [comb(d + n - 1, n - 1) - v for d, v in enumerate(values)]
     return _segments_to_ideal(ring, dims)
 

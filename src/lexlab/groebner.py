@@ -9,10 +9,9 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, UnluckyCoordinates
 from .ideals import MonomialIdeal, is_strongly_stable
-from .linalg import fraction_free_rank, rational_rows_to_int
-from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, enumerate_monomials,
-                   monomial_divides, monomial_lcm, monomial_mul, monomial_quotient,
-                   total_degree)
+from .linalg import fraction_free_rank
+from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, monomial_divides,
+                   monomial_lcm, monomial_mul, monomial_quotient, total_degree)
 
 
 def spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
@@ -214,27 +213,3 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
     if not is_strongly_stable(out):
         raise InternalInconsistency(f"generic initial ideal {out} is not strongly stable")
     return out
-
-
-def polynomial_degree_dim(polys, ring: RingSpec, d: int) -> int:
-    """dim of the degree-d piece of the ideal generated by homogeneous polys,
-    by a rank computation over the monomial basis (no Groebner basis needed)."""
-    basis = enumerate_monomials(ring.n, d)
-    index = {u: t for t, u in enumerate(basis)}
-    rows = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        if not p.is_homogeneous():
-            raise ValueError("degree dimension needs homogeneous generators")
-        e = p.degree()
-        if e > d:
-            continue
-        for m in enumerate_monomials(ring.n, d - e):
-            row = [0] * len(basis)
-            for u, c in p.terms.items():
-                row[index[monomial_mul(u, m)]] = c
-            rows.append(row)
-    if not rows:
-        return 0
-    return fraction_free_rank(rational_rows_to_int(rows))

@@ -1,9 +1,8 @@
 """Exact Hilbert functions, series numerators, Hilbert polynomials and
 Macaulay's binomial calculus for monomial quotients R/I.
 
-The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n is unique, so the
-two implemented strategies (variable-pivot recursion and inclusion-exclusion
-over generator lcms) must produce identical coefficient vectors.
+The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from a
+variable-pivot recursion on the minimal generators.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import GeneratorCapExceeded, InternalInconsistency
+from .errors import InternalInconsistency, MacaulayViolation
 from .ideals import MonomialIdeal, minimal_generators
-from .ring import Exp, monomial_lcm, total_degree
+from .ring import Exp, total_degree
 
 # -- small dense integer/rational polynomial helpers (coefficient lists) -----
 
@@ -92,31 +91,9 @@ def _numerator_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
                     poly_shift(_numerator_pivot(n, quotient), 1))
 
 
-def _numerator_inclusion_exclusion(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
-    mu = len(gens)
-    if mu > 20:
-        raise GeneratorCapExceeded(
-            f"inclusion-exclusion over {mu} generators needs 2^{mu} subsets")
-    lcm_deg = [0] * (1 << mu)
-    lcms: list[Exp] = [(0,) * n] * (1 << mu)
-    coeffs = [0] * (sum(total_degree(g) for g in gens) + 1)
-    coeffs[0] = 1
-    for mask in range(1, 1 << mu):
-        low = (mask & -mask).bit_length() - 1
-        lcms[mask] = monomial_lcm(lcms[mask ^ (1 << low)], gens[low])
-        lcm_deg[mask] = total_degree(lcms[mask])
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        coeffs[lcm_deg[mask]] += sign
-    return poly_trim(coeffs)
-
-
-def hilbert_numerator(ideal: MonomialIdeal, strategy: str = "pivot") -> tuple[int, ...]:
+def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
     """N(t) with HS(R/I, t) = N(t)/(1-t)^n; empty tuple means N = 0."""
-    if strategy == "pivot":
-        return _numerator_pivot(ideal.ring.n, ideal.gens)
-    if strategy == "inclusion-exclusion":
-        return _numerator_inclusion_exclusion(ideal.ring.n, ideal.gens)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _numerator_pivot(ideal.ring.n, ideal.gens)
 
 
 def values_from_numerator(num, n: int, upto: int) -> list[int]:
@@ -131,11 +108,11 @@ def values_from_numerator(num, n: int, upto: int) -> list[int]:
     return out
 
 
-def hilbert_function(ideal: MonomialIdeal, d: int, strategy: str = "pivot") -> int:
+def hilbert_function(ideal: MonomialIdeal, d: int) -> int:
     """dim_K (R/I)_d."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    num = hilbert_numerator(ideal, strategy)
+    num = hilbert_numerator(ideal)
     return values_from_numerator(num, ideal.ring.n, d)[d]
 
 
@@ -275,3 +252,18 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
 def macaulay_growth(a: int, d: int) -> int:
     """Largest admissible value of the Hilbert function in degree d+1 given a in d."""
     return macaulay_rep(a, d).growth()
+
+
+def validate_hilbert_values(values, n: int) -> None:
+    """Reject windows of values that no cyclic quotient of R can realize."""
+    if not values or values[0] != 1:
+        raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
+    for d, v in enumerate(values):
+        if v < 0 or v > comb(d + n - 1, n - 1):
+            raise MacaulayViolation(f"value {v} impossible in degree {d}")
+    for d in range(1, len(values) - 1):
+        if values[d] == 0 and values[d + 1] != 0:
+            raise MacaulayViolation(f"function restarts after vanishing in degree {d}")
+        if values[d] and values[d + 1] > macaulay_growth(values[d], d):
+            raise MacaulayViolation(
+                f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")

@@ -60,14 +60,6 @@ def maximal_ideal(ring: RingSpec) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(ring.variables()))
 
 
-def minimalize(ring: RingSpec, gens) -> MonomialIdeal:
-    return MonomialIdeal(ring, tuple(gens))
-
-
-def contains(ideal: MonomialIdeal, u: Exp) -> bool:
-    return ideal.contains(u)
-
-
 def colon_by_monomial(ideal: MonomialIdeal, v: Exp) -> MonomialIdeal:
     return MonomialIdeal(ideal.ring, tuple(monomial_colon(g, v) for g in ideal.gens))
 

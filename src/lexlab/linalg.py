@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 
 def fraction_free_rank(rows) -> int:
     """Rank over Q of an integer matrix, by Bareiss one-step elimination.
@@ -41,22 +38,3 @@ def fraction_free_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def rational_rows_to_int(rows) -> list[list[int]]:
-    """Clear denominators row by row and strip common content."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-

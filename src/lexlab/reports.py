@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
@@ -182,22 +181,14 @@ def _rigidity_member(ideal: MonomialIdeal, window: DegreeWindow | None) -> Rigid
     ours = local_cohomology_table(ideal, w)
     theirs = local_cohomology_table(lex, w)
     n = ideal.ring.n
-    flags = tuple(
-        all(ours.get(i, j) == theirs.get(i, j) for j in w.degrees())
-        for i in range(n + 1))
+    flags = tuple(ours.row(i) == theirs.row(i) for i in range(n + 1))
     candidate = any(flags[i] and not all(flags[i:]) for i in range(n + 1))
     return RigidityMemberReport(ideal, flags, candidate)
 
 
-def probe_rigidity(spec: FamilySpec, window: DegreeWindow | None = None,
-                   jobs: int = 1) -> RigidityReport:
+def probe_rigidity(spec: FamilySpec, window: DegreeWindow | None = None) -> RigidityReport:
     """Search a family for windowed equality at one index without equality at
     a larger one.  Reports candidates only; never a claim."""
-    members = list(enumerate_strongly_stable(spec))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda m: _rigidity_member(m, window), members))
-    else:
-        results = [_rigidity_member(m, window) for m in members]
+    results = [_rigidity_member(m, window) for m in enumerate_strongly_stable(spec)]
     results.sort(key=lambda r: r.ideal.gens)
     return RigidityReport(results)

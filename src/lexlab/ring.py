@@ -74,10 +74,6 @@ def monomial_lcm(u: Exp, v: Exp) -> Exp:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def monomial_gcd(u: Exp, v: Exp) -> Exp:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def monomial_quotient(u: Exp, v: Exp) -> Exp:
     """Exact quotient u / v; v must divide u."""
     if not monomial_divides(v, u):

@@ -8,7 +8,11 @@ import random
 from itertools import product
 from math import comb
 
-from lexlab import MonomialIdeal, RingSpec
+from lexlab import LexlabError, MonomialIdeal, RingSpec
+
+
+class GeneratorCapExceeded(LexlabError):
+    """An oracle that enumerates generator subsets refused: too many generators."""
 
 
 # -- brute-force monomial enumeration and Hilbert counts -----------------------

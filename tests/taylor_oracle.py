@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from lexlab import DegreeWindow, GeneratorCapExceeded, LCTable, MonomialIdeal, RingSpec
+from helpers import GeneratorCapExceeded
+
+from lexlab import DegreeWindow, LCTable, MonomialIdeal, RingSpec
 from lexlab.errors import InternalInconsistency
 from lexlab.linalg import fraction_free_rank
 from lexlab.ring import Exp, enumerate_monomials, monomial_lcm, monomial_mul, total_degree

@@ -103,6 +103,13 @@ def test_cli_lex_and_sat(capsys):
     assert out.strip() == "(x^2, x*y, x*z, y^3, y^2*z, y*z^2)"
 
 
+def test_cli_lex_of_high_degree_power(capsys):
+    # the lex generators are unranked, so no degree's monomials are listed
+    code, out, _ = run(capsys, "lex", "--ring", "x,y,z", "x^1600")
+    assert code == 0
+    assert out.strip() == "(x^1600)"
+
+
 def test_cli_gin(capsys):
     code, out, _ = run(capsys, "gin", "--ring", "x,y", "--seed", "1", "x^2 - y^2, x*y")
     assert code == 0
@@ -151,6 +158,9 @@ def test_cli_exit_codes(capsys):
     # engine errors exit 3: 7 exceeds dim R_2 = 6
     code, _, err = run(capsys, "lex", "--ring", "x,y,z", "--values", "1,3,7")
     assert code == 3
+    # a window below max generator degree + n is a usage error
+    code, _, err = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
+    assert code == 2 and "parse error" in err
 
 
 def test_cli_malformed_numbers_exit_2(capsys):
@@ -261,11 +271,9 @@ def test_probe_rigidity_empty_family():
     assert report.to_json()["none_found"] is True
 
 
-def test_probe_rigidity_jobs_deterministic():
-    spec = FamilySpec(R3, (1, 3, 3, 1, 1), 3)
-    seq = probe_rigidity(spec, jobs=1)
-    par = probe_rigidity(spec, jobs=3)
-    assert seq.to_json() == par.to_json()
+def test_probe_rigidity_has_no_jobs_option():
+    assert _exit_code(["probe-rigidity", "--ring", "x,y,z", "--target", "1,3,3,1,1",
+                       "--max-degree", "3", "--jobs", "4"]) == 2
 
 
 def test_verify_main_never_violates_on_family():

@@ -6,19 +6,18 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from helpers import (brute_ideal_dim, brute_quotient_dim, random_ideal,
-                     random_stable_ideal)
+from helpers import (GeneratorCapExceeded, brute_ideal_dim, brute_quotient_dim,
+                     random_ideal, random_stable_ideal)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
                            oracle_table, taylor_complex, verify_complex)
 
 import lexlab
-from lexlab import (DegreeWindow, GeneratorCapExceeded, MonomialIdeal, RingSpec,
-                    SequentialCMVerdict, adjoin_variable, all_strongly_stable,
-                    default_window, depth_and_dim, ext_dimensions, lex_ideal,
-                    local_cohomology_table, saturate, sequentially_cm_verdict,
-                    tables_agree)
+from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, SequentialCMVerdict,
+                    adjoin_variable, all_strongly_stable, default_window, depth_and_dim,
+                    ext_dimensions, lex_ideal, local_cohomology_table, saturate,
+                    sequentially_cm_verdict, tables_agree)
 from lexlab.cohomology import LCTable
 
 R1 = RingSpec(1)

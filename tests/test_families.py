@@ -1,11 +1,14 @@
 import random
+from math import comb
 
 import pytest
 from helpers import brute_quotient_dim
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
-                    is_strongly_stable, lex_ideal)
+                    is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth)
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -39,6 +42,39 @@ def test_enumerate_rejects_macaulay_violation():
         list(enumerate_strongly_stable(FamilySpec(R3, (1, 3, 9), 2)))
     with pytest.raises(MacaulayViolation):
         list(enumerate_strongly_stable(FamilySpec(R3, (2, 3, 3), 2)))
+
+
+@st.composite
+def value_windows(draw):
+    """Values for degrees 0..top in n <= 4 variables, each drawn around
+    Macaulay's bound from the previous one, so some windows obey it and some
+    leave it or the range [0, dim R_d]."""
+    n = draw(st.integers(1, 4))
+    values = [draw(st.sampled_from((1, 1, 1, 0, 2)))]
+    for d in range(1, draw(st.integers(0, 4)) + 1):
+        prev, dim_prev = values[-1], comb(d + n - 2, n - 1)
+        bound = (macaulay_growth(prev, d - 1) if d > 1 and 0 <= prev <= dim_prev
+                 else comb(d + n - 1, n - 1))
+        values.append(draw(st.integers(-1, bound + 1)))
+    return n, tuple(values)
+
+
+def _accepts(build):
+    try:
+        build()
+    except MacaulayViolation:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value_windows())
+def test_lex_and_family_validate_values_alike(case):
+    n, values = case
+    ring = RingSpec(n)
+    spec = FamilySpec(ring, values, len(values) - 1)
+    assert (_accepts(lambda: lex_ideal_from_values(ring, values))
+            == _accepts(lambda: next(enumerate_strongly_stable(spec), None)))
 
 
 def test_enumerated_members_match_target():

@@ -1,7 +1,9 @@
+import ast
 import random
 import sys
 from fractions import Fraction
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
                      lex_greater, random_ideal, random_stable_ideal)
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 
+import lexlab
 from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
                     exchange_property, gotzmann_representation,
                     graded_generator_counts, hilbert_series, is_gotzmann,
@@ -140,6 +143,15 @@ def test_segments_to_ideal_matches_set_oracle(case):
     assert _build(_segments_to_ideal, n, dims) == _build(oracle_segments_to_ideal, n, dims)
 
 
+def test_lex_monomial_unranks_lex_order():
+    from lexlab.gotzmann import _lex_monomial
+    from lexlab.ring import enumerate_monomials
+    for n in range(1, 6):
+        for d in range(7):
+            ranked = tuple(_lex_monomial(n, d, r) for r in range(comb(d + n - 1, n - 1)))
+            assert ranked == enumerate_monomials(n, d), (n, d)
+
+
 def test_lex_ideal_matches_oracle_on_r4_family():
     family = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
     ideals = set(family) | {saturate(I) for I in family}
@@ -170,9 +182,41 @@ def test_every_cache_is_bounded():
             for attr, value in vars(module).items():
                 if hasattr(value, "cache_parameters") and value.__module__ == name:
                     caches[f"{name}.{attr}"] = value.cache_parameters()["maxsize"]
-    assert {"lexlab.gotzmann.lex_ideal", "lexlab.gotzmann._shadow_prefix",
-            "lexlab.hilbert._numerator_pivot", "lexlab.ring.enumerate_monomials"} <= set(caches)
+    assert {"lexlab.gotzmann.lex_ideal", "lexlab.hilbert._numerator_pivot",
+            "lexlab.ring.enumerate_monomials"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
+
+
+def _referenced_names(tree):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_library_definition_is_used():
+    # a use is a name or attribute outside the definition itself and __init__;
+    # an import alone does not count
+    src = Path(lexlab.__file__).parent
+    files = [f for f in sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+             if f.name != "__init__.py"]
+    statements = [(f, stmt) for f in files for stmt in ast.parse(f.read_text()).body]
+    uses = [(stmt, _referenced_names(stmt)) for _, stmt in statements]
+    unused = [f"{f.stem}.{stmt.name}" for f, stmt in statements
+              if f.parent == src and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not any(stmt.name in names for other, names in uses if other is not stmt)]
+    assert not unused, unused
+
+
+def test_no_threads_in_library():
+    for f in Path(lexlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] in ("concurrent", "threading")
+                           for m in modules), (f.name, modules)
 
 
 # -- Gotzmann representation ------------------------------------------------------

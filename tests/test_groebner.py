@@ -1,13 +1,62 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from helpers import brute_ideal_dim, random_ideal, random_stable_ideal
 
 from lexlab import (DEGREVLEX, LEX, MonomialIdeal, Poly, RingSpec, buchberger,
                     exchange_property, gin, hilbert_function, initial_ideal,
-                    is_strongly_stable, normal_form, parse_polynomial,
-                    polynomial_degree_dim, saturate, spoly)
+                    is_strongly_stable, normal_form, parse_polynomial, saturate, spoly)
 from lexlab.groebner import CoordinateChange, apply_change, random_coordinate_change
+from lexlab.linalg import fraction_free_rank
+from lexlab.ring import enumerate_monomials, monomial_mul
+
+
+# -- degree dimensions by linear algebra, with no Groebner basis ---------------
+
+
+def rational_rows_to_int(rows) -> list[list[int]]:
+    """Clear denominators row by row and strip common content."""
+    out = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = 1
+        for x in fr:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in fr]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def polynomial_degree_dim(polys, ring: RingSpec, d: int) -> int:
+    """dim of the degree-d piece of the ideal generated by homogeneous polys,
+    by a rank computation over the monomial basis (no Groebner basis needed)."""
+    basis = enumerate_monomials(ring.n, d)
+    index = {u: t for t, u in enumerate(basis)}
+    rows = []
+    for p in polys:
+        if p.is_zero():
+            continue
+        if not p.is_homogeneous():
+            raise ValueError("degree dimension needs homogeneous generators")
+        e = p.degree()
+        if e > d:
+            continue
+        for m in enumerate_monomials(ring.n, d - e):
+            row = [0] * len(basis)
+            for u, c in p.terms.items():
+                row[index[monomial_mul(u, m)]] = c
+            rows.append(row)
+    if not rows:
+        return 0
+    return fraction_free_rank(rational_rows_to_int(rows))
+
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
