@@ -1,5 +1,7 @@
 """lexlab: exact lex ideals, saturation, Gotzmann data and local cohomology tables."""
 
+from types import ModuleType as _ModuleType
+
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, adjoin_variable,
                          default_window, depth_and_dim, ext_dimensions,
                          local_cohomology_table, sequentially_cm_verdict, tables_agree)
@@ -24,4 +26,5 @@ from .ring import (DEGREVLEX, LEX, Exp, Poly, RingSpec, TermOrder, borel_move,
                    compare, enumerate_monomials, monomial_divides, monomial_lcm,
                    total_degree)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -103,6 +103,13 @@ def _values(text: str, option: str) -> tuple[int, ...]:
         raise ParseError(f"bad {option} values {text!r}") from exc
 
 
+def _check_gin_options(trials: int, bound: int = 1) -> None:
+    if trials < 2:
+        raise ParseError(f"--trials must be at least 2, got {trials}")
+    if bound < 1:
+        raise ParseError(f"--bound must be at least 1, got {bound}")
+
+
 def _family_spec(args, ring) -> FamilySpec:
     if bool(args.target) == bool(args.from_ideal):
         raise ParseError("give exactly one of --target or --from-ideal")
@@ -152,6 +159,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gin":
+        _check_gin_options(args.trials, args.bound)
         result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
                      seed=args.seed, bound=args.bound)
         _emit(args, ideal_to_json(result), str(result))
@@ -164,6 +172,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-main":
+        if args.with_gin:
+            _check_gin_options(args.trials)
         ideal = _monomial_ideal(args, ring)
         report = verify_main(ideal, _window(args), include_gin=args.with_gin,
                              trials=args.trials, seed=args.seed)

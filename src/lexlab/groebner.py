@@ -1,43 +1,139 @@
 """Buchberger completion over Q, initial ideals, and probabilistic generic
-initial ideals through random integer coordinate changes."""
+initial ideals through random integer coordinate changes.
+
+The core works over the integers.  A polynomial is a dict from exponent
+tuples to ints, and basis elements are kept primitive: content divided out,
+leading coefficient positive.  Reduction is fraction-free (as Bareiss elimination
+is for ranks): to cancel a term with coefficient c against a basis element
+with leading coefficient lcg, the work polynomial is scaled by lcg/t and c/t
+times the element is subtracted, t = gcd(c, lcg).  S-polynomials are formed
+by the same cross-multiplication, and each monomial's term-order key is
+computed once per call.  `Fraction` appears only at the public API: the
+elements of a `GBasis` are monic `Poly`s, and `normal_form`, `spoly` and
+`apply_change` return exact rational results.  The `Fraction`-based
+reference route is the oracle in the test suite.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .errors import InternalInconsistency, UnluckyCoordinates
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import fraction_free_rank
-from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, monomial_divides,
-                   monomial_lcm, monomial_mul, monomial_quotient, total_degree)
+from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, enumerate_monomials,
+                   monomial_divides, monomial_lcm, monomial_mul, total_degree)
+
+IntPoly = dict[Exp, int]
+# a basis element: leading monomial, leading coefficient (positive), terms
+Entry = tuple[Exp, int, IntPoly]
+
+
+class _OrderKeys(dict):
+    """Term-order keys of the monomials one computation meets, each computed once."""
+
+    def __init__(self, order: TermOrder):
+        super().__init__()
+        self.order_key = order.key
+
+    def __missing__(self, u: Exp):
+        k = self[u] = self.order_key(u)
+        return k
+
+
+def _integral(p: Poly) -> tuple[IntPoly, int]:
+    """p times the lcm D of its denominators, and D."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {u: c.numerator * (den // c.denominator) for u, c in p.terms.items()}, den
+
+
+def _entry(f: IntPoly, keys: _OrderKeys) -> Entry:
+    """f divided by its content, with a positive leading coefficient."""
+    lead = max(f, key=keys.__getitem__)
+    g = gcd(*f.values())
+    if f[lead] < 0:
+        g = -g
+    if g != 1:
+        f = {u: c // g for u, c in f.items()}
+    return lead, f[lead], f
+
+
+def _subtract(f: IntPoly, b: int, q: Exp, g: IntPoly) -> None:
+    """f -= b * x^q * g, in place."""
+    for u, c in g.items():
+        w = tuple(map(add, u, q))
+        c = f.get(w, 0) - b * c
+        if c:
+            f[w] = c
+        else:
+            del f[w]
+
+
+def _spoly(f: Entry, g: Entry) -> IntPoly:
+    """lcg/t * x^(L-lf) * f - lcf/t * x^(L-lg) * g, with L the lcm of the
+    leading monomials and t = gcd(lcf, lcg): the leading terms cancel."""
+    (lf, cf, tf), (lg, cg, tg) = f, g
+    lead = monomial_lcm(lf, lg)
+    t = gcd(cf, cg)
+    a, b = cg // t, cf // t
+    qf, qg = tuple(map(sub, lead, lf)), tuple(map(sub, lead, lg))
+    s = {tuple(map(add, u, qf)): a * c for u, c in tf.items()}
+    _subtract(s, b, qg, tg)
+    return s
+
+
+def _reduce(f: IntPoly, basis: list[Entry], keys: _OrderKeys) -> tuple[IntPoly, int]:
+    """Fraction-free full reduction of f by the basis (head and tail reduced).
+
+    Returns (r, s) with s the product of the scalings of the work polynomial,
+    so r / s is the exact remainder of f.
+    """
+    key = keys.__getitem__
+    work = dict(f)
+    kept = []  # remainder terms, each with the scale in force when it was set aside
+    scale = 1
+    while work:
+        lm = max(work, key=key)
+        c = work[lm]
+        for lg, cg, g in basis:
+            if all(map(le, lg, lm)):
+                break
+        else:
+            kept.append((lm, c, scale))
+            del work[lm]
+            continue
+        t = gcd(c, cg)
+        a, b = cg // t, c // t
+        if a != 1:
+            scale *= a
+            work = {u: a * v for u, v in work.items()}
+        _subtract(work, b, tuple(map(sub, lm, lg)), g)
+    return {u: c * (scale // s) for u, c, s in kept}, scale
+
+
+def _as_poly(n: int, f: IntPoly, den: int) -> Poly:
+    """The exact polynomial f / den."""
+    return Poly(n, f if den == 1 else {u: Fraction(c, den) for u, c in f.items()})
 
 
 def spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    lmf, lcf = f.leading(order)
-    lmg, lcg = g.leading(order)
-    lcm = monomial_lcm(lmf, lmg)
-    return (f.term_multiplied(monomial_quotient(lcm, lmf), Fraction(1) / lcf)
-            - g.term_multiplied(monomial_quotient(lcm, lmg), Fraction(1) / lcg))
+    """x^(L-lf) f / lcf - x^(L-lg) g / lcg, exactly."""
+    keys = _OrderKeys(order)
+    ef, eg = _entry(_integral(f)[0], keys), _entry(_integral(g)[0], keys)
+    t = gcd(ef[1], eg[1])
+    return _as_poly(f.n, {u: c * t for u, c in _spoly(ef, eg).items()}, ef[1] * eg[1])
 
 
 def normal_form(f: Poly, basis, order: TermOrder) -> Poly:
     """Full remainder of f on division by the basis (head and tail reduced)."""
-    leads = [(g.leading(order)[0], g) for g in basis]
-    remainder: dict[Exp, Fraction] = {}
-    work = Poly(f.n, dict(f.terms))
-    while not work.is_zero():
-        lm, lc = work.leading(order)
-        for lmg, g in leads:
-            if monomial_divides(lmg, lm):
-                lcg = g.terms[lmg]
-                work = work - g.term_multiplied(monomial_quotient(lm, lmg), lc / lcg)
-                break
-        else:
-            remainder[lm] = lc
-            work = Poly(work.n, {u: c for u, c in work.terms.items() if u != lm})
-    return Poly(f.n, remainder)
+    keys = _OrderKeys(order)
+    work, den = _integral(f)
+    r, scale = _reduce(work, [_entry(_integral(g)[0], keys) for g in basis], keys)
+    return _as_poly(f.n, r, scale * den)
 
 
 @dataclass(frozen=True)
@@ -54,34 +150,40 @@ class GBasis:
 
 def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
-    polys = [p.primitive() for p in gens if not p.is_zero()]
+    polys = [p for p in gens if not p.is_zero()]
     if ring is None:
         if not polys:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = RingSpec(polys[0].n)
-    basis: list[Poly] = []
-    for p in polys:
-        r = normal_form(p, basis, order) if basis else p
-        if not r.is_zero():
-            basis.append(r.primitive())
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    keys = _OrderKeys(order)
+    inputs = [_entry(_integral(p)[0], keys) for p in polys]
+    basis: list[Entry] = []
+    for p in inputs:
+        r = _reduce(p[2], basis, keys)[0]
+        if r:
+            basis.append(_entry(r, keys))
+    lead = [e[0] for e in basis]
+    pairs: set[tuple[int, int]] = set()
+    pair_key: dict[tuple[int, int], tuple] = {}
+
+    def add_pairs(new_pairs) -> None:
+        for i, j in new_pairs:
+            lcm_ij = monomial_lcm(lead[i], lead[j])
+            pair_key[(i, j)] = (total_degree(lcm_ij), keys[lcm_ij])
+        pairs.update(new_pairs)
+
+    add_pairs([(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))])
     processed: set[tuple[int, int]] = set()
     while pairs:
-        lead = [g.leading(order)[0] for g in basis]
-
-        def pair_key(p):
-            lcm = monomial_lcm(lead[p[0]], lead[p[1]])
-            return (total_degree(lcm), order.key(lcm))
-
-        i, j = min(pairs, key=pair_key)
+        i, j = min(pairs, key=pair_key.__getitem__)
         pairs.discard((i, j))
         processed.add((i, j))
-        lcm = monomial_lcm(lead[i], lead[j])
-        if lcm == monomial_mul(lead[i], lead[j]):
+        lcm_ij = monomial_lcm(lead[i], lead[j])
+        if lcm_ij == monomial_mul(lead[i], lead[j]):
             continue  # coprime leading terms
         chained = False
         for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lead[k], lcm):
+            if k in (i, j) or not monomial_divides(lead[k], lcm_ij):
                 continue
             a, b = tuple(sorted((i, k))), tuple(sorted((k, j)))
             if a in processed and b in processed:
@@ -89,23 +191,24 @@ def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
                 break
         if chained:
             continue
-        r = normal_form(spoly(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
+        r = _reduce(_spoly(basis[i], basis[j]), basis, keys)[0]
+        if not r:
             continue
-        basis.append(r.primitive())
+        basis.append(_entry(r, keys))
+        lead.append(basis[-1][0])
         new = len(basis) - 1
-        pairs.update((t, new) for t in range(new))
-    reduced = _reduce_basis(basis, order)
-    final = GBasis(ring, order, tuple(reduced))
-    for p in polys:
-        if not normal_form(p, final.elements, order).is_zero():
+        add_pairs([(t, new) for t in range(new)])
+    reduced = _reduce_basis(basis, keys)
+    for p in inputs:
+        if _reduce(p[2], reduced, keys)[0]:
             raise InternalInconsistency("an input generator does not reduce to zero")
-    return final
+    return GBasis(ring, order, tuple(_as_poly(ring.n, f, lc) for _, lc, f in reduced))
 
 
-def _reduce_basis(basis, order: TermOrder) -> list[Poly]:
-    lead = [g.leading(order)[0] for g in basis]
-    minimal = [g for i, g in enumerate(basis)
+def _reduce_basis(basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
+    """Minimal, inter-reduced primitive basis, by decreasing leading monomial."""
+    lead = [e[0] for e in basis]
+    minimal = [e for i, e in enumerate(basis)
                if not any(j != i and monomial_divides(lead[j], lead[i])
                           and (lead[j] != lead[i] or j < i)
                           for j in range(len(basis)))]
@@ -114,17 +217,16 @@ def _reduce_basis(basis, order: TermOrder) -> list[Poly]:
         changed = False
         for i in range(len(minimal)):
             others = minimal[:i] + minimal[i + 1:]
-            r = normal_form(minimal[i], others, order)
-            if r.is_zero():
+            r = _reduce(minimal[i][2], others, keys)[0]
+            if not r:
                 minimal.pop(i)
                 changed = True
                 break
-            if r != minimal[i]:
-                minimal[i] = r.primitive()
+            if r != minimal[i][2]:
+                minimal[i] = _entry(r, keys)
                 changed = True
-    out = [g.monic(order) for g in minimal]
-    out.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return out
+    minimal.sort(key=lambda e: keys[e[0]], reverse=True)
+    return minimal
 
 
 def initial_ideal(basis: GBasis) -> MonomialIdeal:
@@ -152,29 +254,39 @@ def random_coordinate_change(ring: RingSpec, seed: str, bound: int = 1000) -> Co
     raise InternalInconsistency("failed to sample an invertible matrix")
 
 
-def apply_change(p: Poly, change: CoordinateChange) -> Poly:
-    """Substitute X_i -> sum_j M[i][j] X_j."""
-    n = p.n
-    rows = [Poly(n, {tuple(1 if t == j else 0 for t in range(n)): change.matrix[i][j]
-                     for j in range(n) if change.matrix[i][j]})
-            for i in range(n)]
-    powers: dict[tuple[int, int], Poly] = {}
+def _mul(f: IntPoly, g: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    for u, c in f.items():
+        for v, d in g.items():
+            w = tuple(map(add, u, v))
+            out[w] = out.get(w, 0) + c * d
+    return {w: c for w, c in out.items() if c}
 
-    def power(i: int, e: int) -> Poly:
+
+def apply_change(p: Poly, change: CoordinateChange) -> Poly:
+    """Substitute X_i -> sum_j M[i][j] X_j, multiplying integer linear forms."""
+    n = p.n
+    f, den = _integral(p)
+    variables = enumerate_monomials(n, 1)
+    rows = [{v: m for v, m in zip(variables, row) if m} for row in change.matrix]
+    powers: dict[tuple[int, int], IntPoly] = {}
+
+    def power(i: int, e: int) -> IntPoly:
         got = powers.get((i, e))
         if got is None:
-            got = Poly.constant(n, 1) if e == 0 else power(i, e - 1) * rows[i]
+            got = rows[i] if e == 1 else _mul(power(i, e - 1), rows[i])
             powers[(i, e)] = got
         return got
 
-    result = Poly.zero(n)
-    for u, c in p.terms.items():
-        term = Poly.constant(n, c)
+    result: IntPoly = {}
+    for u, c in f.items():
+        term = {(0,) * n: c}
         for i, e in enumerate(u):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                term = _mul(term, power(i, e))
+        for w, v in term.items():
+            result[w] = result.get(w, 0) + v
+    return _as_poly(n, result, den)
 
 
 def _as_polys(ideal_or_polys, ring: RingSpec | None):
@@ -198,6 +310,8 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
     """
     if trials < 2:
         raise ValueError("need at least two independent trials")
+    if bound < 1:
+        raise ValueError("coordinate entries need a bound of at least 1")
     polys, ring = _as_polys(ideal_or_polys, ring)
     if not polys:
         return MonomialIdeal(ring)

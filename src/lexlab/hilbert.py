@@ -98,12 +98,14 @@ def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 def values_from_numerator(num, n: int, upto: int) -> list[int]:
     """Expand N(t)/(1-t)^n to the coefficient list for degrees 0..upto."""
+    terms = [(k, c) for k, c in enumerate(num) if c]
     out = []
     for d in range(upto + 1):
         v = 0
-        for k, c in enumerate(num):
-            if c and k <= d:
-                v += c * comb(d - k + n - 1, n - 1)
+        for k, c in terms:
+            if k > d:
+                break
+            v += c * comb(d - k + n - 1, n - 1)
         out.append(v)
     return out
 

@@ -74,13 +74,6 @@ def monomial_lcm(u: Exp, v: Exp) -> Exp:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def monomial_quotient(u: Exp, v: Exp) -> Exp:
-    """Exact quotient u / v; v must divide u."""
-    if not monomial_divides(v, u):
-        raise ValueError("quotient of non-divisible monomials")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def monomial_colon(u: Exp, v: Exp) -> Exp:
     """u : v, i.e. u / gcd(u, v) computed by clamped exponent subtraction."""
     return tuple(max(a - b, 0) for a, b in zip(u, v))

@@ -161,6 +161,13 @@ def test_cli_exit_codes(capsys):
     # a window below max generator degree + n is a usage error
     code, _, err = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
     assert code == 2 and "parse error" in err
+    # gin needs two trials and a coordinate bound of at least 1
+    for option in (["--trials", "1"], ["--trials", "0"], ["--bound", "0"], ["--bound=-3"]):
+        code, _, err = run(capsys, "gin", "--ring", "x,y", *option, "x^2 - y^2, x*y")
+        assert code == 2 and "parse error" in err, option
+    code, _, err = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
+                       "--trials", "1", EXAMPLE_TEXT)
+    assert code == 2 and "parse error" in err
 
 
 def test_cli_malformed_numbers_exit_2(capsys):

@@ -1,6 +1,7 @@
 import ast
 import random
 import sys
+import types
 from fractions import Fraction
 from math import comb, factorial, prod
 from pathlib import Path
@@ -185,6 +186,13 @@ def test_every_cache_is_bounded():
     assert {"lexlab.gotzmann.lex_ideal", "lexlab.hilbert._numerator_pivot",
             "lexlab.ring.enumerate_monomials"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_all_exports_no_modules():
+    modules = [name for name in lexlab.__all__
+               if isinstance(getattr(lexlab, name), types.ModuleType)]
+    assert not modules, modules
+    assert {"buchberger", "gin", "lex_ideal", "MonomialIdeal"} <= set(lexlab.__all__)
 
 
 def _referenced_names(tree):

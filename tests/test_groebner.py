@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import groebner_oracle as oracle
 import pytest
 from helpers import brute_ideal_dim, random_ideal, random_stable_ideal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexlab import (DEGREVLEX, LEX, MonomialIdeal, Poly, RingSpec, buchberger,
                     exchange_property, gin, hilbert_function, initial_ideal,
-                    is_strongly_stable, normal_form, parse_polynomial, saturate, spoly)
+                    is_strongly_stable, normal_form, parse_ideal, parse_polynomial, parse_ring,
+                    saturate, spoly)
+from lexlab.families import all_strongly_stable
 from lexlab.groebner import CoordinateChange, apply_change, random_coordinate_change
 from lexlab.linalg import fraction_free_rank
 from lexlab.ring import enumerate_monomials, monomial_mul
@@ -193,3 +198,79 @@ def test_apply_change_degree_preserved():
         q = apply_change(p, change)
         assert q.degree() == p.degree()
         assert q.is_homogeneous() == p.is_homogeneous()
+
+
+# -- the integer core against the Fraction oracle ----------------------------------
+
+
+def _random_poly(rng, n, max_deg, max_terms, homogeneous):
+    d = rng.randint(1, max_deg)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = d if homogeneous else rng.randint(0, d)
+        cuts = sorted(rng.randint(0, e) for _ in range(n - 1))
+        u = tuple(b - a for a, b in zip([0] + cuts, cuts + [e]))
+        terms[u] = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+    return Poly(n, terms)
+
+
+@st.composite
+def polynomial_systems(draw):
+    # a seed, because hypothesis's own draws favour one-term polynomials
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(2, 4)
+    homogeneous = draw(st.booleans())
+    gens = [_random_poly(rng, n, 3, 4, homogeneous) for _ in range(rng.randint(1, 4))]
+    f = _random_poly(rng, n, 4, 5, False)
+    return RingSpec(n), draw(st.sampled_from((LEX, DEGREVLEX))), gens, f
+
+
+def _all_fractions(p: Poly) -> bool:
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polynomial_systems())
+def test_integer_core_matches_fraction_oracle(system):
+    ring, order, gens, f = system
+    B = buchberger(gens, order, ring)
+    assert B.elements == oracle.buchberger(gens, order, ring).elements
+    returned = list(B.elements)
+    for basis in (gens, B.elements):
+        r = normal_form(f, basis, order)
+        assert r == oracle.normal_form(f, basis, order)
+        returned.append(r)
+    s = spoly(gens[0], gens[-1], order)
+    assert s == oracle.spoly(gens[0], gens[-1], order)
+    change = random_coordinate_change(ring, "core", bound=9)
+    moved = apply_change(f, change)
+    assert moved == oracle.apply_change(f, change)
+    assert all(_all_fractions(p) for p in returned + [s, moved])
+
+
+def test_gin_matches_oracle_on_r3_family():
+    members = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
+    assert len(members) == 64
+    for index, I in enumerate(members):
+        for seed in (index, 1000 + index):
+            assert gin(I, seed=seed) == oracle.gin(I, seed=seed), (I, seed)
+
+
+# oracle.gin of (x^3, y^3, z^3, w^3) with the default trials and seed; the
+# oracle itself takes seconds here, so its answer is written out
+FOUR_CUBES_GIN = (
+    "x^3, x^2*y, x^2*z^2, x^2*z*w^3, x^2*w^5, x*y^2, x*y*z^2, x*y*z*w^3, x*y*w^5, "
+    "x*z^3, x*z^2*w^3, x*z*w^5, x*w^7, y^3, y^2*z^3, y^2*z^2*w, y^2*z*w^3, y^2*w^5, "
+    "y*z^4, y*z^3*w, y*z^2*w^3, y*z*w^5, y*w^7, z^5, z^4*w, z^3*w^3, z^2*w^5, z*w^7, w^9")
+
+
+def test_gin_of_four_cubes():
+    ring = parse_ring("x,y,z,w")
+    G = gin(parse_ideal("x^3, y^3, z^3, w^3", ring))
+    assert G == parse_ideal(FOUR_CUBES_GIN, ring)
+    assert len(G.gens) == 29
+
+
+def test_gin_rejects_a_bound_below_one():
+    with pytest.raises(ValueError):
+        gin(EXAMPLE, bound=0)

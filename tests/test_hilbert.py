@@ -48,6 +48,16 @@ def test_strategies_agree_with_enumeration():
             assert values_from_numerator(oracle, n, d)[d] == brute
 
 
+def test_values_from_numerator_matches_double_loop():
+    rng = random.Random(91)
+    for _ in range(200):
+        n, upto = rng.randint(1, 5), rng.randint(0, 12)
+        num = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(rng.randint(0, 15))]
+        plain = [sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if k <= d)
+                 for d in range(upto + 1)]
+        assert values_from_numerator(num, n, upto) == plain, (num, n, upto)
+
+
 def test_numerator_example():
     # derive expected numerator from enumerated values, independently
     values = [brute_quotient_dim(EXAMPLE, d) for d in range(12)]
