@@ -160,8 +160,12 @@ def _dispatch(args) -> int:
 
     if args.command == "gin":
         _check_gin_options(args.trials, args.bound)
-        result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
-                     seed=args.seed, bound=args.bound)
+        parsed = parse_ideal(args.ideal, ring)
+        if not isinstance(parsed, MonomialIdeal) and not all(
+                p.is_homogeneous() for p in parsed):
+            raise ParseError("gin needs homogeneous generators")
+        result = gin(parsed, ring=ring, trials=args.trials, seed=args.seed,
+                     bound=args.bound)
         _emit(args, ideal_to_json(result), str(result))
         return 0
 

@@ -9,7 +9,7 @@ from typing import Iterator, Union
 from .errors import MacaulayViolation
 from .hilbert import hilbert_numerator, validate_hilbert_values, values_from_numerator
 from .ideals import MonomialIdeal
-from .ring import Exp, RingSpec, borel_move, enumerate_monomials, monomial_mul
+from .ring import Exp, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,12 @@ def _target_values(spec: FamilySpec) -> list[int]:
     return values
 
 
-def _adjacent_successors(u: Exp) -> tuple[Exp, ...]:
-    # moves toward earlier variables; enough for closure by transitivity
-    return tuple(borel_move(u, j - 1, j) for j in range(1, len(u)) if u[j])
-
-
 def borel_filters(n: int, d: int, forced: frozenset[Exp],
                   size: int | None = None) -> Iterator[frozenset[Exp]]:
     """All Borel-closed subsets of the degree-d monomials containing `forced`
     (and of the exact cardinality, when given), each exactly once."""
     monos = enumerate_monomials(n, d)  # lex-descending: successors come first
-    succ = {u: _adjacent_successors(u) for u in monos}
+    succ = {u: [v for _, v in adjacent_moves(u)] for u in monos}
 
     def rec(idx: int, chosen: set[Exp]) -> Iterator[frozenset[Exp]]:
         if size is not None:

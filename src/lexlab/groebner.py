@@ -305,14 +305,17 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
         seed: int = 0, bound: int = 1000) -> MonomialIdeal:
     """Generic initial ideal in reverse-lex order, by independent random trials.
 
-    All trials must agree; the result must be strongly stable.  Disagreement
-    surfaces as an error instead of being resolved silently.
+    The generators must be homogeneous.  All trials must agree; the result
+    must be strongly stable.  Disagreement surfaces as an error instead of
+    being resolved silently.
     """
     if trials < 2:
         raise ValueError("need at least two independent trials")
     if bound < 1:
         raise ValueError("coordinate entries need a bound of at least 1")
     polys, ring = _as_polys(ideal_or_polys, ring)
+    if not all(p.is_homogeneous() for p in polys):
+        raise ValueError("gin needs homogeneous generators")
     if not polys:
         return MonomialIdeal(ring)
     results = []

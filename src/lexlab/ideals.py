@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency
-from .ring import (Exp, RingSpec, borel_move, monomial_colon, monomial_divides,
+from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_divides,
                    monomial_lcm, total_degree)
 
 
@@ -84,51 +84,37 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
     return result
 
 
-def _saturate_by_colon(ideal: MonomialIdeal) -> MonomialIdeal:
-    m = maximal_ideal(ideal.ring)
-    cap = 10 * ideal.max_generator_degree() + 10
-    current = ideal
-    for _ in range(cap):
-        nxt = colon(current, m)
-        if nxt == current:
-            return current
-        current = nxt
-    raise InternalInconsistency("saturation did not stabilize within the iteration cap")
-
-
-def _saturate_stable(ideal: MonomialIdeal) -> MonomialIdeal:
-    # for Borel-fixed ideals, saturating = setting the last variable to 1
-    gens = tuple(g[:-1] + (0,) for g in ideal.gens)
-    return MonomialIdeal(ideal.ring, gens)
-
-
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The saturation with respect to the maximal ideal."""
+    """The saturation I : m^inf with respect to the maximal ideal m.
+
+    For a monomial ideal, I^sat is the intersection over k of I : x_k^inf,
+    and I : x_k^inf = I : x_k^rho_k, with rho_k the largest exponent of x_k
+    among the generators: x_k dropped from every generator.  The last
+    variable comes first, since on Borel-fixed input its piece is already
+    the answer and the later intersections stay small.
+    """
     if ideal.is_zero or ideal.is_unit:
         return ideal
-    if is_strongly_stable(ideal):
-        fast = _saturate_stable(ideal)
-        slow = _saturate_by_colon(ideal)
-        if fast != slow:
-            raise InternalInconsistency(
-                f"saturation paths disagree on {ideal}: {fast} vs {slow}")
-        return fast
-    return _saturate_by_colon(ideal)
+    n = ideal.ring.n
+    result = None
+    for k in range(n - 1, -1, -1):
+        rho = max(g[k] for g in ideal.gens)
+        piece = colon_by_monomial(ideal, tuple(rho if t == k else 0 for t in range(n)))
+        result = piece if result is None else intersect(result, piece)
+    return result
 
 
 def strong_stability_witness(ideal: MonomialIdeal):
-    """None when the ideal is strongly stable, else a failing (u, i, j) move.
+    """None when the ideal is strongly stable, else a failing (u, j - 1, j) move.
 
-    Checking the minimal generators suffices: a product inherits every move
-    from its generator factor.
+    Adjacent moves of the minimal generators suffice: a product inherits
+    every move from its generator factor (or the generator divides the
+    moved product), and every move is a chain of adjacent ones.
     """
     for u in ideal.gens:
-        for j in range(len(u) - 1, 0, -1):
-            if u[j] == 0:
-                continue
-            for i in range(j - 1, -1, -1):
-                if not ideal.contains(borel_move(u, i, j)):
-                    return (u, i, j)
+        for j, v in adjacent_moves(u):
+            if not ideal.contains(v):
+                return (u, j - 1, j)
     return None
 
 

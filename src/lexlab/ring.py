@@ -91,6 +91,15 @@ def borel_move(u: Exp, i: int, j: int) -> Exp:
     return tuple(e)
 
 
+def adjacent_moves(u: Exp) -> list[tuple[int, Exp]]:
+    """(j, X_{j-1} * u / X_j) for every X_j dividing u, j > 0, last variable first.
+
+    Every Borel move X_i * u / X_j is a chain of adjacent ones, so a set of
+    monomials closed under these moves is closed under all of them.
+    """
+    return [(j, borel_move(u, j - 1, j)) for j in range(len(u) - 1, 0, -1) if u[j]]
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """Total multiplicative monomial order; 'lex' or 'degrevlex'."""

@@ -261,3 +261,23 @@ def test_criterion_11_r4_equivalence_sweep():
            f"({holds} with the exchange), {len(violations)} violations, "
            f"{len(inconclusive)} inconclusive; 14-generator lex table satisfies "
            f"Grothendieck-Serre")
+
+
+def test_criterion_12_non_stable_sweep():
+    t0 = time.time()
+    rng = random.Random(1212)
+    members = []
+    while len(members) < 300:
+        I = random_ideal(rng, RingSpec(rng.randint(2, 4)), max_gens=5, max_deg=4)
+        if not is_strongly_stable(I):
+            members.append(I)
+    reports = [verify_main(I) for I in members]
+    violations = [r.ideal for r in reports if r.verdict == VERDICT_VIOLATION]
+    inconclusive = [r.ideal for r in reports if not r.conclusive]
+    holds = sum(r.condition_i for r in reports)
+    elapsed = time.time() - t0
+    ok = not violations and not inconclusive and 0 < holds < len(members)
+    report(12, ok and elapsed < 60, elapsed,
+           f"(i) iff (ii) across {len(members)} random ideals that are not strongly "
+           f"stable ({holds} with the exchange), {len(violations)} violations, "
+           f"{len(inconclusive)} inconclusive")

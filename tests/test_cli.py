@@ -165,6 +165,10 @@ def test_cli_exit_codes(capsys):
     for option in (["--trials", "1"], ["--trials", "0"], ["--bound", "0"], ["--bound=-3"]):
         code, _, err = run(capsys, "gin", "--ring", "x,y", *option, "x^2 - y^2, x*y")
         assert code == 2 and "parse error" in err, option
+    # gin needs homogeneous generators
+    for text in ("x^2 - y, x*y", "x^2 - 1"):
+        code, _, err = run(capsys, "gin", "--ring", "x,y", text)
+        assert code == 2 and "parse error" in err, text
     code, _, err = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
                        "--trials", "1", EXAMPLE_TEXT)
     assert code == 2 and "parse error" in err

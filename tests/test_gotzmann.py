@@ -214,6 +214,21 @@ def test_every_library_definition_is_used():
     assert not unused, unused
 
 
+def test_every_oracle_is_imported_by_a_test():
+    # a route moved out of the library must stay an exercised reference
+    tests = Path(__file__).parent
+    imported = set()
+    for f in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+    oracles = {f.stem for f in tests.glob("*_oracle.py")}
+    assert {"groebner_oracle", "ideals_oracle"} <= oracles
+    assert oracles <= imported, sorted(oracles - imported)
+
+
 def test_no_threads_in_library():
     for f in Path(lexlab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(f.read_text())):

@@ -274,3 +274,9 @@ def test_gin_of_four_cubes():
 def test_gin_rejects_a_bound_below_one():
     with pytest.raises(ValueError):
         gin(EXAMPLE, bound=0)
+
+
+def test_gin_rejects_non_homogeneous_input():
+    for text in ("x^2 - y, x*y", "x^2 - 1"):
+        with pytest.raises(ValueError, match="homogeneous"):
+            gin(parse_ideal(text, R2), ring=R2)

@@ -1,16 +1,20 @@
 import random
 
 import pytest
-from helpers import brute_ideal_dim, random_ideal, random_stable_ideal
+from helpers import brute_ideal_dim, random_ideal, random_monomial, random_stable_ideal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ideals_oracle import (_saturate_by_colon, _saturate_stable,
+                           _strong_stability_witness_all_pairs)
 
-from lexlab import (InternalInconsistency, MonomialIdeal, RingSpec, colon,
+from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
                     depth_positive_stable, graded_generator_counts, intersect,
-                    is_strongly_stable, maximal_ideal, saturate,
+                    is_strongly_stable, lex_ideal, maximal_ideal, saturate,
                     strong_stability_witness)
-from lexlab.ideals import _saturate_by_colon
 
 R3 = RingSpec(3)
 R4 = RingSpec(4)
+R5 = RingSpec(5)
 EXAMPLE = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2)))
 
 
@@ -84,6 +88,55 @@ def test_both_saturation_paths_agree_on_stable_ideals():
         I = random_stable_ideal(rng, R3)
         assert is_strongly_stable(I)
         assert saturate(I) == _saturate_by_colon(I)
+
+
+@pytest.mark.parametrize("n, max_degree, with_lex", [
+    (3, 3, False), (4, 3, True), (3, 4, False), (5, 2, False)])
+def test_saturate_matches_colon_oracle_on_families(n, max_degree, with_lex):
+    members = [I for I in all_strongly_stable(RingSpec(n), max_degree) if not I.is_zero]
+    if with_lex:
+        members += [lex_ideal(I) for I in members]
+    for I in members:
+        assert saturate(I) == _saturate_by_colon(I), I
+
+
+def test_saturate_matches_stable_oracle_on_r5_family():
+    # the colon oracle is too slow for all 2429 members
+    members = [I for I in all_strongly_stable(R5, 3) if not I.is_zero]
+    assert len(members) == 2429
+    for I in members:
+        assert saturate(I) == _saturate_stable(I), I
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 5))
+    exponent = st.tuples(*[st.integers(0, 4)] * n)
+    return MonomialIdeal(RingSpec(n), tuple(draw(st.lists(exponent, max_size=6))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_ideals())
+def test_saturate_matches_colon_oracle_on_random_ideals(I):
+    assert saturate(I) == _saturate_by_colon(I)
+
+
+def test_strong_stability_matches_all_pairs_oracle():
+    rng = random.Random(41)
+    for _ in range(2000):
+        ring = RingSpec(rng.randint(2, 5))
+        I = random_ideal(rng, ring, max_gens=5, max_deg=4)
+        if rng.random() < 0.5:
+            # near-stable input: a Borel closure plus at most one stray generator
+            I = random_stable_ideal(rng, ring)
+            if rng.random() < 0.5:
+                I = MonomialIdeal(ring, I.gens + (random_monomial(rng, ring.n, 4),))
+        witness = strong_stability_witness(I)
+        assert (witness is None) == (_strong_stability_witness_all_pairs(I) is None), I
+        if witness is not None:
+            u, i, j = witness
+            assert u in I.gens and i == j - 1 and u[j] > 0
+            assert not I.contains(borel_move(u, i, j))
 
 
 def test_strongly_stable_examples():
