@@ -144,9 +144,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "lex":
-        if bool(args.ideal) == bool(args.values):
+        if (args.ideal is None) == (args.values is None):
             raise ParseError("give an ideal or --values, not both")
-        if args.values:
+        if args.values is not None:
             result = lex_ideal_from_values(ring, _values(args.values, "--values"))
         else:
             result = lex_ideal(_monomial_ideal(args, ring))

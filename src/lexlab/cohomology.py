@@ -215,11 +215,9 @@ def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = N
     return LCTable(ideal.ring.n, window, entries)
 
 
-def tables_agree(a: LCTable, b: LCTable, window: DegreeWindow,
-                 max_row: int | None = None) -> tuple[int, int] | None:
+def tables_agree(a: LCTable, b: LCTable, window: DegreeWindow) -> tuple[int, int] | None:
     """First (i, j) where the tables differ on the window, or None."""
-    top = max(a.nvars, b.nvars) if max_row is None else max_row
-    for i in range(top + 1):
+    for i in range(max(a.nvars, b.nvars) + 1):
         for j in window.degrees():
             if a.get(i, j) != b.get(i, j):
                 return (i, j)
@@ -251,9 +249,7 @@ class SequentialCMVerdict(Enum):
     NOT_SEQUENTIALLY_CM = "NotSequentiallyCM"
 
 
-def sequentially_cm_verdict(ideal: MonomialIdeal,
-                            window: DegreeWindow | None = None,
-                            trials: int = 3, seed: int = 0,
+def sequentially_cm_verdict(ideal: MonomialIdeal, trials: int = 3, seed: int = 0,
                             gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
     """Windowed semi-decision: local cohomology of R/I against R/gin(I).
 
@@ -265,7 +261,7 @@ def sequentially_cm_verdict(ideal: MonomialIdeal,
     if gin_ideal is None:
         from .groebner import gin
         gin_ideal = gin(ideal, trials=trials, seed=seed)
-    window = window or default_window(ideal, gin_ideal)
+    window = default_window(ideal, gin_ideal)
     ours = local_cohomology_table(ideal, window)
     theirs = local_cohomology_table(gin_ideal, window)
     if tables_agree(ours, theirs, window) is None:

@@ -14,8 +14,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InternalInconsistency, MacaulayViolation
-from .hilbert import (HilbertData, hilbert_series, macaulay_growth, poly_add,
-                      poly_mul, poly_sub, poly_trim, validate_hilbert_values,
+from .hilbert import (binomial_in_x, hilbert_numerator, macaulay_growth, poly_add,
+                      poly_sub, poly_trim, validate_hilbert_values,
                       values_from_numerator)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
 from .ring import Exp, RingSpec
@@ -39,30 +39,15 @@ class GotzmannData:
         return {"a": list(self.a), "v": list(self.v), "h": self.h, "l": self.l}
 
 
-def binomial_in_x(a: int, shift: int) -> tuple[Fraction, ...]:
-    """Coefficients of binom(X + a - shift, a) as a polynomial in X."""
-    coeffs: tuple = (Fraction(1),)
-    for t in range(1, a + 1):
-        coeffs = poly_mul(coeffs, (Fraction(t - shift), Fraction(1)))
-        coeffs = tuple(Fraction(c, t) for c in coeffs)  # c may be an int 0
-    return tuple(coeffs)
-
-
-def _as_fraction_poly(p) -> tuple[Fraction, ...]:
-    if isinstance(p, HilbertData):
-        p = p.polynomial
-    if isinstance(p, (int, Fraction)):
-        p = (p,)
-    return poly_trim(tuple(Fraction(c) for c in p))
-
-
 def gotzmann_representation(p, n: int) -> GotzmannData:
-    """Canonical decomposition of a Hilbert polynomial into shifted binomials.
+    """Canonical decomposition of a Hilbert polynomial, given by its
+    coefficients from the constant term up, into shifted binomials.
 
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
     """
-    remainder = _as_fraction_poly(p)
+    target = poly_trim(tuple(Fraction(c) for c in p))
+    remainder = target
     if len(remainder) - 1 > n - 2:
         raise MacaulayViolation(
             f"polynomial degree {len(remainder) - 1} too large for {n} variables")
@@ -83,7 +68,7 @@ def gotzmann_representation(p, n: int) -> GotzmannData:
     check: tuple = ()
     for i, ai in enumerate(a_seq):
         check = poly_add(check, binomial_in_x(ai, i))
-    if poly_trim(check) != _as_fraction_poly(p):
+    if poly_trim(check) != target:
         raise InternalInconsistency("binomial representation does not reproduce input")
     v = [0] * max(n - 1, 0)
     for ai in a_seq:
@@ -175,16 +160,17 @@ def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
         return ideal
     ring = ideal.ring
     n = ring.n
-    data = hilbert_series(ideal)
-    gotz = gotzmann_representation(data.polynomial, n)
-    last_dev = 0
-    for d in range(len(data.values)):
-        if data.values[d] != data.poly_value(d):
-            last_dev = d
-    stop = max(gotz.l, last_dev, ideal.max_generator_degree()) + 1
-    upto = stop + 2
-    values = values_from_numerator(data.numerator, n, upto)
-    dims = [comb(d + n - 1, n - 1) - values[d] for d in range(upto + 1)]
+    num = hilbert_numerator(ideal)
+    # Gotzmann persistence: once I is generated in degrees <= d and the
+    # quotient grows maximally from d to d+1, it does so in every later
+    # degree, so the lex ideal has no generator above d.
+    stop = ideal.max_generator_degree()
+    values = values_from_numerator(num, n, stop + 2)
+    while values[stop + 1] != macaulay_growth(values[stop], stop):
+        stop += 1
+        if len(values) < stop + 3:
+            values = values_from_numerator(num, n, 2 * stop + 2)
+    dims = [comb(d + n - 1, n - 1) - values[d] for d in range(stop + 3)]
     result = _segments_to_ideal(ring, dims)
     if result.max_generator_degree() > stop:
         raise InternalInconsistency(

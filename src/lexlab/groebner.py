@@ -10,7 +10,8 @@ times the element is subtracted, t = gcd(c, lcg).  S-polynomials are formed
 by the same cross-multiplication, and each monomial's term-order key is
 computed once per call.  `Fraction` appears only at the public API: the
 elements of a `GBasis` are monic `Poly`s, and `normal_form`, `spoly` and
-`apply_change` return exact rational results.  The `Fraction`-based
+`apply_change` return exact rational results, while `gin` runs its trials
+on the integer core and builds no `Fraction`.  The `Fraction`-based
 reference route is the oracle in the test suite.
 """
 
@@ -155,8 +156,13 @@ def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
         if not polys:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = RingSpec(polys[0].n)
-    keys = _OrderKeys(order)
-    inputs = [_entry(_integral(p)[0], keys) for p in polys]
+    reduced = _groebner([_integral(p)[0] for p in polys], _OrderKeys(order))
+    return GBasis(ring, order, tuple(_as_poly(ring.n, f, lc) for _, lc, f in reduced))
+
+
+def _groebner(polys: list[IntPoly], keys: _OrderKeys) -> list[Entry]:
+    """Reduced primitive basis of the ideal generated by nonzero integer polys."""
+    inputs = [_entry(f, keys) for f in polys]
     basis: list[Entry] = []
     for p in inputs:
         r = _reduce(p[2], basis, keys)[0]
@@ -202,7 +208,7 @@ def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
     for p in inputs:
         if _reduce(p[2], reduced, keys)[0]:
             raise InternalInconsistency("an input generator does not reduce to zero")
-    return GBasis(ring, order, tuple(_as_poly(ring.n, f, lc) for _, lc, f in reduced))
+    return reduced
 
 
 def _reduce_basis(basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
@@ -265,8 +271,13 @@ def _mul(f: IntPoly, g: IntPoly) -> IntPoly:
 
 def apply_change(p: Poly, change: CoordinateChange) -> Poly:
     """Substitute X_i -> sum_j M[i][j] X_j, multiplying integer linear forms."""
-    n = p.n
     f, den = _integral(p)
+    return _as_poly(p.n, _substitute(f, change), den)
+
+
+def _substitute(f: IntPoly, change: CoordinateChange) -> IntPoly:
+    """apply_change on an integer polynomial."""
+    n = len(change.matrix)
     variables = enumerate_monomials(n, 1)
     rows = [{v: m for v, m in zip(variables, row) if m} for row in change.matrix]
     powers: dict[tuple[int, int], IntPoly] = {}
@@ -286,19 +297,22 @@ def apply_change(p: Poly, change: CoordinateChange) -> Poly:
                 term = _mul(term, power(i, e))
         for w, v in term.items():
             result[w] = result.get(w, 0) + v
-    return _as_poly(n, result, den)
+    return result
 
 
-def _as_polys(ideal_or_polys, ring: RingSpec | None):
+def _integer_generators(ideal_or_polys,
+                        ring: RingSpec | None) -> tuple[list[IntPoly], RingSpec]:
+    """Nonzero homogeneous generators as integer polynomials, and their ring."""
     if isinstance(ideal_or_polys, MonomialIdeal):
-        ring = ideal_or_polys.ring
-        return [Poly.monomial(g) for g in ideal_or_polys.gens], ring
+        return [{g: 1} for g in ideal_or_polys.gens], ideal_or_polys.ring
     polys = list(ideal_or_polys)
     if ring is None:
         if not polys:
             raise ValueError("need a ring for an empty generator list")
         ring = RingSpec(polys[0].n)
-    return polys, ring
+    if not all(p.is_homogeneous() for p in polys):
+        raise ValueError("gin needs homogeneous generators")
+    return [_integral(p)[0] for p in polys if not p.is_zero()], ring
 
 
 def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
@@ -313,17 +327,16 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
         raise ValueError("need at least two independent trials")
     if bound < 1:
         raise ValueError("coordinate entries need a bound of at least 1")
-    polys, ring = _as_polys(ideal_or_polys, ring)
-    if not all(p.is_homogeneous() for p in polys):
-        raise ValueError("gin needs homogeneous generators")
-    if not polys:
+    gens, ring = _integer_generators(ideal_or_polys, ring)
+    if not gens:
         return MonomialIdeal(ring)
+    keys = _OrderKeys(DEGREVLEX)
     results = []
     trial_seeds = [f"{seed}:{t}" for t in range(trials)]
     for ts in trial_seeds:
         change = random_coordinate_change(ring, ts, bound)
-        moved = [apply_change(p, change) for p in polys]
-        results.append(initial_ideal(buchberger(moved, DEGREVLEX, ring)))
+        moved = [_substitute(f, change) for f in gens]
+        results.append(MonomialIdeal(ring, tuple(e[0] for e in _groebner(moved, keys))))
     if any(r != results[0] for r in results[1:]):
         raise UnluckyCoordinates("coordinate trials disagree", tuple(trial_seeds))
     out = results[0]

@@ -62,6 +62,15 @@ def poly_eval(p, x) -> Fraction:
     return acc
 
 
+def binomial_in_x(a: int, shift: int) -> tuple[Fraction, ...]:
+    """Coefficients of binom(X + a - shift, a) as a polynomial in X."""
+    coeffs: tuple = (Fraction(1),)
+    for t in range(1, a + 1):
+        coeffs = poly_mul(coeffs, (Fraction(t - shift), Fraction(1)))
+        coeffs = tuple(Fraction(c, t) for c in coeffs)  # c may be an int 0
+    return tuple(coeffs)
+
+
 # -- numerators ---------------------------------------------------------------
 
 
@@ -142,22 +151,6 @@ class HilbertData:
         }
 
 
-def _interpolate(points) -> tuple[Fraction, ...]:
-    """Lagrange interpolation through exact points [(x, y), ...]."""
-    result: tuple = ()
-    for i, (xi, yi) in enumerate(points):
-        basis: tuple = (Fraction(1),)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = poly_mul(basis, (Fraction(-xj), Fraction(1)))
-            denom *= Fraction(xi - xj)
-        scaled = tuple(c * Fraction(yi) / denom for c in basis)
-        result = poly_add(result, scaled)
-    return tuple(Fraction(c) for c in result)
-
-
 def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertData:
     """Exact series data; `window` is the top degree of the value table."""
     n = ideal.ring.n
@@ -169,8 +162,12 @@ def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertDa
     d0 = max(len(num) - 1, 0)
     upto = max(window, d0 + n + 2)
     values = values_from_numerator(num, n, upto)
-    pts = [(d, values[d]) for d in range(d0, d0 + n)]
-    poly = poly_trim(_interpolate(pts))
+    # N(t)/(1-t)^n = sum_k N_k t^k / (1-t)^n, and t^k/(1-t)^n has the
+    # coefficient binom(d - k + n - 1, n - 1) in every degree d >= k - n + 1
+    poly: tuple = ()
+    for k, c in enumerate(num):
+        if c:
+            poly = poly_add(poly, tuple(c * b for b in binomial_in_x(n - 1, k)))
     for d in range(d0, upto + 1):
         if poly_eval(poly, d) != values[d]:
             raise InternalInconsistency("Hilbert polynomial does not match values")

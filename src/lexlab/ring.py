@@ -237,22 +237,5 @@ class Poly:
             scale = -scale
         return self.scaled(scale)
 
-    def text(self, ring: RingSpec, order: TermOrder = LEX) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for u in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[u]
-            mono = ring.monomial_str(u)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0].replace("+ ", "").replace("- ", "-")
-        return " ".join([head] + parts[1:])
-
     def __repr__(self) -> str:
         return f"Poly({self.n}, {self.terms!r})"

@@ -8,7 +8,9 @@ import random
 from itertools import product
 from math import comb
 
-from lexlab import LexlabError, MonomialIdeal, RingSpec
+from hypothesis import strategies as st
+
+from lexlab import LexlabError, MonomialIdeal, RingSpec, all_strongly_stable
 
 
 class GeneratorCapExceeded(LexlabError):
@@ -121,3 +123,22 @@ def random_stable_ideal(rng, ring, max_gens=3, max_deg=3):
     """A strongly stable ideal: Borel closure of a few random monomials."""
     seeds = [random_monomial(rng, ring.n, max_deg) for _ in range(rng.randint(1, max_gens))]
     return MonomialIdeal(ring, tuple(borel_closure(seeds, ring.n)))
+
+
+def oracle_families():
+    """Every strongly stable ideal of Q[x,y] of degree <= 5, Q[x,y,z] of
+    degree <= 5 (which holds degree <= 4), Q[x,y,z,w] of degree <= 3 and
+    Q[x1..x5] of degree <= 2."""
+    for n, d in ((2, 5), (3, 5), (4, 3), (5, 2)):
+        yield from all_strongly_stable(RingSpec(n), d)
+
+
+@st.composite
+def proper_monomial_ideals(draw):
+    """Up to five generators of degree 1-4 in 1-5 variables; the zero ideal
+    included, the unit ideal not."""
+    n = draw(st.integers(1, 5))
+    factors = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
+    gens = [tuple(vs.count(i) for i in range(n))
+            for vs in draw(st.lists(factors, max_size=5))]
+    return MonomialIdeal(RingSpec(n), tuple(gens))

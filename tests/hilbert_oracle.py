@@ -1,14 +1,21 @@
-"""Inclusion-exclusion over generator lcms, kept as the oracle for the
-library's variable-pivot Hilbert numerator (``lexlab.hilbert._numerator_pivot``).
+"""Oracles for ``lexlab.hilbert``.
 
-HS(R/I, t) (1-t)^n = sum over generator subsets S of (-1)^|S| t^deg lcm(S),
-so it shares no recursion with the pivot route.  It is exponential in the
-number of generators, hence the cap.
+Inclusion-exclusion over generator lcms checks the variable-pivot Hilbert
+numerator (``lexlab.hilbert._numerator_pivot``): HS(R/I, t) (1-t)^n is the
+sum over generator subsets S of (-1)^|S| t^deg lcm(S), so it shares no
+recursion with the pivot route.  It is exponential in the number of
+generators, hence the cap.
+
+Lagrange interpolation through n values checks the closed-form Hilbert
+polynomial of ``lexlab.hilbert.hilbert_series``.
 """
+
+from fractions import Fraction
 
 from helpers import GeneratorCapExceeded
 
-from lexlab.hilbert import poly_trim
+from lexlab.hilbert import (hilbert_numerator, poly_add, poly_mul, poly_trim,
+                            values_from_numerator)
 from lexlab.ring import Exp, monomial_lcm, total_degree
 
 
@@ -28,3 +35,29 @@ def _numerator_inclusion_exclusion(n: int, gens: tuple[Exp, ...]) -> tuple[int, 
         sign = -1 if bin(mask).count("1") % 2 else 1
         coeffs[lcm_deg[mask]] += sign
     return poly_trim(coeffs)
+
+
+def _interpolate(points) -> tuple[Fraction, ...]:
+    """Lagrange interpolation through exact points [(x, y), ...]."""
+    result: tuple = ()
+    for i, (xi, yi) in enumerate(points):
+        basis: tuple = (Fraction(1),)
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            basis = poly_mul(basis, (Fraction(-xj), Fraction(1)))
+            denom *= Fraction(xi - xj)
+        scaled = tuple(c * Fraction(yi) / denom for c in basis)
+        result = poly_add(result, scaled)
+    return tuple(Fraction(c) for c in result)
+
+
+def interpolated_polynomial(ideal) -> tuple[Fraction, ...]:
+    """The Hilbert polynomial through its values in degrees d0..d0+n-1,
+    d0 the degree of the series numerator, as ``hilbert_series`` once made it."""
+    n = ideal.ring.n
+    num = hilbert_numerator(ideal)
+    d0 = max(len(num) - 1, 0)
+    values = values_from_numerator(num, n, d0 + n)
+    return poly_trim(_interpolate([(d, values[d]) for d in range(d0, d0 + n)]))

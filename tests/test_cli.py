@@ -103,6 +103,15 @@ def test_cli_lex_and_sat(capsys):
     assert out.strip() == "(x^2, x*y, x*z, y^3, y^2*z, y*z^2)"
 
 
+def test_cli_lex_of_the_zero_ideal(capsys):
+    # "" is the zero ideal, as in hf, sat, lc, gin and verify-main
+    code, out, _ = run(capsys, "lex", "--ring", "x,y", "")
+    assert code == 0 and out.strip() == "(0)"
+    for argv in ([], ["x*y", "--values", "1,2,2"], ["", "--values", "1,2,2"]):
+        code, _, err = run(capsys, "lex", "--ring", "x,y", *argv)
+        assert code == 2 and "not both" in err, argv
+
+
 def test_cli_lex_of_high_degree_power(capsys):
     # the lex generators are unranked, so no degree's monomials are listed
     code, out, _ = run(capsys, "lex", "--ring", "x,y,z", "x^1600")

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
-                     lex_greater, random_ideal, random_stable_ideal)
+                     lex_greater, oracle_families, proper_monomial_ideals, random_ideal,
+                     random_stable_ideal)
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
+from lex_oracle import lex_ideal_gotzmann_bound
 
 import lexlab
 from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
@@ -168,6 +170,43 @@ def test_lex_ideal_matches_oracle_on_r4_family():
     assert len(family) == checked == 350   # saturations stay in the family
 
 
+# -- the persistence stop against the Gotzmann-bound oracle -----------------------
+
+
+def test_lex_ideal_matches_gotzmann_bound_oracle_on_families():
+    checked = 0
+    for I in oracle_families():
+        if not I.is_zero:
+            assert lex_ideal(I) == lex_ideal_gotzmann_bound(I), I
+            checked += 1
+    assert checked == 62 + 2429 + 350 + 62
+
+
+def test_lex_ideal_matches_gotzmann_bound_oracle_on_random_ideals():
+    # in five variables some members have lex ideals of thousands of
+    # generators, which take both routes close to a minute
+    rng = random.Random(707)
+    for _ in range(2000):
+        I = random_ideal(rng, RingSpec(rng.randint(2, 4)), max_gens=5, max_deg=4)
+        assert lex_ideal(I) == lex_ideal_gotzmann_bound(I), I
+
+
+def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
+    R5 = RingSpec(5)
+    cube = MonomialIdeal(R5, tuple((3 - a, a, 0, 0, 0) for a in range(4)))   # (x1,x2)^3
+    L = lex_ideal(cube)
+    assert len(L.gens) == 265
+    assert L == lex_ideal_gotzmann_bound(cube) == lex_ideal(L) == lex_ideal_gotzmann_bound(L)
+    power = MonomialIdeal(R3, ((1600, 0, 0),))
+    assert lex_ideal(power) == lex_ideal_gotzmann_bound(power) == power
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(proper_monomial_ideals())
+def test_lex_ideal_matches_gotzmann_bound_oracle_on_hypothesis_ideals(ideal):
+    assert lex_ideal(ideal) == lex_ideal_gotzmann_bound(ideal)
+
+
 def test_lex_ideal_is_memoised_by_value():
     gens = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2))
     first = MonomialIdeal(RingSpec(3), gens)
@@ -225,7 +264,7 @@ def test_every_oracle_is_imported_by_a_test():
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
     oracles = {f.stem for f in tests.glob("*_oracle.py")}
-    assert {"groebner_oracle", "ideals_oracle"} <= oracles
+    assert {"groebner_oracle", "hilbert_oracle", "ideals_oracle", "lex_oracle"} <= oracles
     assert oracles <= imported, sorted(oracles - imported)
 
 

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
-                     random_ideal)
-from hilbert_oracle import _numerator_inclusion_exclusion
+                     oracle_families, proper_monomial_ideals, random_ideal)
+from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
+                            interpolated_polynomial)
 
 from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
                     hilbert_numerator, hilbert_series, macaulay_growth,
                     macaulay_rep, multiplicity)
 from lexlab.gotzmann import lex_ideal
-from lexlab.hilbert import _interpolate, poly_eval, values_from_numerator
+from lexlab.hilbert import poly_eval, values_from_numerator
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -211,3 +212,22 @@ def test_interpolate_is_exact(points):
     poly = _interpolate(points)
     assert all(type(c) is Fraction for c in poly)
     assert all(poly_eval(poly, x) == y for x, y in points)
+
+
+# -- the closed-form Hilbert polynomial against interpolation ----------------------
+
+
+def test_hilbert_polynomial_matches_interpolation_oracle_on_families():
+    checked = 0
+    for I in oracle_families():
+        poly = hilbert_series(I).polynomial
+        assert poly == interpolated_polynomial(I), I
+        assert all(type(c) is Fraction for c in poly)
+        checked += 1
+    assert checked == 4 + 62 + 2429 + 350 + 62   # the zero ideal once per family
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(proper_monomial_ideals())
+def test_hilbert_polynomial_matches_interpolation_oracle_on_hypothesis_ideals(ideal):
+    assert hilbert_series(ideal).polynomial == interpolated_polynomial(ideal)
