@@ -297,7 +297,7 @@ def _substitute(f: IntPoly, change: CoordinateChange) -> IntPoly:
                 term = _mul(term, power(i, e))
         for w, v in term.items():
             result[w] = result.get(w, 0) + v
-    return result
+    return {w: c for w, c in result.items() if c}
 
 
 def _integer_generators(ideal_or_polys,

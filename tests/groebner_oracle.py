@@ -150,12 +150,16 @@ def apply_change(p: Poly, change: CoordinateChange) -> Poly:
     return result
 
 
-def gin(ideal: MonomialIdeal, trials: int = 3, seed: int = 0,
+def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3, seed: int = 0,
         bound: int = 1000) -> MonomialIdeal:
     """The library's `gin` recipe (same trial seeds and matrices) on the
-    oracle's substitution and Buchberger."""
-    ring = ideal.ring
-    polys = [Poly.monomial(g) for g in ideal.gens]
+    oracle's substitution and Buchberger.  Polynomial generators need their
+    ring and must be homogeneous."""
+    if isinstance(ideal_or_polys, MonomialIdeal):
+        ring = ideal_or_polys.ring
+        polys = [Poly.monomial(g) for g in ideal_or_polys.gens]
+    else:
+        polys = [p for p in ideal_or_polys if not p.is_zero()]
     if not polys:
         return MonomialIdeal(ring)
     results = []

@@ -12,6 +12,7 @@ from lexlab import (DEGREVLEX, LEX, MonomialIdeal, Poly, RingSpec, buchberger,
                     exchange_property, gin, hilbert_function, initial_ideal,
                     is_strongly_stable, normal_form, parse_ideal, parse_polynomial, parse_ring,
                     saturate, spoly)
+from lexlab.errors import InternalInconsistency, UnluckyCoordinates
 from lexlab.families import all_strongly_stable
 from lexlab.groebner import CoordinateChange, apply_change, random_coordinate_change
 from lexlab.linalg import fraction_free_rank
@@ -254,6 +255,23 @@ def test_gin_matches_oracle_on_r3_family():
     for index, I in enumerate(members):
         for seed in (index, 1000 + index):
             assert gin(I, seed=seed) == oracle.gin(I, seed=seed), (I, seed)
+
+
+def _gin_outcome(gin_fn, polys, ring, seed):
+    try:
+        return gin_fn(polys, ring=ring, seed=seed, bound=1)
+    except (UnluckyCoordinates, InternalInconsistency) as err:
+        return type(err), str(err)
+
+
+def test_gin_matches_oracle_on_polynomials_with_small_entries():
+    # entries in {-1, 0, 1} make terms cancel under the substitution
+    for text, ring in (("x^2 - y^2", R2), ("x^2 - 3*y^2", R2), ("x^2 - y^2, x*y", R2),
+                       ("x^2 - y*z, x*y - z^2", R3)):
+        polys = [parse_polynomial(t, ring) for t in text.split(", ")]
+        for seed in range(8):
+            got = _gin_outcome(gin, polys, ring, seed)
+            assert got == _gin_outcome(oracle.gin, polys, ring, seed), (text, seed)
 
 
 # oracle.gin of (x^3, y^3, z^3, w^3) with the default trials and seed; the
