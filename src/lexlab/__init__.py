@@ -2,9 +2,9 @@
 
 from types import ModuleType as _ModuleType
 
-from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, adjoin_variable,
-                         default_window, depth_and_dim, ext_dimensions,
-                         local_cohomology_table, sequentially_cm_verdict, tables_agree)
+from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
+                         depth_and_dim, local_cohomology_table, sequentially_cm_verdict,
+                         tables_agree)
 from .errors import (InternalInconsistency, LexlabError, MacaulayViolation, ParseError,
                      UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable

@@ -31,10 +31,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ring", required=True,
                         help="comma-separated variable names, e.g. x,y,z")
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--window",
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window",
                         help="degree window lo:hi (use --window=-8:5 for negative lo)")
 
-    p = sub.add_parser("hf", parents=[common], help="Hilbert function and series data")
+    p = sub.add_parser("hf", parents=[common, window], help="Hilbert function and series data")
     p.add_argument("ideal")
 
     p = sub.add_parser("lex", parents=[common], help="lex-segment ideal")
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=1000)
 
-    p = sub.add_parser("lc", parents=[common], help="local cohomology table")
+    p = sub.add_parser("lc", parents=[common, window], help="local cohomology table")
     p.add_argument("ideal")
 
     p = sub.add_parser("verify-main", parents=[common],
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
 
     p = sub.add_parser("probe-rigidity", parents=[common],
-                       help="search a family for one-sided windowed equalities")
+                       help="search a family for one-sided row equalities")
     p.add_argument("--target")
     p.add_argument("--from-ideal", dest="from_ideal")
     p.add_argument("--max-degree", type=int, required=True)
@@ -179,8 +180,8 @@ def _dispatch(args) -> int:
         if args.with_gin:
             _check_gin_options(args.trials)
         ideal = _monomial_ideal(args, ring)
-        report = verify_main(ideal, _window(args), include_gin=args.with_gin,
-                             trials=args.trials, seed=args.seed)
+        report = verify_main(ideal, include_gin=args.with_gin, trials=args.trials,
+                             seed=args.seed)
         _emit(args, report.to_json(), "\n".join(report.summary_lines()))
         return 4 if report.verdict == VERDICT_VIOLATION else 0
 
@@ -194,8 +195,8 @@ def _dispatch(args) -> int:
 
     if args.command == "probe-rigidity":
         spec = _family_spec(args, ring)
-        report = probe_rigidity(spec, _window(args))
-        lines = [f"members: {len(report.members)}  ({report.note})"]
+        report = probe_rigidity(spec)
+        lines = [f"members: {len(report.members)}"]
         for m in report.members:
             flags = "".join("=" if f else "!" for f in m.equal_rows)
             lines.append(f"{'CANDIDATE ' if m.candidate else '          '}{flags}  {m.ideal}")

@@ -10,6 +10,12 @@ of a off G, so each ideal reduces to finitely many degree types, and a table
 entry is a sum of binomial counts over them: no lattice enumeration, and a
 cost linear in the number of generators.  The complexes have at most n
 vertices and their homology is exact, by fraction-free elimination.
+
+Each row is kept as one canonical numerator N over the basis of functions
+j -> C(k - j - 1, n - 1), which vanish above their top degree k - n.  The
+tops of distinct k differ, so these functions are linearly independent:
+two rows agree in every degree exactly when their numerators are equal,
+and comparisons need no degree window.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .errors import InternalInconsistency
 from .hilbert import dimension
 from .ideals import MonomialIdeal, is_strongly_stable
 from .linalg import fraction_free_rank
-from .ring import monomial_lcm, total_degree
 
 
 @dataclass(frozen=True)
@@ -40,20 +45,13 @@ class DegreeWindow:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def covers(self, other: "DegreeWindow") -> bool:
-        return self.lo <= other.lo and self.hi >= other.hi
-
 
 def default_window(*ideals: MonomialIdeal) -> DegreeWindow:
-    """Window wide enough for every finite feature of the given quotients:
-    the top is a regularity bound from the generator lcm, the bottom adds a
-    fixed margin into the infinite negative tail."""
+    """Display window for the given quotients: the top is the highest degree
+    where one of their rows is nonzero (at least 1), the bottom adds a fixed
+    margin into the infinite negative tail."""
     n = ideals[0].ring.n
-    hi = 1
-    for ideal in ideals:
-        if ideal.gens:
-            full = reduce(monomial_lcm, ideal.gens)
-            hi = max(hi, total_degree(full) + 1)
+    hi = max([1] + [max(row) - n for ideal in ideals for row in _engine(ideal) if row])
     return DegreeWindow(-(hi + n + 2), hi)
 
 
@@ -87,10 +85,16 @@ def _reduced_homology(free: int, nonfaces: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _engine(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Degree types of R/I.  Row i holds triples (g, s, mult): mult sums
-    dim H~_(i-g-1)(Delta_a) over the pairs (G, b) with |G| = g and |b| = s, and
-    each pair stands for every multidegree a that puts negative entries on G."""
+def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
+    """Row numerators of R/I: h^i(R/I)_j = sum of N_i[k] * C(k - j - 1, n - 1)
+    over k - j >= n, with zero coefficients left out.
+
+    The degree type (i, g, s) sums dim H~_(i-g-1)(Delta_a) over the pairs
+    (G, b) with |G| = g and |b| = s; each pair stands for every multidegree a
+    that puts negative entries on G, and so contributes f_(g,s)(j), the
+    C(s - j - 1, g - 1) ways of writing s - j as g positive parts (for g = 0,
+    1 when j = s).  Pascal's rule f_(g,s) = f_(g+1,s+1) - f_(g+1,s) lifts each
+    type to g = n."""
     n = ideal.ring.n
     gens = ideal.gens
     # Delta_a sees b only through the comparisons u_j > b_j, so each b_j runs
@@ -123,10 +127,13 @@ def _engine(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, int, int], ...], ...
                     for s, count in sizes.items():
                         key = (g + k, g, s)
                         types[key] = types.get(key, 0) + h * count
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for (i, g, s), mult in sorted(types.items()):
-        rows[i].append((g, s, mult))
-    return tuple(map(tuple, rows))
+    lift = [[(-1) ** t * comb(m, t) for t in range(m + 1)] for m in range(n + 1)]
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for (i, g, s), mult in types.items():
+        row = rows[i]
+        for t, c in enumerate(lift[n - g]):
+            row[s + n - g - t] = row.get(s + n - g - t, 0) + c * mult
+    return tuple({k: c for k, c in sorted(row.items()) if c} for row in rows)
 
 
 def _add_interval(sizes: dict[int, int], lo: int, hi: int) -> dict[int, int]:
@@ -136,26 +143,6 @@ def _add_interval(sizes: dict[int, int], lo: int, hi: int) -> dict[int, int]:
         for v in range(lo, hi):
             out[s + v] = out.get(s + v, 0) + count
     return out
-
-
-def _row_value(types: tuple[tuple[int, int, int], ...], d: int) -> int:
-    """Total degree d part of one row: a type (g, s) meets degree d in the
-    binom(s - d - 1, g - 1) ways of writing s - d as g positive parts."""
-    total = 0
-    for g, s, mult in types:
-        if g == 0:
-            total += mult if s == d else 0
-        elif s - d >= g:
-            total += mult * comb(s - d - 1, g - 1)
-    return total
-
-
-def ext_dimensions(ideal: MonomialIdeal, i: int, window: DegreeWindow) -> dict[int, int]:
-    """dim Ext^i(R/I, omega)_d for every degree d in the window, by graded
-    local duality: Ext^i(R/I, omega)_d = H^(n-i)_m(R/I)_(-d)."""
-    rows = _engine(ideal)
-    types = rows[ideal.ring.n - i] if 0 <= i <= ideal.ring.n else ()
-    return {d: _row_value(types, -d) for d in window.degrees()}
 
 
 # -- local cohomology tables ----------------------------------------------------
@@ -204,36 +191,53 @@ class LCTable:
 
 
 def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = None) -> LCTable:
-    """h^i(R/I)_j for 0 <= i <= n and j in the window."""
+    """h^i(R/I)_j for 0 <= i <= n and j in the window, from the row numerators."""
     window = window or default_window(ideal)
+    n = ideal.ring.n
     entries: dict[tuple[int, int], int] = {}
-    for i, types in enumerate(_engine(ideal)):
+    for i, numerator in enumerate(_engine(ideal)):
+        if not numerator:
+            continue
         for j in window.degrees():
-            value = _row_value(types, j)
+            value = 0
+            for k, c in numerator.items():
+                if k - j >= n:
+                    value += c * comb(k - j - 1, n - 1)
             if value:
                 entries[(i, j)] = value
-    return LCTable(ideal.ring.n, window, entries)
+    return LCTable(n, window, entries)
 
 
-def tables_agree(a: LCTable, b: LCTable, window: DegreeWindow) -> tuple[int, int] | None:
-    """First (i, j) where the tables differ on the window, or None."""
-    for i in range(max(a.nvars, b.nvars) + 1):
-        for j in window.degrees():
-            if a.get(i, j) != b.get(i, j):
-                return (i, j)
-    return None
+def equal_rows(a: MonomialIdeal, b: MonomialIdeal) -> tuple[bool, ...]:
+    """Per cohomological index i, whether h^i(R/a) and h^i(R/b) agree in every
+    degree, which holds exactly when the row numerators are equal."""
+    if a.ring.n != b.ring.n:
+        raise ValueError("tables of different rings")
+    return tuple(ra == rb for ra, rb in zip(_engine(a), _engine(b)))
+
+
+def tables_agree(a: MonomialIdeal, b: MonomialIdeal) -> tuple[int, int] | None:
+    """None when R/a and R/b have the same local cohomology in every degree.
+    Otherwise (i, j): i is the lowest row that differs and j the top degree
+    where it does, the top of the largest k whose numerator coefficients
+    differ; the rows differ there by exactly that difference."""
+    equal = equal_rows(a, b)
+    if all(equal):
+        return None
+    i = equal.index(False)
+    ra, rb = _engine(a)[i], _engine(b)[i]
+    return i, max(k for k in ra.keys() | rb.keys() if ra.get(k) != rb.get(k)) - a.ring.n
 
 
 # -- derived invariants ----------------------------------------------------------
 
 
 def depth_and_dim(ideal: MonomialIdeal) -> tuple[int, int]:
-    """(depth, dim) of R/I; the depth is the lowest row of the degree types,
-    since every type is nonzero in some degree."""
+    """(depth, dim) of R/I; the depth is the lowest nonzero row."""
     if ideal.is_unit:
         raise ValueError("depth of the zero module is not defined here")
     dim = dimension(ideal)
-    depth = next((i for i, types in enumerate(_engine(ideal)) if types), None)
+    depth = next((i for i, numerator in enumerate(_engine(ideal)) if numerator), None)
     if depth is None:
         raise InternalInconsistency(f"no nonvanishing cohomology found for {ideal}")
     if is_strongly_stable(ideal):
@@ -251,39 +255,14 @@ class SequentialCMVerdict(Enum):
 
 def sequentially_cm_verdict(ideal: MonomialIdeal, trials: int = 3, seed: int = 0,
                             gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
-    """Windowed semi-decision: local cohomology of R/I against R/gin(I).
-
-    A mismatch refutes sequential Cohen-Macaulayness; agreement on the window
-    is consistency, not proof.
+    """Local cohomology of R/I against R/gin(I), compared exactly; only the
+    gin is probabilistic.  A mismatch refutes sequential Cohen-Macaulayness.
     """
     if ideal.is_unit:
         raise ValueError("verdict needs a proper ideal")
     if gin_ideal is None:
         from .groebner import gin
         gin_ideal = gin(ideal, trials=trials, seed=seed)
-    window = default_window(ideal, gin_ideal)
-    ours = local_cohomology_table(ideal, window)
-    theirs = local_cohomology_table(gin_ideal, window)
-    if tables_agree(ours, theirs, window) is None:
+    if tables_agree(ideal, gin_ideal) is None:
         return SequentialCMVerdict.CONSISTENT
     return SequentialCMVerdict.NOT_SEQUENTIALLY_CM
-
-
-def adjoin_variable(table: LCTable, window: DegreeWindow) -> LCTable:
-    """Table of S/IS for S = R[X] from the table of R/I:
-    the new entry at (i, j) is the tail sum of row i-1 above degree j."""
-    if window.lo + 1 < table.window.lo:
-        raise ValueError("input table does not cover the tail required by the output window")
-    entries: dict[tuple[int, int], int] = {}
-    for i_out in range(1, table.nvars + 2):
-        row = table.row(i_out - 1)
-        acc = 0
-        tail: dict[int, int] = {}
-        for j in range(table.window.hi, window.lo, -1):
-            acc += row.get(j, 0)
-            tail[j] = acc
-        for j in window.degrees():
-            v = tail.get(j + 1, 0)
-            if v:
-                entries[(i_out, j)] = v
-    return LCTable(table.nvars + 1, window, entries)

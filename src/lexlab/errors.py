@@ -20,7 +20,8 @@ class MacaulayViolation(LexlabError):
 
 
 class UnluckyCoordinates(LexlabError):
-    """Independent random coordinate trials disagreed; retry with another seed."""
+    """Random coordinate trials disagreed, or agreed on an initial ideal that is
+    not generic; retry with another seed."""
 
     def __init__(self, message: str, seeds: tuple = ()):
         self.seeds = tuple(seeds)

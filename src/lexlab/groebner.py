@@ -320,8 +320,8 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
     """Generic initial ideal in reverse-lex order, by independent random trials.
 
     The generators must be homogeneous.  All trials must agree; the result
-    must be strongly stable.  Disagreement surfaces as an error instead of
-    being resolved silently.
+    must be strongly stable.  Either failure is bad luck in the coordinates
+    and surfaces as `UnluckyCoordinates` instead of being resolved silently.
     """
     if trials < 2:
         raise ValueError("need at least two independent trials")
@@ -341,5 +341,7 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
         raise UnluckyCoordinates("coordinate trials disagree", tuple(trial_seeds))
     out = results[0]
     if not is_strongly_stable(out):
-        raise InternalInconsistency(f"generic initial ideal {out} is not strongly stable")
+        # every trial hit the same special coordinates
+        raise UnluckyCoordinates(f"initial ideal {out} is not strongly stable",
+                                 tuple(trial_seeds))
     return out

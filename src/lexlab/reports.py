@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
-                         local_cohomology_table, sequentially_cm_verdict, tables_agree)
+                         equal_rows, local_cohomology_table, sequentially_cm_verdict,
+                         tables_agree)
 from .families import FamilySpec, enumerate_strongly_stable
 from .gotzmann import exchange_property, lex_ideal
 from .ideals import MonomialIdeal
@@ -13,9 +14,6 @@ from .parsing import parse_monomial, parse_ring
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATION = "THEOREM VIOLATION"
-
-WINDOW_NOTE = ("comparisons are windowed; equality on the window is evidence, "
-               "not a certificate")
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:
@@ -35,16 +33,16 @@ class VerificationReport:
     sat_then_lex: MonomialIdeal       # left side of the exchange
     lex_then_sat: MonomialIdeal       # right side
     condition_i: bool
-    window: DegreeWindow
+    window: DegreeWindow              # display only: the comparison is exact
     table_ideal: LCTable
     table_lex: LCTable
-    condition_ii_on_window: bool
+    condition_ii_on_window: bool      # exact: the tables agree in every degree
     first_mismatch: tuple[int, int] | None
-    conclusive: bool                  # window covers the default bound
     gin: MonomialIdeal | None
     seq_cm: str | None
     condition_iii: bool | None
     verdict: str
+    conclusive = True                 # tables are compared in every degree
 
     def to_json(self) -> dict:
         return {
@@ -80,7 +78,6 @@ class VerificationReport:
             table_lex=LCTable.from_json(data["tables"]["lex"]),
             condition_ii_on_window=data["condition_ii_on_window"],
             first_mismatch=tuple(mism) if mism else None,
-            conclusive=data["conclusive"],
             gin=ideal_from_json(data["gin"]) if data["gin"] else None,
             seq_cm=data["seq_cm"],
             condition_iii=data["condition_iii"],
@@ -95,7 +92,7 @@ class VerificationReport:
             f"(lex)^sat:        {self.lex_then_sat}",
             f"condition (i):    {self.condition_i}",
             f"window:           [{self.window.lo}, {self.window.hi}]",
-            f"condition (ii):   {self.condition_ii_on_window} (on window)",
+            f"condition (ii):   {self.condition_ii_on_window}",
         ]
         if self.first_mismatch:
             lines.append(f"first mismatch:   (i, j) = {self.first_mismatch}")
@@ -107,25 +104,22 @@ class VerificationReport:
         return lines
 
 
-def verify_main(ideal: MonomialIdeal, window: DegreeWindow | None = None,
-                include_gin: bool = False, trials: int = 3, seed: int = 0) -> VerificationReport:
-    """Evaluate the exchange condition exactly and the cohomology condition on
-    a window; a disagreement on a conclusive window is flagged as a violation
-    (which would indicate a bug, not new mathematics)."""
+def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3,
+                seed: int = 0) -> VerificationReport:
+    """Decide the exchange condition and the cohomology condition exactly; a
+    disagreement is flagged as a violation (which would indicate a bug, not
+    new mathematics).  The tables are shown on a window that holds the first
+    mismatch when there is one."""
     if ideal.is_unit:
         raise ValueError("verification needs a proper ideal")
     lex = lex_ideal(ideal)
     exchange = exchange_property(ideal)
-    bound = default_window(ideal, lex)
-    window = window or bound
+    window = default_window(ideal, lex)
     table_ideal = local_cohomology_table(ideal, window)
     table_lex = local_cohomology_table(lex, window)
-    mismatch = tables_agree(table_ideal, table_lex, window)
+    mismatch = tables_agree(ideal, lex)
     condition_ii = mismatch is None
-    conclusive = window.covers(bound)
-    verdict = VERDICT_CONSISTENT
-    if conclusive and exchange.holds != condition_ii:
-        verdict = VERDICT_VIOLATION
+    verdict = VERDICT_VIOLATION if exchange.holds != condition_ii else VERDICT_CONSISTENT
     gin_ideal = None
     seq_cm = None
     condition_iii = None
@@ -142,7 +136,6 @@ def verify_main(ideal: MonomialIdeal, window: DegreeWindow | None = None,
         condition_i=exchange.holds,
         window=window, table_ideal=table_ideal, table_lex=table_lex,
         condition_ii_on_window=condition_ii, first_mismatch=mismatch,
-        conclusive=conclusive,
         gin=gin_ideal, seq_cm=seq_cm, condition_iii=condition_iii,
         verdict=verdict)
 
@@ -162,7 +155,6 @@ class RigidityMemberReport:
 @dataclass
 class RigidityReport:
     members: list[RigidityMemberReport]
-    note: str = WINDOW_NOTE
 
     @property
     def candidates(self) -> list[RigidityMemberReport]:
@@ -171,24 +163,19 @@ class RigidityReport:
     def to_json(self) -> dict:
         return {"members": [m.to_json() for m in self.members],
                 "candidates": [m.to_json() for m in self.candidates],
-                "none_found": not self.candidates,
-                "note": self.note}
+                "none_found": not self.candidates}
 
 
-def _rigidity_member(ideal: MonomialIdeal, window: DegreeWindow | None) -> RigidityMemberReport:
-    lex = lex_ideal(ideal)
-    w = window or default_window(ideal, lex)
-    ours = local_cohomology_table(ideal, w)
-    theirs = local_cohomology_table(lex, w)
-    n = ideal.ring.n
-    flags = tuple(ours.row(i) == theirs.row(i) for i in range(n + 1))
-    candidate = any(flags[i] and not all(flags[i:]) for i in range(n + 1))
+def _rigidity_member(ideal: MonomialIdeal) -> RigidityMemberReport:
+    flags = equal_rows(ideal, lex_ideal(ideal))
+    candidate = any(flags[i] and not all(flags[i:]) for i in range(len(flags)))
     return RigidityMemberReport(ideal, flags, candidate)
 
 
-def probe_rigidity(spec: FamilySpec, window: DegreeWindow | None = None) -> RigidityReport:
-    """Search a family for windowed equality at one index without equality at
-    a larger one.  Reports candidates only; never a claim."""
-    results = [_rigidity_member(m, window) for m in enumerate_strongly_stable(spec)]
+def probe_rigidity(spec: FamilySpec) -> RigidityReport:
+    """Search a family for equality of one row of local cohomology with the
+    lex ideal's without equality at a larger index.  Reports candidates
+    only; never a claim."""
+    results = [_rigidity_member(m) for m in enumerate_strongly_stable(spec)]
     results.sort(key=lambda r: r.ideal.gens)
     return RigidityReport(results)

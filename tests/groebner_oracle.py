@@ -172,5 +172,7 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3, seed: int
         raise UnluckyCoordinates("coordinate trials disagree", tuple(trial_seeds))
     out = results[0]
     if not is_strongly_stable(out):
-        raise InternalInconsistency(f"generic initial ideal {out} is not strongly stable")
+        # every trial hit the same special coordinates
+        raise UnluckyCoordinates(f"initial ideal {out} is not strongly stable",
+                                 tuple(trial_seeds))
     return out

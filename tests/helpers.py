@@ -52,6 +52,16 @@ def grothendieck_serre_failures(ideal, table):
             != brute_quotient_dim(ideal, j) - data.poly_value(j)]
 
 
+def ext_dimensions(ideal, i, window):
+    """dim Ext^i(R/I, omega)_d for every degree d in the window, read off the
+    local cohomology table by graded local duality:
+    Ext^i(R/I, omega)_d = H^(n-i)_m(R/I)_(-d)."""
+    from lexlab import DegreeWindow, local_cohomology_table
+    n = ideal.ring.n
+    table = local_cohomology_table(ideal, DegreeWindow(-window.hi, -window.lo))
+    return {d: table.get(n - i, -d) for d in window.degrees()}
+
+
 def numerator_from_values(values, n):
     """Series numerator from quotient dimensions: convolve with (1-t)^n."""
     coeffs = []

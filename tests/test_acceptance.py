@@ -12,10 +12,10 @@ import pytest
 from helpers import (brute_quotient_dim, grothendieck_serre_failures, random_ideal,
                      random_stable_ideal)
 from hilbert_oracle import _numerator_inclusion_exclusion
+from window_oracle import adjoin_variable, lcm_window
 
-from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, adjoin_variable,
-                    default_window, exchange_property, gin, gotzmann_representation,
-                    hilbert_function, is_gotzmann, is_strongly_stable, lex_ideal,
+from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, exchange_property, gin,
+                    gotzmann_representation, hilbert_function, is_gotzmann, is_strongly_stable, lex_ideal,
                     local_cohomology_table, all_strongly_stable, saturate,
                     saturated_lex_generators, hilbert_series, tables_agree,
                     lex_ideal_from_values, verify_main)
@@ -42,7 +42,7 @@ def sweep():
     data = []
     for I in members:
         lex = lex_ideal(I)
-        data.append((I, lex, default_window(I, lex)))
+        data.append((I, lex, lcm_window(I, lex)))
     return data
 
 
@@ -60,11 +60,11 @@ def test_criterion_2_tables_on_example():
     t0 = time.time()
     w = DegreeWindow(-10, 6)
     tI = local_cohomology_table(EXAMPLE, w)
-    tL = local_cohomology_table(EXAMPLE_LEX, w)
-    ok = tables_agree(tI, tL, w) is None
+    ok = tables_agree(EXAMPLE, EXAMPLE_LEX) is None
     ok = ok and tI.row(0) == {1: 2, 2: 2}
     elapsed = time.time() - t0
-    report(2, ok and elapsed < 30.0, elapsed, "cohomology tables agree on [-10, 6]")
+    report(2, ok and elapsed < 30.0, elapsed,
+           "cohomology tables agree in every degree; h^0 shown on [-10, 6]")
 
 
 def test_criterion_3_negative_control():
@@ -75,21 +75,16 @@ def test_criterion_3_negative_control():
                               (0, 3, 0, 0), (0, 2, 1, 0)))
     right = MonomialIdeal(R4, ((1, 0, 0, 0), (0, 3, 0, 0), (0, 2, 1, 0)))
     ok = not rep.holds and rep.left == left and rep.right == right
-    lex = lex_ideal(I)
-    w = default_window(I, lex)
-    mismatch = tables_agree(local_cohomology_table(I, w),
-                            local_cohomology_table(lex, w), w)
-    ok = ok and mismatch == (0, 1)
+    ok = ok and tables_agree(I, lex_ideal(I)) == (0, 1)
     report(3, ok, time.time() - t0, "two-planes ideal fails (i) and (ii) at (0, 1)")
 
 
 def test_criterion_4_equivalence_sweep(sweep):
     t0 = time.time()
     violations = []
-    for I, lex, w in sweep:
+    for I, lex, _ in sweep:
         cond_i = exchange_property(I).holds
-        cond_ii = tables_agree(local_cohomology_table(I, w),
-                               local_cohomology_table(lex, w), w) is None
+        cond_ii = tables_agree(I, lex) is None
         if cond_i != cond_ii:
             violations.append(I)
     elapsed = time.time() - t0
@@ -124,7 +119,7 @@ def test_criterion_6_extension_oracle():
         I = random_stable_ideal(rng, RingSpec(n), max_gens=2, max_deg=3)
         if I.is_unit:
             continue
-        win = default_window(I)
+        win = lcm_window(I)
         table = local_cohomology_table(I, win)
         out_window = DegreeWindow(win.lo + 1, win.hi)
         extended = adjoin_variable(table, out_window)
@@ -207,7 +202,7 @@ def test_criterion_9_principal_duality():
                 shapes.add(tuple(e))
             for f in shapes:
                 I = MonomialIdeal(ring, (f,))
-                table = local_cohomology_table(I)
+                table = local_cohomology_table(I, lcm_window(I))
                 for j in table.window.degrees():
                     m = d - n - j
                     expected = (comb(m + n - 1, n - 1) if m >= 0 else 0) \
@@ -252,7 +247,7 @@ def test_criterion_11_r4_equivalence_sweep():
     inconclusive = [r.ideal for r in reports if not r.conclusive]
     holds = sum(r.condition_i for r in reports)
     lex = lex_ideal_from_values(R4, (1, 4, 6, 4, 2, 1))
-    table = local_cohomology_table(lex)
+    table = local_cohomology_table(lex, lcm_window(lex))
     gs_failures = grothendieck_serre_failures(lex, table)
     elapsed = time.time() - t0
     ok = (len(members) == 350 and not violations and not inconclusive

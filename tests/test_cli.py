@@ -7,11 +7,14 @@ import pytest
 from helpers import grothendieck_serre_failures
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from window_oracle import lcm_window, windowed_rows_equal
 
-from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, parse_ideal,
-                    parse_monomial, parse_polynomial, parse_ring)
+from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, UnluckyCoordinates, gin,
+                    lex_ideal, local_cohomology_table, parse_ideal, parse_monomial,
+                    parse_polynomial, parse_ring)
 from lexlab.cli import main
 from lexlab.cohomology import LCTable
+from lexlab.reports import ideal_from_json
 from lexlab.reports import VerificationReport, probe_rigidity, verify_main
 from lexlab.families import FamilySpec
 
@@ -123,6 +126,39 @@ def test_cli_gin(capsys):
     code, out, _ = run(capsys, "gin", "--ring", "x,y", "--seed", "1", "x^2 - y^2, x*y")
     assert code == 0
     assert out.strip() == "(x^2, x*y, y^3)"
+
+
+def test_cli_gin_unlucky_coordinates(capsys):
+    # all three trials agree on (x*y), which is not strongly stable: bad luck
+    # in the coordinates, not a fault
+    code, _, err = run(capsys, "gin", "--ring", "x,y", "--bound", "1", "--seed", "5",
+                       "x^2 - y^2")
+    assert code == 3 and "trial seeds" in err
+    ring = parse_ring("x,y")
+    with pytest.raises(UnluckyCoordinates):
+        gin(parse_ideal("x^2 - y^2", ring), ring=ring, bound=1, seed=5)
+
+
+def test_cli_window_only_where_it_is_used(capsys):
+    for argv in (["lex", "x^2"], ["sat", "x^2"], ["gin", "x^2"], ["verify-main", "x^2"],
+                 ["enumerate", "--target", "1,2,1", "--max-degree", "2"],
+                 ["probe-rigidity", "--target", "1,2,1", "--max-degree", "2"]):
+        command, *rest = argv
+        assert _exit_code([command, "--ring", "x,y", "--window=0:1", *rest]) == 2, argv
+        assert _exit_code([command, "--ring", "x,y", *rest]) == 0, argv
+
+
+def test_cli_lc_default_window_ends_at_the_top_row_degree(capsys):
+    # the 14-generator lex ideal of 1,4,6,4,2,1 has generators up to degree 6,
+    # so the lcm bound would put the top at 14; nothing is nonzero above 4
+    code, out, _ = run(capsys, "lex", "--ring", "x,y,z,w", "--values", "1,4,6,4,2,1")
+    assert code == 0
+    code, out, _ = run(capsys, "lc", "--ring", "x,y,z,w", "--format", "json",
+                       out.strip()[1:-1])
+    assert code == 0
+    data = json.loads(out)
+    assert data["window"][1] == 4
+    assert data["rows"]["0"]["4"] and data["rows"]["0"]["3"]
 
 
 def test_cli_lc_window(capsys):
@@ -269,7 +305,17 @@ def test_cli_probe_rigidity(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["none_found"] is True
-    assert "windowed" in data["note"]
+    # the flags are exact, so no note qualifies them; they agree with the
+    # tables compared degree by degree on the lcm window
+    assert "note" not in data
+    assert data["members"]
+    for member in data["members"]:
+        ideal = ideal_from_json(member["ideal"])
+        lex = lex_ideal(ideal)
+        w = lcm_window(ideal, lex)
+        flags = windowed_rows_equal(local_cohomology_table(ideal, w),
+                                    local_cohomology_table(lex, w))
+        assert tuple(member["equal_rows"]) == flags, member
 
 
 def test_probe_rigidity_reports_per_index_patterns():
@@ -297,7 +343,7 @@ def test_probe_rigidity_has_no_jobs_option():
 
 
 def test_verify_main_never_violates_on_family():
-    # default-window reports must agree on both conditions, member by member
+    # reports must agree on both conditions, member by member
     spec = FamilySpec(R3, (1, 3, 3, 1, 1), 3)
     from lexlab.families import enumerate_strongly_stable
     for member in enumerate_strongly_stable(spec):

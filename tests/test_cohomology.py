@@ -7,18 +7,21 @@ from pathlib import Path
 
 import pytest
 from helpers import (GeneratorCapExceeded, brute_ideal_dim, brute_quotient_dim,
-                     random_ideal, random_stable_ideal)
+                     ext_dimensions, random_ideal, random_stable_ideal)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
                            oracle_table, taylor_complex, verify_complex)
+from window_oracle import (adjoin_variable, lcm_window, windowed_mismatch,
+                           windowed_rows_equal)
 
 import lexlab
 from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, SequentialCMVerdict,
-                    adjoin_variable, all_strongly_stable, default_window, depth_and_dim,
-                    ext_dimensions, lex_ideal, local_cohomology_table, saturate,
-                    sequentially_cm_verdict, tables_agree)
-from lexlab.cohomology import LCTable
+                    all_strongly_stable, default_window, depth_and_dim, is_strongly_stable,
+                    lex_ideal, local_cohomology_table, saturate, sequentially_cm_verdict,
+                    tables_agree)
+from lexlab.cohomology import LCTable, _engine
+from lexlab.reports import _rigidity_member
 
 R1 = RingSpec(1)
 R2 = RingSpec(2)
@@ -155,7 +158,7 @@ def test_tables_match_block_oracle_on_sweep():
     members = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
     assert len(members) == 64
     for I in members:
-        w = default_window(I)
+        w = lcm_window(I)
         assert local_cohomology_table(I, w) == oracle_table(I, w), I
 
 
@@ -180,7 +183,7 @@ def test_table_h0_equals_saturation_quotient():
         I = random_ideal(rng, R3, max_gens=4, max_deg=3)
         if I.is_unit:
             continue
-        t = local_cohomology_table(I)
+        t = local_cohomology_table(I, lcm_window(I))
         sat = saturate(I)
         for j in t.window.degrees():
             if j < 0:
@@ -211,7 +214,7 @@ def test_grothendieck_vanishing_and_top_nonvanishing():
         if I.is_unit:
             continue
         d = dimension(I)
-        t = local_cohomology_table(I)
+        t = local_cohomology_table(I, lcm_window(I))
         rows = t.nonzero_rows()
         assert all(i <= d for i in rows), (I, rows, d)
         if d > 0:
@@ -226,7 +229,7 @@ def test_regularity_bound_from_shifts():
             continue
         tc = taylor_complex(I)
         maxreg = max(-s - k for k in range(tc.length + 1) for s in tc.shifts(k))
-        t = local_cohomology_table(I)
+        t = local_cohomology_table(I, lcm_window(I))
         for (i, j), v in t.entries.items():
             assert j + i <= maxreg, (I, i, j)
 
@@ -247,7 +250,7 @@ def test_monotone_chain_small():
         if I.is_unit or I.is_zero:
             continue
         L = lex_ideal(I)
-        w = default_window(I, L)
+        w = lcm_window(I, L)
         tI = local_cohomology_table(I, w)
         tL = local_cohomology_table(L, w)
         for i in range(4):
@@ -266,13 +269,89 @@ def test_monotone_chain_through_gin():
     for I in samples[:4]:
         G = gin(I, trials=2, seed=0)
         L = lex_ideal(I)
-        w = default_window(I, G, L)
+        w = lcm_window(I, G, L)
         tI = local_cohomology_table(I, w)
         tG = local_cohomology_table(G, w)
         tL = local_cohomology_table(L, w)
         for i in range(I.ring.n + 1):
             for j in w.degrees():
                 assert tI.get(i, j) <= tG.get(i, j) <= tL.get(i, j), (I, i, j)
+
+
+# -- exact rows against the windowed oracle ----------------------------------------
+
+
+def exact_families():
+    """Every nonzero strongly stable ideal of Q[x,y] and Q[x,y,z] of degree <= 4
+    and of Q[x,y,z,w] of degree <= 3."""
+    for n, d in ((2, 4), (3, 4), (4, 3)):
+        yield from (I for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero)
+
+
+def _exact_matches_windowed(I):
+    L = lex_ideal(I)
+    w = lcm_window(I, L)
+    tI = local_cohomology_table(I, w)
+    tL = local_cohomology_table(L, w)
+    exact = tables_agree(I, L)
+    assert (exact is None) == (windowed_mismatch(tI, tL, w) is None), I
+    if exact is not None:
+        i, j = exact
+        assert tI.get(i, j) != tL.get(i, j), (I, exact)
+        assert all(tI.get(i, d) == tL.get(i, d) for d in range(j + 1, w.hi + 1)), (I, exact)
+        assert all(tI.row(r) == tL.row(r) for r in range(i)), (I, exact)
+    assert _rigidity_member(I).equal_rows == windowed_rows_equal(tI, tL), I
+
+
+def test_exact_verdicts_match_windowed_oracle_on_families():
+    members = list(exact_families())
+    assert len(members) == 730
+    for I in members:
+        _exact_matches_windowed(I)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_ideals().filter(lambda I: not I.is_unit and not is_strongly_stable(I)))
+def test_exact_verdicts_match_windowed_oracle_on_unstable_ideals(I):
+    _exact_matches_windowed(I)
+
+
+def test_rows_vanish_above_their_exact_top():
+    for I in exact_families():
+        for J in (I, lex_ideal(I)):
+            n = J.ring.n
+            w = lcm_window(J)
+            t = local_cohomology_table(J, w)
+            tops = []
+            for i, numerator in enumerate(_engine(J)):
+                if not numerator:
+                    assert not t.row(i), (J, i)
+                    continue
+                top = max(numerator) - n
+                assert w.lo <= top <= w.hi and t.get(i, top), (J, i)
+                assert all(t.get(i, j) == 0 for j in range(top + 1, w.hi + 1)), (J, i)
+                tops.append(top)
+            assert default_window(J).hi == max(tops + [1]), J
+
+
+def test_adjoining_a_variable_prepends_an_empty_row():
+    # the tail sums of the extension recursion keep every numerator
+    for n, d in ((2, 4), (3, 3)):
+        for I in all_strongly_stable(RingSpec(n), d):
+            if I.is_zero:
+                continue
+            for J in (I, lex_ideal(I)):
+                bigger = MonomialIdeal(RingSpec(n + 1), tuple(g + (0,) for g in J.gens))
+                assert _engine(bigger) == ({},) + _engine(J), J
+
+
+def test_tables_agree_gives_the_top_of_the_lowest_differing_row():
+    L = lex_ideal(TWO_PLANES)
+    assert tables_agree(TWO_PLANES, L) == (0, 1)
+    assert tables_agree(L, TWO_PLANES) == (0, 1)
+    assert tables_agree(TWO_PLANES, TWO_PLANES) is None
+    with pytest.raises(ValueError):
+        tables_agree(EXAMPLE, TWO_PLANES)
 
 
 # -- depth, dim, sequential CM -------------------------------------------------------
@@ -294,7 +373,7 @@ def test_sequentially_cm_verdicts():
     assert sequentially_cm_verdict(xy) is SequentialCMVerdict.CONSISTENT
 
 
-# -- adjoining a variable --------------------------------------------------------------
+# -- adjoining a variable: the extension-recursion oracle ----------------------------
 
 
 def test_adjoin_variable_squares():
@@ -315,7 +394,7 @@ def test_adjoin_variable_zero_table():
 
 
 def test_adjoin_variable_example_values():
-    t = local_cohomology_table(EXAMPLE)
+    t = local_cohomology_table(EXAMPLE, lcm_window(EXAMPLE))
     out = adjoin_variable(t, DegreeWindow(-5, 4))
     # tail sums of h^0 = {1: 2, 2: 2}: zero above degree 1, then 2, then 4
     assert out.get(1, 3) == 0 and out.get(1, 2) == 0
@@ -324,7 +403,7 @@ def test_adjoin_variable_example_values():
 
 
 def test_adjoin_variable_window_validation():
-    t = local_cohomology_table(EXAMPLE)
+    t = local_cohomology_table(EXAMPLE, lcm_window(EXAMPLE))
     with pytest.raises(ValueError):
         adjoin_variable(t, DegreeWindow(t.window.lo - 2, 0))
 
@@ -336,7 +415,7 @@ def test_adjoin_variable_matches_direct_on_samples():
         I = random_ideal(rng, RingSpec(n), max_gens=3, max_deg=3)
         if I.is_unit:
             continue
-        win = default_window(I)
+        win = lcm_window(I)
         t = local_cohomology_table(I, win)
         out_window = DegreeWindow(win.lo + 1, win.hi)
         out = adjoin_variable(t, out_window)
