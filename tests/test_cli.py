@@ -194,12 +194,21 @@ def test_cli_exit_codes(capsys):
     # 21 generators: beyond the Taylor oracle's cap, no limit for the library
     gens = ", ".join(f"x^{5-a-b}*y^{a}*z^{b}" if (5 - a - b) else f"y^{a}*z^{b}"
                      for a in range(6) for b in range(6 - a)).replace("y^0*", "").replace("*z^0", "")
-    code, out, _ = run(capsys, "lc", "--ring", "x,y,z", "--format", "json", gens)
-    assert code == 0
     ideal = parse_ideal(gens, R3)
     assert len(ideal.gens) == 21
+    w = lcm_window(ideal)
+    code, out, _ = run(capsys, "lc", "--ring", "x,y,z", f"--window={w.lo}:{w.hi}",
+                       "--format", "json", gens)
+    assert code == 0
     table = LCTable.from_json(json.loads(out))
+    assert table.window == w
     assert table.entries and not grothendieck_serre_failures(ideal, table)
+    # the default display window shows the same entries on its smaller range
+    code, out, _ = run(capsys, "lc", "--ring", "x,y,z", "--format", "json", gens)
+    assert code == 0
+    shown = LCTable.from_json(json.loads(out))
+    assert all(shown.get(i, j) == table.get(i, j)
+               for i in range(4) for j in shown.window.degrees())
     # engine errors exit 3: 7 exceeds dim R_2 = 6
     code, _, err = run(capsys, "lex", "--ring", "x,y,z", "--values", "1,3,7")
     assert code == 3

@@ -173,7 +173,7 @@ def test_import_leaves_numpy_out():
 
 
 def test_table_example_h0_row():
-    t = local_cohomology_table(EXAMPLE)
+    t = local_cohomology_table(EXAMPLE, lcm_window(EXAMPLE))
     assert t.row(0) == {1: 2, 2: 2}
 
 
@@ -238,8 +238,9 @@ def test_table_invariant_under_generator_permutation():
     gens = list(EXAMPLE.gens)
     rng = random.Random(5)
     rng.shuffle(gens)
-    t1 = local_cohomology_table(EXAMPLE)
-    t2 = local_cohomology_table(MonomialIdeal(R3, tuple(gens)))
+    w = lcm_window(EXAMPLE)
+    t1 = local_cohomology_table(EXAMPLE, w)
+    t2 = local_cohomology_table(MonomialIdeal(R3, tuple(gens)), w)
     assert t1 == t2
 
 

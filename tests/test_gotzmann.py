@@ -14,6 +14,7 @@ from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
                      random_stable_ideal)
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 from lex_oracle import lex_ideal_gotzmann_bound
+from window_oracle import lcm_window
 
 import lexlab
 from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
@@ -392,7 +393,8 @@ def test_predict_lc_vanishing():
     vanish = predict_lc_vanishing(g)
     assert 2 in vanish and 1 not in vanish and 0 in vanish
     # engine cross-check on R/(x, y) over 3 variables
-    table = local_cohomology_table(saturated_lex_generators(g))
+    sat = saturated_lex_generators(g)
+    table = local_cohomology_table(sat, lcm_window(sat))
     rows = set(table.nonzero_rows())
     for i in range(3):
         assert (i in vanish) == (i not in rows)
@@ -400,7 +402,8 @@ def test_predict_lc_vanishing():
     g = gotzmann_representation((2, 2), 4)        # v = (0, 2, 1)
     vanish = predict_lc_vanishing(g)
     assert vanish == frozenset({0, 3})
-    table = local_cohomology_table(saturated_lex_generators(g))
+    sat = saturated_lex_generators(g)
+    table = local_cohomology_table(sat, lcm_window(sat))
     rows = set(table.nonzero_rows())
     for i in range(4):
         assert (i in vanish) == (i not in rows)
