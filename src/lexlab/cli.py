@@ -121,6 +121,8 @@ def _family_spec(args, ring) -> FamilySpec:
         if not isinstance(parsed, MonomialIdeal):
             raise ParseError("--from-ideal needs a monomial ideal")
         target = parsed
+    if args.max_degree < 0:
+        raise ParseError(f"--max-degree must be at least 0, got {args.max_degree}")
     return FamilySpec(ring, target, args.max_degree)
 
 
@@ -130,6 +132,8 @@ def _dispatch(args) -> int:
     if args.command == "hf":
         ideal = _monomial_ideal(args, ring)
         w = _window(args)
+        if w and w.lo != 0:
+            raise ParseError("hf shows degrees from 0: --window must start at 0")
         if w and w.hi < ideal.max_generator_degree() + ring.n:
             raise ParseError("hf --window must reach max generator degree + n")
         data = hilbert_series(ideal, w.hi if w else None)

@@ -5,17 +5,19 @@ Sci. Math. Roumanie 48, 2005) gives dim H^i_m(R/I)_a = dim H~_(i-|G|-1)(Delta_a;
 where Delta_a is the complex of faces F of [n] - G such that every minimal
 generator u has some j outside F and G with u_j > a_j; the entry vanishes
 unless a_j < rho_j for every j outside G, rho_j being the largest exponent of
-x_j among the generators.  Delta_a depends only on G and on the bounded part
-of a off G, so each ideal reduces to finitely many degree types, and a table
-entry is a sum of binomial counts over them: no lattice enumeration, and a
+x_j among the generators.  Delta_a depends only on G and on the cell of a
+off G, the box between consecutive generator exponents that holds it, so
+each ideal reduces to finitely many cells: no lattice enumeration, and a
 cost linear in the number of generators.  The complexes have at most n
 vertices and their homology is exact, by fraction-free elimination.
 
 Each row is kept as one canonical numerator N over the basis of functions
-j -> C(k - j - 1, n - 1), which vanish above their top degree k - n.  The
-tops of distinct k differ, so these functions are linearly independent:
-two rows agree in every degree exactly when their numerators are equal,
-and comparisons need no degree window.
+j -> C(k - j - 1, n - 1), and each cell writes its part of N directly as
+its homology times a product of at most n binomials x^hi - x^lo, whatever
+the size of its exponents.  The basis functions vanish above their top
+degree k - n, and the tops of distinct k differ, so they are linearly
+independent: two rows agree in every degree exactly when their numerators
+are equal, and comparisons need no degree window.
 """
 
 from __future__ import annotations
@@ -89,12 +91,15 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     """Row numerators of R/I: h^i(R/I)_j = sum of N_i[k] * C(k - j - 1, n - 1)
     over k - j >= n, with zero coefficients left out.
 
-    The degree type (i, g, s) sums dim H~_(i-g-1)(Delta_a) over the pairs
-    (G, b) with |G| = g and |b| = s; each pair stands for every multidegree a
-    that puts negative entries on G, and so contributes f_(g,s)(j), the
-    C(s - j - 1, g - 1) ways of writing s - j as g positive parts (for g = 0,
-    1 when j = s).  Pascal's rule f_(g,s) = f_(g+1,s+1) - f_(g+1,s) lifts each
-    type to g = n."""
+    The multidegrees a with negative entries on G, |G| = g, and bounded part
+    b share Delta_a; together they add dim H~_(i-g-1)(Delta_a) times
+    f_(g,|b|)(j) = C(|b| - j - 1, g - 1) to h^i (for g = 0, 1 when j = |b|).
+    Pascal's rule f_(g,s) = f_(g+1,s+1) - f_(g+1,s) writes f_(g,|b|) as
+    x^|b| (x - 1)^(n-g), x^k standing for C(k - j - 1, n - 1): a negative
+    coordinate contributes 1 and a free one at value v contributes
+    x^(v+1) - x^v.  Over a cell these terms telescope to x^hi - x^lo per free
+    coordinate, so the cell adds its homology times the product of these
+    binomials, whatever the size of its intervals."""
     n = ideal.ring.n
     gens = ideal.gens
     # Delta_a sees b only through the comparisons u_j > b_j, so each b_j runs
@@ -104,7 +109,7 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     # above[j][t]: per generator, the bit of j when its x_j exponent exceeds cut t
     above = [[[1 << j if u[j] > c else 0 for u in gens] for c in cuts[j]] for j in range(n)]
     zeros = [0] * len(gens)
-    types: dict[tuple[int, int, int], int] = {}
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for negative in range(1 << n):
         free = [j for j in range(n) if not negative >> j & 1]
         free_mask = (1 << n) - 1 - negative
@@ -119,29 +124,23 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
             if reduce(or_, minimal, 0) != free_mask:
                 continue  # a vertex in no minimal non-face is the apex of a cone
             homology = _reduced_homology(free_mask, minimal)
-            sizes = {0: 1}  # points of the cell by total degree
+            terms = {0: 1}  # prod over the free coordinates of x^hi - x^lo
             for j, t in zip(free, cell):
-                sizes = _add_interval(sizes, cuts[j][t], cuts[j][t + 1])
+                terms = _times_binomial(terms, cuts[j][t], cuts[j][t + 1])
             for k, h in enumerate(homology):
                 if h:
-                    for s, count in sizes.items():
-                        key = (g + k, g, s)
-                        types[key] = types.get(key, 0) + h * count
-    lift = [[(-1) ** t * comb(m, t) for t in range(m + 1)] for m in range(n + 1)]
-    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for (i, g, s), mult in types.items():
-        row = rows[i]
-        for t, c in enumerate(lift[n - g]):
-            row[s + n - g - t] = row.get(s + n - g - t, 0) + c * mult
+                    row = rows[g + k]
+                    for s, c in terms.items():
+                        row[s] = row.get(s, 0) + h * c
     return tuple({k: c for k, c in sorted(row.items()) if c} for row in rows)
 
 
-def _add_interval(sizes: dict[int, int], lo: int, hi: int) -> dict[int, int]:
-    """Counts by total degree after appending a coordinate in [lo, hi)."""
+def _times_binomial(terms: dict[int, int], lo: int, hi: int) -> dict[int, int]:
+    """The polynomial {exponent: coefficient} times x^hi - x^lo."""
     out: dict[int, int] = {}
-    for s, count in sizes.items():
-        for v in range(lo, hi):
-            out[s + v] = out.get(s + v, 0) + count
+    for s, c in terms.items():
+        out[s + hi] = out.get(s + hi, 0) + c
+        out[s + lo] = out.get(s + lo, 0) - c
     return out
 
 

@@ -21,6 +21,10 @@ class FamilySpec:
     target: Union[tuple[int, ...], MonomialIdeal]
     max_degree: int
 
+    def __post_init__(self) -> None:
+        if self.max_degree < 0:
+            raise ValueError(f"max_degree must be at least 0, got {self.max_degree}")
+
 
 def _target_values(spec: FamilySpec) -> list[int]:
     n = spec.ring.n

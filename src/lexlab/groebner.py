@@ -218,21 +218,12 @@ def _reduce_basis(basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
                if not any(j != i and monomial_divides(lead[j], lead[i])
                           and (lead[j] != lead[i] or j < i)
                           for j in range(len(basis)))]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            r = _reduce(minimal[i][2], others, keys)[0]
-            if not r:
-                minimal.pop(i)
-                changed = True
-                break
-            if r != minimal[i][2]:
-                minimal[i] = _entry(r, keys)
-                changed = True
-    minimal.sort(key=lambda e: keys[e[0]], reverse=True)
-    return minimal
+    # the leads stay pairwise non-divisible, so one reduction of each element
+    # against the others already gives the reduced basis
+    reduced = [_entry(_reduce(e[2], minimal[:i] + minimal[i + 1:], keys)[0], keys)
+               for i, e in enumerate(minimal)]
+    reduced.sort(key=lambda e: keys[e[0]], reverse=True)
+    return reduced
 
 
 def initial_ideal(basis: GBasis) -> MonomialIdeal:

@@ -215,6 +215,15 @@ def test_cli_exit_codes(capsys):
     # a window below max generator degree + n is a usage error
     code, _, err = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
     assert code == 2 and "parse error" in err
+    # hf shows degrees from 0, so a window starting elsewhere is a usage error
+    for window in ("--window=5:6", "--window=-50:6"):
+        code, _, err = run(capsys, "hf", "--ring", "x,y", window, "x^2")
+        assert code == 2 and "parse error" in err, window
+    # a negative --max-degree names no family
+    for target in (["--from-ideal", "x^2", "--max-degree", "-3"],
+                   ["--target", "1,2,1", "--max-degree", "-1"]):
+        code, _, err = run(capsys, "enumerate", "--ring", "x,y", *target)
+        assert code == 2 and "parse error" in err, target
     # gin needs two trials and a coordinate bound of at least 1
     for option in (["--trials", "1"], ["--trials", "0"], ["--bound", "0"], ["--bound=-3"]):
         code, _, err = run(capsys, "gin", "--ring", "x,y", *option, "x^2 - y^2, x*y")

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 from helpers import (GeneratorCapExceeded, brute_ideal_dim, brute_quotient_dim,
-                     ext_dimensions, random_ideal, random_stable_ideal)
+                     ext_dimensions, proper_monomial_ideals, random_ideal,
+                     random_stable_ideal)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
@@ -21,6 +22,7 @@ from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, SequentialCMVerdict,
                     lex_ideal, local_cohomology_table, saturate, sequentially_cm_verdict,
                     tables_agree)
 from lexlab.cohomology import LCTable, _engine
+from lexlab.hilbert import hilbert_numerator
 from lexlab.reports import _rigidity_member
 
 R1 = RingSpec(1)
@@ -333,6 +335,44 @@ def test_rows_vanish_above_their_exact_top():
                 assert all(t.get(i, j) == 0 for j in range(top + 1, w.hi + 1)), (J, i)
                 tops.append(top)
             assert default_window(J).hi == max(tops + [1]), J
+
+
+def _grothendieck_serre_on_numerators(I):
+    """Whether sum_i (-1)^i N_i = (-1)^n times the Hilbert series numerator.
+    C(d - k + n - 1, n - 1) and its polynomial in d differ by exactly
+    (-1)^n C(k - d - 1, n - 1) when k - d >= n, so the identity
+    H(R/I) - P(R/I) = sum_i (-1)^i h^i(R/I) holds numerator by numerator."""
+    n = I.ring.n
+    alternating = {}
+    for i, numerator in enumerate(_engine(I)):
+        for k, c in numerator.items():
+            alternating[k] = alternating.get(k, 0) + (-1) ** i * c
+    expected = {k: (-1) ** n * c for k, c in enumerate(hilbert_numerator(I)) if c}
+    return {k: c for k, c in alternating.items() if c} == expected
+
+
+def test_grothendieck_serre_on_numerators_of_families():
+    for I in exact_families():
+        for J in (I, lex_ideal(I)):
+            assert _grothendieck_serre_on_numerators(J), J
+    for n in range(1, 5):
+        assert _grothendieck_serre_on_numerators(MonomialIdeal(RingSpec(n))), n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(proper_monomial_ideals())
+def test_grothendieck_serre_on_numerators_of_hypothesis_ideals(I):
+    assert _grothendieck_serre_on_numerators(I), I
+
+
+def test_grothendieck_serre_on_numerators_of_large_exponents():
+    # cells hundreds or thousands of degrees wide, one product each
+    for I in (MonomialIdeal(R3, ((2000, 0, 0), (0, 2000, 0), (0, 0, 2000))),
+              MonomialIdeal(R4, tuple(tuple(300 * (t == j) for t in range(4))
+                                      for j in range(4))),
+              MonomialIdeal(R4, ((100, 100, 0, 0), (0, 100, 100, 0), (0, 0, 100, 100),
+                                 (100, 0, 0, 100)))):
+        assert _grothendieck_serre_on_numerators(I), I
 
 
 def test_adjoining_a_variable_prepends_an_empty_row():

@@ -44,6 +44,12 @@ def test_enumerate_rejects_macaulay_violation():
         list(enumerate_strongly_stable(FamilySpec(R3, (2, 3, 3), 2)))
 
 
+def test_family_spec_rejects_negative_max_degree():
+    for target in ((1, 2, 1), MonomialIdeal(R2, ((2, 0),))):
+        with pytest.raises(ValueError):
+            FamilySpec(R2, target, -1)
+
+
 @st.composite
 def value_windows(draw):
     """Values for degrees 0..top in n <= 4 variables, each drawn around
