@@ -5,26 +5,20 @@ from types import ModuleType as _ModuleType
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
                          depth_and_dim, local_cohomology_table, sequentially_cm_verdict,
                          tables_agree)
-from .errors import (InternalInconsistency, LexlabError, MacaulayViolation, ParseError,
-                     UnluckyCoordinates)
+from .errors import LexlabError, MacaulayViolation, ParseError, UnluckyCoordinates
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable
-from .gotzmann import (ExchangeReport, GotzmannData, exchange_property,
-                       gotzmann_representation, is_gotzmann, lex_ideal,
-                       lex_ideal_from_values, predict_lc_vanishing,
+from .gotzmann import (GotzmannData, exchange_property, gotzmann_representation,
+                       is_gotzmann, lex_ideal, lex_ideal_from_values, predict_lc_vanishing,
                        saturated_lex_generators)
-from .groebner import (CoordinateChange, GBasis, buchberger, gin, initial_ideal,
-                       normal_form, spoly)
-from .hilbert import (HilbertData, MacaulayRep, dimension, hilbert_function,
-                      hilbert_numerator, hilbert_series, macaulay_growth,
-                      macaulay_rep, multiplicity, values_from_numerator)
-from .ideals import (MonomialIdeal, colon, depth_positive_stable, graded_generator_counts,
-                     intersect, is_strongly_stable, maximal_ideal, saturate,
-                     strong_stability_witness)
+from .groebner import buchberger, gin, initial_ideal, normal_form, spoly
+from .hilbert import (dimension, hilbert_function, hilbert_numerator, hilbert_series,
+                      macaulay_growth, macaulay_rep, multiplicity)
+from .ideals import (MonomialIdeal, colon, graded_generator_counts, intersect,
+                     is_strongly_stable, maximal_ideal, saturate, strong_stability_witness)
 from .parsing import parse_ideal, parse_monomial, parse_polynomial, parse_ring
-from .reports import (RigidityReport, VerificationReport, probe_rigidity, verify_main)
-from .ring import (DEGREVLEX, LEX, Exp, Poly, RingSpec, TermOrder, borel_move,
-                   compare, enumerate_monomials, monomial_divides, monomial_lcm,
-                   total_degree)
+from .reports import probe_rigidity, verify_main
+from .ring import (DEGREVLEX, LEX, Poly, RingSpec, TermOrder, borel_move, compare,
+                   enumerate_monomials, total_degree)
 
 __all__ = [name for name, value in sorted(globals().items())
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

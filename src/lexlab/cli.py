@@ -112,9 +112,9 @@ def _check_gin_options(trials: int, bound: int = 1) -> None:
 
 
 def _family_spec(args, ring) -> FamilySpec:
-    if bool(args.target) == bool(args.from_ideal):
+    if (args.target is None) == (args.from_ideal is None):
         raise ParseError("give exactly one of --target or --from-ideal")
-    if args.target:
+    if args.target is not None:
         target = _values(args.target, "--target")
     else:
         parsed = parse_ideal(args.from_ideal, ring)

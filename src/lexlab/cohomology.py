@@ -252,7 +252,7 @@ class SequentialCMVerdict(Enum):
     NOT_SEQUENTIALLY_CM = "NotSequentiallyCM"
 
 
-def sequentially_cm_verdict(ideal: MonomialIdeal, trials: int = 3, seed: int = 0,
+def sequentially_cm_verdict(ideal: MonomialIdeal,
                             gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
     """Local cohomology of R/I against R/gin(I), compared exactly; only the
     gin is probabilistic.  A mismatch refutes sequential Cohen-Macaulayness.
@@ -261,7 +261,7 @@ def sequentially_cm_verdict(ideal: MonomialIdeal, trials: int = 3, seed: int = 0
         raise ValueError("verdict needs a proper ideal")
     if gin_ideal is None:
         from .groebner import gin
-        gin_ideal = gin(ideal, trials=trials, seed=seed)
+        gin_ideal = gin(ideal)
     if tables_agree(ideal, gin_ideal) is None:
         return SequentialCMVerdict.CONSISTENT
     return SequentialCMVerdict.NOT_SEQUENTIALLY_CM

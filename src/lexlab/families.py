@@ -7,7 +7,8 @@ from math import comb
 from typing import Iterator, Union
 
 from .errors import MacaulayViolation
-from .hilbert import hilbert_numerator, validate_hilbert_values, values_from_numerator
+from .gotzmann import lex_ideal_from_values
+from .hilbert import hilbert_numerator, values_from_numerator
 from .ideals import MonomialIdeal
 from .ring import Exp, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
 
@@ -34,7 +35,7 @@ def _target_values(spec: FamilySpec) -> list[int]:
     values = list(spec.target)
     if len(values) <= spec.max_degree:
         raise MacaulayViolation("target values must cover degrees up to max_degree")
-    validate_hilbert_values(values, n)
+    lex_ideal_from_values(spec.ring, values)
     return values
 
 

@@ -15,8 +15,7 @@ from math import comb, factorial
 
 from .errors import InternalInconsistency, MacaulayViolation
 from .hilbert import (binomial_in_x, hilbert_numerator, macaulay_growth, poly_add,
-                      poly_sub, poly_trim, validate_hilbert_values,
-                      values_from_numerator)
+                      poly_sub, poly_trim, values_from_numerator)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
 from .ring import Exp, RingSpec
 
@@ -34,9 +33,6 @@ class GotzmannData:
     v: tuple[int, ...]   # v[i-1] is the i-th entry, i = 1..n-1
     h: int               # largest index with v_h != 0 (0 when empty)
     l: int               # number of binomial summands
-
-    def to_json(self) -> dict:
-        return {"a": list(self.a), "v": list(self.v), "h": self.h, "l": self.l}
 
 
 def gotzmann_representation(p, n: int) -> GotzmannData:
@@ -181,12 +177,14 @@ def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
 def lex_ideal_from_values(ring: RingSpec, values) -> MonomialIdeal:
     """Lex ideal from raw Hilbert function values for degrees 0..len-1.
 
-    Generators are discovered through the provided window only; the data is
-    validated against Macaulay growth.
+    Generators are discovered through the provided window only.  This is the
+    one check of Macaulay's theorem: the values are a Hilbert function
+    exactly when the lex segments of those sizes form an ideal.
     """
     values = list(values)
+    if not values:
+        raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
     n = ring.n
-    validate_hilbert_values(values, n)
     dims = [comb(d + n - 1, n - 1) - v for d, v in enumerate(values)]
     return _segments_to_ideal(ring, dims)
 
@@ -206,9 +204,6 @@ class ExchangeReport:
     holds: bool
     left: MonomialIdeal    # lex of the saturation
     right: MonomialIdeal   # saturation of the lex ideal
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds, "left": str(self.left), "right": str(self.right)}
 
 
 def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:

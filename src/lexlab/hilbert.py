@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import InternalInconsistency, MacaulayViolation
+from .errors import InternalInconsistency
 from .ideals import MonomialIdeal, minimal_generators
 from .ring import Exp, total_degree
 
@@ -251,18 +251,3 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
 def macaulay_growth(a: int, d: int) -> int:
     """Largest admissible value of the Hilbert function in degree d+1 given a in d."""
     return macaulay_rep(a, d).growth()
-
-
-def validate_hilbert_values(values, n: int) -> None:
-    """Reject windows of values that no cyclic quotient of R can realize."""
-    if not values or values[0] != 1:
-        raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
-    for d, v in enumerate(values):
-        if v < 0 or v > comb(d + n - 1, n - 1):
-            raise MacaulayViolation(f"value {v} impossible in degree {d}")
-    for d in range(1, len(values) - 1):
-        if values[d] == 0 and values[d + 1] != 0:
-            raise MacaulayViolation(f"function restarts after vanishing in degree {d}")
-        if values[d] and values[d + 1] > macaulay_growth(values[d], d):
-            raise MacaulayViolation(
-                f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")

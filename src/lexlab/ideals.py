@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency
 from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_divides,
                    monomial_lcm, total_degree)
 
@@ -128,18 +127,3 @@ def graded_generator_counts(ideal: MonomialIdeal) -> dict[int, int]:
         d = total_degree(g)
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def depth_positive_stable(ideal: MonomialIdeal) -> bool:
-    """For a strongly stable ideal: does the quotient have positive depth?
-
-    Equivalent to the last variable missing from every minimal generator,
-    and cross-checked against the ideal being saturated.
-    """
-    if not is_strongly_stable(ideal):
-        raise ValueError("depth_positive_stable requires a strongly stable ideal")
-    answer = all(g[-1] == 0 for g in ideal.gens)
-    if answer != (saturate(ideal) == ideal):
-        raise InternalInconsistency(
-            f"last-variable depth criterion disagrees with saturation on {ideal}")
-    return answer

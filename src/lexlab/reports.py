@@ -63,27 +63,6 @@ class VerificationReport:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "VerificationReport":
-        lo, hi = data["lc_window"]
-        mism = data["first_mismatch"]
-        return cls(
-            ideal=ideal_from_json(data["ideal"]),
-            lex=ideal_from_json(data["lex"]),
-            sat_then_lex=ideal_from_json(data["saturations"]["left"]),
-            lex_then_sat=ideal_from_json(data["saturations"]["right"]),
-            condition_i=data["condition_i"],
-            window=DegreeWindow(lo, hi),
-            table_ideal=LCTable.from_json(data["tables"]["ideal"]),
-            table_lex=LCTable.from_json(data["tables"]["lex"]),
-            condition_ii_on_window=data["condition_ii_on_window"],
-            first_mismatch=tuple(mism) if mism else None,
-            gin=ideal_from_json(data["gin"]) if data["gin"] else None,
-            seq_cm=data["seq_cm"],
-            condition_iii=data["condition_iii"],
-            verdict=data["verdict"],
-        )
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"ideal:            {self.ideal}",

@@ -4,7 +4,6 @@ The oracles here are deliberately independent of the library: plain
 enumeration, definition-level comparators and finite differencing.
 """
 
-import random
 from itertools import product
 from math import comb
 

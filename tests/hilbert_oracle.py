@@ -8,14 +8,21 @@ generators, hence the cap.
 
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
+
+Macaulay's conditions on raw values (value 1 in degree 0, each value within
+dim R_d, no restart after vanishing, growth within Macaulay's bound) check
+``lexlab.gotzmann.lex_ideal_from_values``, whose lex-segment builder is the
+library's one check of Macaulay's theorem.
 """
 
 from fractions import Fraction
+from math import comb
 
 from helpers import GeneratorCapExceeded
 
-from lexlab.hilbert import (hilbert_numerator, poly_add, poly_mul, poly_trim,
-                            values_from_numerator)
+from lexlab.errors import MacaulayViolation
+from lexlab.hilbert import (hilbert_numerator, macaulay_growth, poly_add, poly_mul,
+                            poly_trim, values_from_numerator)
 from lexlab.ring import Exp, monomial_lcm, total_degree
 
 
@@ -61,3 +68,18 @@ def interpolated_polynomial(ideal) -> tuple[Fraction, ...]:
     d0 = max(len(num) - 1, 0)
     values = values_from_numerator(num, n, d0 + n)
     return poly_trim(_interpolate([(d, values[d]) for d in range(d0, d0 + n)]))
+
+
+def validate_hilbert_values(values, n: int) -> None:
+    """Reject windows of values that no cyclic quotient of R can realize."""
+    if not values or values[0] != 1:
+        raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
+    for d, v in enumerate(values):
+        if v < 0 or v > comb(d + n - 1, n - 1):
+            raise MacaulayViolation(f"value {v} impossible in degree {d}")
+    for d in range(1, len(values) - 1):
+        if values[d] == 0 and values[d + 1] != 0:
+            raise MacaulayViolation(f"function restarts after vanishing in degree {d}")
+        if values[d] and values[d + 1] > macaulay_growth(values[d], d):
+            raise MacaulayViolation(
+                f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")

@@ -15,7 +15,7 @@ from hilbert_oracle import _numerator_inclusion_exclusion
 from window_oracle import adjoin_variable, lcm_window
 
 from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, exchange_property, gin,
-                    gotzmann_representation, hilbert_function, is_gotzmann, is_strongly_stable, lex_ideal,
+                    gotzmann_representation, is_gotzmann, is_strongly_stable, lex_ideal,
                     local_cohomology_table, all_strongly_stable, saturate,
                     saturated_lex_generators, hilbert_series, tables_agree,
                     lex_ideal_from_values, verify_main)

@@ -14,8 +14,7 @@ from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, UnluckyCoordinate
                     parse_polynomial, parse_ring)
 from lexlab.cli import main
 from lexlab.cohomology import LCTable
-from lexlab.reports import ideal_from_json
-from lexlab.reports import VerificationReport, probe_rigidity, verify_main
+from lexlab.reports import ideal_from_json, probe_rigidity, verify_main
 from lexlab.families import FamilySpec
 
 R3 = RingSpec(3)
@@ -224,6 +223,10 @@ def test_cli_exit_codes(capsys):
                    ["--target", "1,2,1", "--max-degree", "-1"]):
         code, _, err = run(capsys, "enumerate", "--ring", "x,y", *target)
         assert code == 2 and "parse error" in err, target
+    # an empty --target is bad values, not a missing option
+    for command in ("enumerate", "probe-rigidity"):
+        code, _, err = run(capsys, command, "--ring", "x,y", "--target", "", "--max-degree", "1")
+        assert code == 2 and "bad --target values ''" in err, command
     # gin needs two trials and a coordinate bound of at least 1
     for option in (["--trials", "1"], ["--trials", "0"], ["--bound", "0"], ["--bound=-3"]):
         code, _, err = run(capsys, "gin", "--ring", "x,y", *option, "x^2 - y^2, x*y")
@@ -315,6 +318,11 @@ def test_cli_enumerate(capsys):
     code, _, err = run(capsys, "enumerate", "--ring", "x,y,z", "--target", "1,3,9",
                        "--max-degree", "2")
     assert code == 3
+    # an empty --from-ideal is the zero ideal, as "0" is
+    for text in ("", "0"):
+        code, out, _ = run(capsys, "enumerate", "--ring", "x,y", "--from-ideal", text,
+                           "--max-degree", "1")
+        assert code == 0 and out.strip() == "(0)", text
 
 
 def test_cli_probe_rigidity(capsys):
@@ -370,10 +378,10 @@ def test_verify_main_never_violates_on_family():
         assert report.condition_i == report.condition_ii_on_window
 
 
-def test_report_round_trip():
+def test_report_json_with_gin():
     ideal = parse_ideal(EXAMPLE_TEXT, R3)
-    report = verify_main(ideal)
-    assert VerificationReport.from_json(report.to_json()) == report
-    report2 = verify_main(ideal, include_gin=True, trials=2)
-    assert VerificationReport.from_json(json.loads(json.dumps(report2.to_json()))) == report2
-    assert report2.condition_iii is False     # gin = I differs from the lex ideal
+    report = verify_main(ideal, include_gin=True, trials=2)
+    data = json.loads(json.dumps(report.to_json()))
+    assert ideal_from_json(data["gin"]) == report.gin == ideal
+    assert report.condition_iii is False      # gin = I differs from the lex ideal
+    assert data["condition_iii"] is False

@@ -6,9 +6,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from helpers import (GeneratorCapExceeded, brute_ideal_dim, brute_quotient_dim,
-                     ext_dimensions, proper_monomial_ideals, random_ideal,
-                     random_stable_ideal)
+from helpers import (GeneratorCapExceeded, brute_ideal_dim, ext_dimensions,
+                     proper_monomial_ideals, random_ideal, random_stable_ideal)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
@@ -405,6 +404,18 @@ def test_depth_and_dim_examples():
     assert depth_and_dim(MonomialIdeal(R3)) == (3, 3)
     with pytest.raises(ValueError):
         depth_and_dim(MonomialIdeal(R3, ((0, 0, 0),)))
+
+
+def test_positive_depth_of_stable_ideals_three_ways():
+    # for strongly stable I: depth(R/I) > 0, I saturated, and no generator
+    # involving the last variable are one condition
+    members = [I for ring, top in ((R2, 4), (R3, 4), (R4, 3))
+               for I in all_strongly_stable(ring, top) if not I.is_zero]
+    ideals = members + [lex_ideal(I) for I in members]
+    assert len(ideals) == 1460
+    for I in ideals:
+        positive = depth_and_dim(I)[0] > 0
+        assert positive == (saturate(I) == I) == all(g[-1] == 0 for g in I.gens), I
 
 
 def test_sequentially_cm_verdicts():

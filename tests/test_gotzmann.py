@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
-                     lex_greater, oracle_families, proper_monomial_ideals, random_ideal,
+                     oracle_families, proper_monomial_ideals, random_ideal,
                      random_stable_ideal)
+from hilbert_oracle import validate_hilbert_values
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 from lex_oracle import lex_ideal_gotzmann_bound
 from window_oracle import lcm_window
 
-from lexlab import (DegreeWindow, MacaulayViolation, MonomialIdeal, RingSpec,
+from lexlab import (MacaulayViolation, MonomialIdeal, RingSpec,
                     exchange_property, gotzmann_representation,
                     graded_generator_counts, hilbert_series, is_gotzmann,
                     is_strongly_stable, lex_ideal, lex_ideal_from_values,
@@ -83,6 +85,31 @@ def test_lex_ideal_from_values():
         lex_ideal_from_values(R3, (1, 3, 9))
     with pytest.raises(MacaulayViolation):
         lex_ideal_from_values(R3, (2, 3))
+
+
+def _rejects(check) -> bool:
+    try:
+        check()
+    except MacaulayViolation:
+        return True
+    return False
+
+
+def test_lex_segments_check_macaulay_like_the_oracle():
+    # every window with n <= 4, length <= 5 and values in [-1, dim R_d + 1]
+    assert _rejects(lambda: lex_ideal_from_values(R2, ()))
+    assert _rejects(lambda: validate_hilbert_values((), 2))
+    windows = admissible = 0
+    for n in range(1, 5):
+        ring = RingSpec(n)
+        for length in range(1, 6):
+            ranges = [range(-1, comb(d + n - 1, n - 1) + 2) for d in range(length)]
+            for values in product(*ranges):
+                oracle = _rejects(lambda: validate_hilbert_values(values, n))
+                assert _rejects(lambda: lex_ideal_from_values(ring, values)) == oracle, values
+                windows += 1
+                admissible += not oracle
+    assert (windows, admissible) == (389568, 1669)
 
 
 # -- Gotzmann property ----------------------------------------------------------

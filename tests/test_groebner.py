@@ -4,7 +4,7 @@ from math import gcd
 
 import groebner_oracle as oracle
 import pytest
-from helpers import brute_ideal_dim, random_ideal, random_stable_ideal
+from helpers import random_ideal, random_stable_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

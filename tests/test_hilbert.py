@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import pytest

@@ -1,7 +1,8 @@
-"""Library-wide hygiene: bounded caches, a clean public API, no unused
-definitions, exercised oracles and no threads."""
+"""Library-wide hygiene: bounded caches, a clean public API whose every export
+has a user, no unused definitions or imports, exercised oracles and no threads."""
 
 import ast
+import re
 import sys
 import types
 from pathlib import Path
@@ -73,3 +74,51 @@ def test_no_threads_in_library():
                 continue
             assert not any(m.split(".")[0] in ("concurrent", "threading")
                            for m in modules), (f.name, modules)
+
+
+def _lexlab_names_used(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "lexlab" and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "lexlab"):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_user():
+    # users: the tests, the benchmark, the README example and the CLI
+    src = Path(lexlab.__file__).parent
+    root = src.parent.parent
+    used = set()
+    for f in [*(root / "tests").glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        used |= _lexlab_names_used(ast.parse(f.read_text()))
+    for example in re.findall(r"^from lexlab import \(.*?\)$",
+                              (root / "README.md").read_text(), re.M | re.S):
+        used |= _lexlab_names_used(ast.parse(example))
+    for node in ast.walk(ast.parse((src / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    unused = sorted(set(lexlab.__all__) - used)
+    assert not unused, unused
+
+
+def _bound_names(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+
+
+def test_no_unused_imports():
+    src = Path(lexlab.__file__).parent
+    files = [f for f in sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+             if f.name != "__init__.py"]
+    unused = []
+    for f in files:
+        tree = ast.parse(f.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{f.stem}.{name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in _bound_names(node) if name not in loaded]
+    assert not unused, unused

@@ -8,7 +8,7 @@ from ideals_oracle import (_saturate_by_colon, _saturate_stable,
                            _strong_stability_witness_all_pairs)
 
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
-                    depth_positive_stable, graded_generator_counts, intersect,
+                    depth_and_dim, graded_generator_counts, intersect,
                     is_strongly_stable, lex_ideal, maximal_ideal, saturate,
                     strong_stability_witness)
 
@@ -160,12 +160,10 @@ def test_graded_generator_counts():
 
 
 def test_depth_positive_stable():
-    assert depth_positive_stable(MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0))))
-    assert not depth_positive_stable(EXAMPLE)
+    assert depth_and_dim(MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0))))[0] > 0
+    assert depth_and_dim(EXAMPLE)[0] == 0
     I4 = MonomialIdeal(R4, ((1, 0, 0, 0), (0, 3, 0, 0), (0, 2, 1, 0)))
-    assert depth_positive_stable(I4)
-    with pytest.raises(ValueError):
-        depth_positive_stable(MonomialIdeal(R3, ((1, 0, 1),)))
+    assert depth_and_dim(I4)[0] > 0
 
 
 def test_intersect_is_symmetric_and_contained():
