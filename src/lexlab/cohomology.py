@@ -1,23 +1,38 @@
-"""Local cohomology tables of monomial quotients from Takayama's degree complexes.
+"""Local cohomology tables of monomial quotients, as one numerator per row.
 
-For a in Z^n let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc.
-Sci. Math. Roumanie 48, 2005) gives dim H^i_m(R/I)_a = dim H~_(i-|G|-1)(Delta_a; Q),
+Each row is kept as one canonical numerator N over the basis of functions
+j -> C(k - j - 1, n - 1): h^i(R/I)_j is the sum of N_i[k] C(k - j - 1, n - 1)
+over k - j >= n.  The basis functions vanish above their top degree k - n,
+and the tops of distinct k differ, so they are linearly independent: two
+rows agree in every degree exactly when their numerators are equal, and
+comparisons need no degree window.  Two routes fill the rows, one for each
+kind of input, and no input can take both.
+
+A strongly stable ideal takes a closed form.  With x_1 > ... > x_n, let M_k
+be I with x_(k+1), ..., x_n set to 1, so M_n = I, M_(n-1) = I^sat and
+M_(-1) = R.  R/I is sequentially Cohen-Macaulay with the filtration by the
+M_k/I (Herzog-Sbarra, Sequentially Cohen-Macaulay modules and local
+cohomology, 2002): M_(n-i-1)/M_(n-i) is zero or Cohen-Macaulay of dimension
+i and carries all of H^i(R/I).  So row i is its Hilbert function minus its
+Hilbert polynomial up to the sign (-1)^i, which in the basis above is
+(-1)^(i+n) times its series numerator.  Each M_k is strongly stable, and
+the Eliahou-Kervaire resolution (J. Algebra 129, 1990) writes its numerator
+with no recursion.  The cost is n minimalizations, each of at most as many
+monomials as I has generators.
+
+Any other monomial ideal takes Takayama's degree complexes.  For a in Z^n
+let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc. Sci. Math.
+Roumanie 48, 2005) gives dim H^i_m(R/I)_a = dim H~_(i-|G|-1)(Delta_a; Q),
 where Delta_a is the complex of faces F of [n] - G such that every minimal
 generator u has some j outside F and G with u_j > a_j; the entry vanishes
 unless a_j < rho_j for every j outside G, rho_j being the largest exponent of
 x_j among the generators.  Delta_a depends only on G and on the cell of a
 off G, the box between consecutive generator exponents that holds it, so
-each ideal reduces to finitely many cells: no lattice enumeration, and a
-cost linear in the number of generators.  The complexes have at most n
-vertices and their homology is exact, by fraction-free elimination.
-
-Each row is kept as one canonical numerator N over the basis of functions
-j -> C(k - j - 1, n - 1), and each cell writes its part of N directly as
-its homology times a product of at most n binomials x^hi - x^lo, whatever
-the size of its exponents.  The basis functions vanish above their top
-degree k - n, and the tops of distinct k differ, so they are linearly
-independent: two rows agree in every degree exactly when their numerators
-are equal, and comparisons need no degree window.
+each ideal reduces to finitely many cells, each of which scans every
+generator.  The complexes have at most n vertices and their homology is
+exact, by fraction-free elimination.  Each cell writes its part of N
+directly as its homology times a product of at most n binomials
+x^hi - x^lo, whatever the size of its exponents.
 """
 
 from __future__ import annotations
@@ -30,9 +45,10 @@ from math import comb
 from operator import or_
 
 from .errors import InternalInconsistency
-from .hilbert import dimension
-from .ideals import MonomialIdeal, is_strongly_stable
+from .hilbert import dimension, poly_sub, poly_trim
+from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators
 from .linalg import fraction_free_rank
+from .ring import Exp
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,52 @@ def default_window(*ideals: MonomialIdeal) -> DegreeWindow:
     return DegreeWindow(-(hi + n + 2), hi)
 
 
-# -- the degree-complex engine -------------------------------------------------
+# -- the row numerators -----------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
+    """Row numerators of R/I: h^i(R/I)_j = sum of N_i[k] * C(k - j - 1, n - 1)
+    over k - j >= n, with zero coefficients left out."""
+    if is_strongly_stable(ideal):
+        return _herzog_sbarra_rows(ideal)
+    return _takayama_rows(ideal)
+
+
+def _eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
+    """Series numerator of R/I for the strongly stable I minimally generated
+    by gens: 1 - sum over u of t^deg(u) (1 - t)^(m(u) - 1), m(u) the largest
+    index of a variable dividing u; () for the unit ideal."""
+    if gens and not any(gens[-1]):
+        return ()
+    out = [1] + [0] * max((sum(u) + len(u) for u in gens), default=0)
+    for u in gens:
+        d = sum(u)
+        m = max(t for t, e in enumerate(u) if e)
+        for a in range(m + 1):
+            out[d + a] -= (-1) ** a * comb(m, a)
+    return poly_trim(out)
+
+
+def _herzog_sbarra_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
+    """Row numerators of R/I for strongly stable I: row i is (-1)^(i+n) times
+    the numerator of M_(n-i-1)/M_(n-i), EK(M_(n-i)) - EK(M_(n-i-1))."""
+    n = ideal.ring.n
+    gens = ideal.gens
+    numerators = [_eliahou_kervaire(gens)]  # numerators[i]: EK(M_(n-i))
+    for k in range(n - 1, -1, -1):
+        gens = minimal_generators(u[:k] + (0,) * (n - k) for u in gens)
+        numerators.append(_eliahou_kervaire(gens))
+    numerators.append(())  # M_(-1) = R
+    rows = []
+    for i in range(n + 1):
+        sign = (-1) ** (i + n)
+        difference = poly_sub(numerators[i], numerators[i + 1])
+        rows.append({k: sign * c for k, c in enumerate(difference) if c})
+    return tuple(rows)
+
+
+# -- the degree-complex route --------------------------------------------------
 
 
 @lru_cache(maxsize=4096)
@@ -86,10 +147,9 @@ def _reduced_homology(free: int, nonfaces: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(len(layers[k]) - ranks[k] - ranks[k + 1] for k in range(len(layers)))
 
 
-@lru_cache(maxsize=256)
-def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
-    """Row numerators of R/I: h^i(R/I)_j = sum of N_i[k] * C(k - j - 1, n - 1)
-    over k - j >= n, with zero coefficients left out.
+def _takayama_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
+    """Row numerators of R/I from Takayama's degree complexes, for any
+    monomial ideal.
 
     The multidegrees a with negative entries on G, |G| = g, and bounded part
     b share Delta_a; together they add dim H~_(i-g-1)(Delta_a) times

@@ -1,8 +1,8 @@
 """Exact Hilbert functions, series numerators, Hilbert polynomials and
 Macaulay's binomial calculus for monomial quotients R/I.
 
-The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from a
-variable-pivot recursion on the minimal generators.
+The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from
+Bigatti's pivot recursion on the minimal generators.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ def binomial_in_x(a: int, shift: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=8192)
 def _numerator_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
+    """Bigatti's pivot (J. Pure Appl. Algebra 119, 1997) on the variable x_i
+    in most generators: with e the lower median of the x_i exponents of the
+    generators that hold x_i but are not powers of it, N(I) =
+    N((x_i^e) + {g : g_i < e}) + t^e N(I : x_i^e).  Both ideals strictly
+    contain I, so the recursion ends, and each step splits the x_i exponents
+    at their median instead of lowering them by one, so its depth does not
+    grow with the size of the exponents."""
     if not gens:
         return (1,)
     if not any(gens[-1]):
@@ -92,12 +99,17 @@ def _numerator_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
             num = poly_mul(num, poly_sub((1,), poly_shift((1,), total_degree(g))))
         return num
     pivot = counts.index(max(counts))
-    var = tuple(1 if t == pivot else 0 for t in range(n))
-    plus = minimal_generators([var] + [g for g in gens if g[pivot] == 0])
+    # powers of x_i are left out: a generator x_i^e would make I + (x_i^e) = I
+    exponents = sorted(g[pivot] for g in gens if g[pivot] and total_degree(g) > g[pivot])
+    e = exponents[(len(exponents) - 1) // 2]
+    power = tuple(e if t == pivot else 0 for t in range(n))
+    # minimal already: x_i^e divides none of the g with g_i < e, and no power
+    # of x_i below e is a generator
+    plus = tuple(sorted([power] + [g for g in gens if g[pivot] < e], reverse=True))
     quotient = minimal_generators(
-        tuple(e - 1 if t == pivot and e else e for t, e in enumerate(g)) for g in gens)
+        tuple(max(x - e, 0) if t == pivot else x for t, x in enumerate(g)) for g in gens)
     return poly_add(_numerator_pivot(n, plus),
-                    poly_shift(_numerator_pivot(n, quotient), 1))
+                    poly_shift(_numerator_pivot(n, quotient), e))
 
 
 def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_divides,
                    monomial_lcm, total_degree)
@@ -108,16 +109,24 @@ def strong_stability_witness(ideal: MonomialIdeal):
 
     Adjacent moves of the minimal generators suffice: a product inherits
     every move from its generator factor (or the generator divides the
-    moved product), and every move is a chain of adjacent ones.
+    moved product), and every move is a chain of adjacent ones.  A generator
+    dividing the moved v = x_(j-1) u / x_j has the x_(j-1) exponent of v, or
+    it would divide u / x_j, so only generators with that exponent are tried.
     """
+    with_exponent: dict[tuple[int, int], list[Exp]] = {}
+    for g in ideal.gens:
+        for t, e in enumerate(g):
+            with_exponent.setdefault((t, e), []).append(g)
     for u in ideal.gens:
         for j, v in adjacent_moves(u):
-            if not ideal.contains(v):
+            if not any(monomial_divides(g, v) for g in with_exponent.get((j - 1, v[j - 1]), ())):
                 return (u, j - 1, j)
     return None
 
 
+@lru_cache(maxsize=4096)
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
+    """Memoised by value: local cohomology, gin and depth each ask."""
     return strong_stability_witness(ideal) is None
 
 

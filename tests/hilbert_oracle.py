@@ -1,10 +1,15 @@
 """Oracles for ``lexlab.hilbert``.
 
-Inclusion-exclusion over generator lcms checks the variable-pivot Hilbert
-numerator (``lexlab.hilbert._numerator_pivot``): HS(R/I, t) (1-t)^n is the
-sum over generator subsets S of (-1)^|S| t^deg lcm(S), so it shares no
-recursion with the pivot route.  It is exponential in the number of
-generators, hence the cap.
+Two routes check the Hilbert numerator, whose library route is Bigatti's
+pivot on a median power x_i^e (``lexlab.hilbert._numerator_pivot``):
+
+- inclusion-exclusion over generator lcms: HS(R/I, t) (1-t)^n is the sum
+  over generator subsets S of (-1)^|S| t^deg lcm(S), so it shares no
+  recursion with the pivot route.  It is exponential in the number of
+  generators, hence the cap.
+- the unit-step pivot N(I) = N(I + (x_i)) + t N(I : x_i), the library route
+  before Bigatti's.  Its recursion is as deep as the exponents are large,
+  so it takes small exponents only.
 
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
@@ -22,7 +27,8 @@ from helpers import GeneratorCapExceeded
 
 from lexlab.errors import MacaulayViolation
 from lexlab.hilbert import (hilbert_numerator, macaulay_growth, poly_add, poly_mul,
-                            poly_trim, values_from_numerator)
+                            poly_shift, poly_sub, poly_trim, values_from_numerator)
+from lexlab.ideals import minimal_generators
 from lexlab.ring import Exp, monomial_lcm, total_degree
 
 
@@ -42,6 +48,31 @@ def _numerator_inclusion_exclusion(n: int, gens: tuple[Exp, ...]) -> tuple[int, 
         sign = -1 if bin(mask).count("1") % 2 else 1
         coeffs[lcm_deg[mask]] += sign
     return poly_trim(coeffs)
+
+
+def _numerator_unit_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
+    if not gens:
+        return (1,)
+    if not any(gens[-1]):
+        return ()  # unit ideal, zero quotient
+    counts = [0] * n
+    for g in gens:
+        for i, e in enumerate(g):
+            if e:
+                counts[i] += 1
+    if max(counts) <= 1:
+        # pairwise coprime generators: the quotient is a complete intersection
+        num = (1,)
+        for g in gens:
+            num = poly_mul(num, poly_sub((1,), poly_shift((1,), total_degree(g))))
+        return num
+    pivot = counts.index(max(counts))
+    var = tuple(1 if t == pivot else 0 for t in range(n))
+    plus = minimal_generators([var] + [g for g in gens if g[pivot] == 0])
+    quotient = minimal_generators(
+        tuple(e - 1 if t == pivot and e else e for t, e in enumerate(g)) for g in gens)
+    return poly_add(_numerator_unit_pivot(n, plus),
+                    poly_shift(_numerator_unit_pivot(n, quotient), 1))
 
 
 def _interpolate(points) -> tuple[Fraction, ...]:

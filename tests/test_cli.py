@@ -5,7 +5,7 @@ import re
 
 import pytest
 from helpers import grothendieck_serre_failures
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from window_oracle import lcm_window, windowed_rows_equal
 
@@ -119,6 +119,16 @@ def test_cli_lex_of_high_degree_power(capsys):
     code, out, _ = run(capsys, "lex", "--ring", "x,y,z", "x^1600")
     assert code == 0
     assert out.strip() == "(x^1600)"
+
+
+def test_cli_hf_of_large_exponents(capsys):
+    # the numerator recursion splits exponents at their median, not by units
+    code, out, _ = run(capsys, "hf", "--ring", "x,y", "--format", "json",
+                       "x^600, x^599*y, y^700")
+    assert code == 0
+    numerator = json.loads(out)["numerator"]
+    assert {k: c for k, c in enumerate(numerator) if c} == {
+        0: 1, 600: -2, 601: 1, 700: -1, 1299: 1}
 
 
 def test_cli_gin(capsys):
@@ -271,6 +281,11 @@ VALUES_TEXT = _junk("0123456789,-+ _a.") | st.lists(
     st.integers(-2, 12), max_size=6).map(lambda vs: ",".join(map(str, [1, *vs])))
 WINDOW_TEXT = _junk("0123456789:-+ ") | st.tuples(
     st.integers(-30, 30), st.integers(-30, 30)).map(lambda w: f"{w[0]}:{w[1]}")
+# exponents in the thousands, where a recursion that lowers them one at a
+# time would run out of stack
+LARGE_IDEAL_TEXT = st.lists(
+    st.tuples(st.integers(0, 1500), st.integers(0, 1500)).map(_monomial_text),
+    min_size=1, max_size=4).map(", ".join)
 
 
 def _exit_code(argv):
@@ -283,15 +298,19 @@ def _exit_code(argv):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(IDEAL_TEXT, VALUES_TEXT, WINDOW_TEXT)
-def test_cli_fuzz_exit_codes(ideal, values, window):
+@given(IDEAL_TEXT, VALUES_TEXT, WINDOW_TEXT, LARGE_IDEAL_TEXT)
+@example(ideal="x", values="1", window="0:1", large="x^3000, x^2999*y, y^3100")
+def test_cli_fuzz_exit_codes(ideal, values, window, large):
     # main catches LexlabError and ValueError; any other exception fails here
     for argv in (["lex", "--ring", "x,y", "--", ideal],
                  ["sat", "--ring", "x,y", "--", ideal],
                  ["lc", "--ring", "x,y", f"--window={window}", "--", ideal],
                  ["hf", "--ring", "x,y,z", f"--window={window}", "x^2, y*z"],
                  ["lex", "--ring", "x,y,z", f"--values={values}"],
-                 ["enumerate", "--ring", "x,y", f"--target={values}", "--max-degree", "2"]):
+                 ["enumerate", "--ring", "x,y", f"--target={values}", "--max-degree", "2"],
+                 ["hf", "--ring", "x,y", "--", large],
+                 ["sat", "--ring", "x,y", "--", large],
+                 ["lc", "--ring", "x,y", "--window=-2:2", "--", large]):
         assert _exit_code(argv) in (0, 2, 3), argv
 
 

@@ -20,7 +20,8 @@ from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, SequentialCMVerdict,
                     all_strongly_stable, default_window, depth_and_dim, is_strongly_stable,
                     lex_ideal, local_cohomology_table, saturate, sequentially_cm_verdict,
                     tables_agree)
-from lexlab.cohomology import LCTable, _engine
+from lexlab.cohomology import (LCTable, _eliahou_kervaire, _engine, _herzog_sbarra_rows,
+                               _takayama_rows)
 from lexlab.hilbert import hilbert_numerator
 from lexlab.reports import _rigidity_member
 
@@ -374,6 +375,22 @@ def test_grothendieck_serre_on_numerators_of_large_exponents():
         assert _grothendieck_serre_on_numerators(I), I
 
 
+# Lex ideals of a few hundred generators: seconds each through the Takayama
+# cells, so only the closed form runs them
+def large_stable_ideals():
+    R5 = RingSpec(5)
+    return [lex_ideal(MonomialIdeal(R2, ((200, 0), (0, 200)))),
+            lex_ideal(MonomialIdeal(R4, ((2, 2, 0, 0), (0, 0, 3, 1)))),
+            lex_ideal(MonomialIdeal(R5, tuple((3 - a, a, 0, 0, 0) for a in range(4))))]
+
+
+def test_grothendieck_serre_on_numerators_of_large_stable_ideals():
+    ideals = large_stable_ideals()
+    assert [len(I.gens) for I in ideals] == [201, 287, 265]
+    for I in ideals:
+        assert _grothendieck_serre_on_numerators(I), I
+
+
 def test_adjoining_a_variable_prepends_an_empty_row():
     # the tail sums of the extension recursion keep every numerator
     for n, d in ((2, 4), (3, 3)):
@@ -416,6 +433,15 @@ def test_positive_depth_of_stable_ideals_three_ways():
     for I in ideals:
         positive = depth_and_dim(I)[0] > 0
         assert positive == (saturate(I) == I) == all(g[-1] == 0 for g in I.gens), I
+
+
+def test_depth_of_large_stable_ideals_by_the_last_variable():
+    # depth_and_dim checks its row depth against n - max index of a variable
+    # dividing a generator (Eliahou-Kervaire) on strongly stable input
+    for I in large_stable_ideals():
+        depth = depth_and_dim(I)[0]
+        assert depth == I.ring.n - 1 - max(t for g in I.gens for t, e in enumerate(g) if e), I
+        assert (depth > 0) == (saturate(I) == I) == all(g[-1] == 0 for g in I.gens), I
 
 
 def test_sequentially_cm_verdicts():
@@ -474,3 +500,47 @@ def test_adjoin_variable_matches_direct_on_samples():
         bigger = MonomialIdeal(RingSpec(n + 1), tuple(g + (0,) for g in I.gens))
         direct = local_cohomology_table(bigger, out_window)
         assert out == direct, I
+
+
+# -- the closed form for strongly stable ideals against Takayama's cells ----------
+
+
+def _closed_form_matches_takayama(I):
+    assert is_strongly_stable(I), I
+    assert _herzog_sbarra_rows(I) == _takayama_rows(I), I
+    assert _eliahou_kervaire(I.gens) == hilbert_numerator(I), I
+
+
+@st.composite
+def stable_ideals(draw):
+    # a seed, as for small_ideals; 5 variables and degree 6 take Takayama minutes
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_stable_ideal(rng, RingSpec(rng.randint(1, 4)), max_gens=3, max_deg=5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stable_ideals())
+@example(MonomialIdeal(R3))
+@example(MonomialIdeal(R3, ((0, 0, 0),)))
+@example(MonomialIdeal(R1))
+@example(MonomialIdeal(R1, ((4,),)))
+def test_closed_form_matches_takayama_on_random_stable_ideals(I):
+    _closed_form_matches_takayama(I)
+    if not I.is_unit:
+        _closed_form_matches_takayama(lex_ideal(I))
+
+
+def test_closed_form_matches_takayama_on_families():
+    members = [I for n, d in ((2, 4), (3, 4), (4, 3), (5, 2))
+               for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero]
+    ideals = members + [lex_ideal(I) for I in members]
+    assert len(ideals) == 1584
+    for I in ideals:
+        _closed_form_matches_takayama(I)
+
+
+def test_engine_takes_the_closed_form_exactly_on_strongly_stable_input():
+    stable = lex_ideal(EXAMPLE)
+    assert _engine(stable) == _herzog_sbarra_rows(stable)
+    assert not is_strongly_stable(TWO_PLANES)
+    assert _engine(TWO_PLANES) == _takayama_rows(TWO_PLANES)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
                      oracle_families, proper_monomial_ideals, random_ideal)
 from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
-                            interpolated_polynomial)
+                            _numerator_unit_pivot, interpolated_polynomial)
 
 from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
                     hilbert_numerator, hilbert_series, macaulay_growth,
                     macaulay_rep, multiplicity)
 from lexlab.gotzmann import lex_ideal
-from lexlab.hilbert import poly_eval, values_from_numerator
+from lexlab.hilbert import _numerator_pivot, poly_eval, values_from_numerator
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -181,6 +181,38 @@ def test_numerator_strategies_agree_randomly():
     for _ in range(30):
         I = random_ideal(rng, R4, max_gens=6, max_deg=5)
         assert hilbert_numerator(I) == _numerator_inclusion_exclusion(4, I.gens)
+
+
+@st.composite
+def pivot_ideals(draw):
+    # exponents up to 12 keep the unit-step oracle's recursion shallow
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), min_size=1, max_size=8))
+    return MonomialIdeal(RingSpec(n), tuple(gens))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pivot_ideals())
+def test_bigatti_pivot_matches_unit_step_oracle(I):
+    assert _numerator_pivot(I.ring.n, I.gens) == _numerator_unit_pivot(I.ring.n, I.gens), I
+
+
+def test_bigatti_pivot_matches_unit_step_oracle_on_families():
+    for I in oracle_families():
+        assert hilbert_numerator(I) == _numerator_unit_pivot(I.ring.n, I.gens), I
+
+
+def test_bigatti_pivot_on_large_exponents():
+    # exponents far beyond the depth the unit-step recursion could reach
+    rng = random.Random(23)
+    ideals = [MonomialIdeal(R2, ((600, 0), (599, 1), (0, 700)))]
+    for n in (2, 3, 4):
+        for _ in range(5):
+            gens = tuple(tuple(rng.choice((0, rng.randint(1, 2000))) for _ in range(n))
+                         for _ in range(rng.randint(2, 9)))
+            ideals.append(MonomialIdeal(RingSpec(n), gens))
+    for I in ideals:
+        assert hilbert_numerator(I) == _numerator_inclusion_exclusion(I.ring.n, I.gens), I
 
 
 # -- exactness: no float in any Hilbert data -------------------------------------
