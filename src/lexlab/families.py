@@ -69,45 +69,40 @@ def _shadow(ring: RingSpec, layer: frozenset[Exp]) -> frozenset[Exp]:
     return frozenset(monomial_mul(u, v) for u in layer for v in ring.variables())
 
 
-def enumerate_strongly_stable(spec: FamilySpec) -> Iterator[MonomialIdeal]:
-    """Every strongly stable ideal matching the target values on their window,
-    with minimal generators only in degrees <= max_degree."""
-    ring = spec.ring
+def _strongly_stable(ring: RingSpec, max_degree: int,
+                     required: list[int] | None = None) -> Iterator[MonomialIdeal]:
+    """Every strongly stable ideal with minimal generators in degrees <= max_degree;
+    with `required`, only those with dim I_d = required[d] for every listed d."""
     n = ring.n
-    values = _target_values(spec)
-    top = len(values) - 1
-    required = [comb(d + n - 1, n - 1) - values[d] for d in range(top + 1)]
-    if required[0] != 0:
-        raise MacaulayViolation("target leaves no room for a proper ideal")
+    top = max_degree if required is None else len(required) - 1
 
     def rec(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]) -> Iterator[MonomialIdeal]:
         if d > top:
             yield MonomialIdeal(ring, gens)
             return
         shadow = _shadow(ring, prev)
-        if d <= spec.max_degree:
-            if required[d] < len(shadow):
-                return
-            for layer in borel_filters(n, d, shadow, required[d]):
+        size = None if required is None else required[d]
+        if d > max_degree:
+            if len(shadow) == size:
+                yield from rec(d + 1, shadow, gens)
+        elif size is None or size >= len(shadow):
+            for layer in borel_filters(n, d, shadow, size):
                 yield from rec(d + 1, layer, gens + tuple(sorted(layer - shadow)))
-        else:
-            if len(shadow) != required[d]:
-                return
-            yield from rec(d + 1, shadow, gens)
 
-    yield from rec(1, frozenset(), ())
+    return rec(1, frozenset(), ())
+
+
+def enumerate_strongly_stable(spec: FamilySpec) -> Iterator[MonomialIdeal]:
+    """Every strongly stable ideal matching the target values on their window,
+    with minimal generators only in degrees <= max_degree."""
+    n = spec.ring.n
+    values = _target_values(spec)
+    required = [comb(d + n - 1, n - 1) - values[d] for d in range(len(values))]
+    if required[0] != 0:
+        raise MacaulayViolation("target leaves no room for a proper ideal")
+    yield from _strongly_stable(spec.ring, spec.max_degree, required)
 
 
 def all_strongly_stable(ring: RingSpec, max_degree: int) -> Iterator[MonomialIdeal]:
     """Every strongly stable ideal with minimal generators in degrees <= max_degree."""
-    n = ring.n
-
-    def rec(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]) -> Iterator[MonomialIdeal]:
-        if d > max_degree:
-            yield MonomialIdeal(ring, gens)
-            return
-        shadow = _shadow(ring, prev)
-        for layer in borel_filters(n, d, shadow):
-            yield from rec(d + 1, layer, gens + tuple(sorted(layer - shadow)))
-
-    yield from rec(1, frozenset(), ())
+    yield from _strongly_stable(ring, max_degree)

@@ -1,4 +1,4 @@
-"""Monomial ideals by minimal generators; colon, saturation and Borel-fixedness."""
+"""Monomial ideals by minimal generators; colon (saturation is one) and Borel-fixedness."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_divides,
-                   monomial_lcm, total_degree)
+                   monomial_lcm, monomial_mul, total_degree)
 
 
 def minimal_generators(gens) -> tuple[Exp, ...]:
@@ -72,36 +72,36 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
-    """ideal : other, intersecting the colons by each generator of `other`."""
+    """ideal : other: the pieces ideal : v over the generators v of `other`,
+    lex-smallest first, intersected.  A piece that already holds the running
+    intersection R (u*v in ideal for every generator u of R) is not built."""
     if ideal.ring != other.ring:
         raise ValueError("colon of ideals over different rings")
     if other.is_zero:
         raise ValueError("colon by the zero ideal is undefined")
     result = None
-    for v in other.gens:
+    for v in reversed(other.gens):
+        if result is not None and all(ideal.contains(monomial_mul(u, v)) for u in result.gens):
+            continue
         piece = colon_by_monomial(ideal, v)
         result = piece if result is None else intersect(result, piece)
     return result
 
 
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The saturation I : m^inf with respect to the maximal ideal m.
+    """The saturation I : m^inf, as the colon by (x_1^rho_1, ..., x_n^rho_n).
 
-    For a monomial ideal, I^sat is the intersection over k of I : x_k^inf,
-    and I : x_k^inf = I : x_k^rho_k, with rho_k the largest exponent of x_k
-    among the generators: x_k dropped from every generator.  The last
-    variable comes first, since on Borel-fixed input its piece is already
-    the answer and the later intersections stay small.
+    With rho_k the largest exponent of x_k among the generators, I : x_k^rho_k
+    is already I : x_k^inf.  Each rho_k is at least 1, since x_k^0 = 1 would
+    make the powers the unit ideal.  On Borel-fixed input `colon` builds one
+    piece: if u*x_n^e is in I, moving x_n^e onto any x_k stays in I, so the
+    last variable's piece lies in every other one and the rest are skipped.
     """
     if ideal.is_zero or ideal.is_unit:
         return ideal
-    n = ideal.ring.n
-    result = None
-    for k in range(n - 1, -1, -1):
-        rho = max(g[k] for g in ideal.gens)
-        piece = colon_by_monomial(ideal, tuple(rho if t == k else 0 for t in range(n)))
-        result = piece if result is None else intersect(result, piece)
-    return result
+    rho = [max(1, *column) for column in zip(*ideal.gens)]
+    powers = tuple(tuple(e * x for x in var) for e, var in zip(rho, ideal.ring.variables()))
+    return colon(ideal, MonomialIdeal(ideal.ring, powers))
 
 
 def strong_stability_witness(ideal: MonomialIdeal):

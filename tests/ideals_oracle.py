@@ -1,16 +1,53 @@
-"""Saturation and strong-stability routes kept as oracles for ``lexlab.ideals``.
+"""Colon, saturation and strong-stability routes kept as oracles for ``lexlab.ideals``.
 
-The library saturates every monomial ideal by one closed formula (the
-intersection of the colons by the top powers of each variable) and tests
-strong stability by adjacent moves only.  These are the routes it replaced:
-iterated colon by the maximal ideal until the ideal stops growing; "set the
-last variable to 1", valid on Borel-fixed input only; and every move
-x_i * u / x_j with i < j on every minimal generator.
+The library saturates every monomial ideal by one colon, by the powers
+x_k^rho_k of the variables, and tests strong stability by adjacent moves
+only.  These are the routes it replaced: iterated colon by the maximal ideal
+until the ideal stops growing; "set the last variable to 1", valid on
+Borel-fixed input only; and every move x_i * u / x_j with i < j on every
+minimal generator.  Both of those saturation routes lean on the library,
+the first on its `colon` and the second on Borel-fixedness, so two
+definition routes that share no code with `colon` and `saturate` sit next
+to them: membership of each divisor of lcm(G(I)), tested by multiplying.
 """
+
+from itertools import product
+
+from helpers import all_exponents, divides
 
 from lexlab.errors import InternalInconsistency
 from lexlab.ideals import MonomialIdeal, colon, maximal_ideal
 from lexlab.ring import borel_move
+
+
+def _top_exponents(ideal: MonomialIdeal) -> list[int]:
+    return [max((g[k] for g in ideal.gens), default=0) for k in range(ideal.ring.n)]
+
+
+def _divisor_members(ideal: MonomialIdeal, member) -> MonomialIdeal:
+    # the minimal generators of I : J and of I^sat divide lcm(G(I)), so the
+    # divisors of that lcm that pass `member` generate the ideal
+    divisors = product(*(range(e + 1) for e in _top_exponents(ideal)))
+    return MonomialIdeal(ideal.ring, tuple(u for u in divisors if member(u)))
+
+
+def _times_in(ideal: MonomialIdeal, u, multipliers) -> bool:
+    return all(any(divides(g, tuple(a + b for a, b in zip(u, v))) for g in ideal.gens)
+               for v in multipliers)
+
+
+def _colon_by_definition(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
+    """I : J: u is in it exactly when u*v is in I for every generator v of J."""
+    return _divisor_members(ideal, lambda u: _times_in(ideal, u, other.gens))
+
+
+def _saturate_by_definition(ideal: MonomialIdeal) -> MonomialIdeal:
+    """I^sat = I : m^t with t = sum_k (max(rho_k, 1) - 1) + 1, rho_k the largest
+    exponent of x_k among the generators: every monomial of degree t is
+    divisible by some x_k^max(rho_k, 1), and I : x_k^rho_k = I : x_k^inf."""
+    t = sum(max(rho, 1) - 1 for rho in _top_exponents(ideal)) + 1
+    words = all_exponents(ideal.ring.n, t)
+    return _divisor_members(ideal, lambda u: _times_in(ideal, u, words))
 
 
 def _saturate_by_colon(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -221,6 +221,15 @@ def test_cli_exit_codes(capsys):
     # engine errors exit 3: 7 exceeds dim R_2 = 6
     code, _, err = run(capsys, "lex", "--ring", "x,y,z", "--values", "1,3,7")
     assert code == 3
+    # the unit ideal has no lex ideal, no verification and no family
+    code, _, err = run(capsys, "lex", "--ring", "x,y", "1")
+    assert code == 3 and "lex ideal of the unit ideal is not defined" in err
+    code, _, err = run(capsys, "verify-main", "--ring", "x,y", "1")
+    assert code == 3 and "verification needs a proper ideal" in err
+    for command in ("enumerate", "probe-rigidity"):
+        code, _, err = run(capsys, command, "--ring", "x,y", "--from-ideal", "1",
+                           "--max-degree", "2")
+        assert code == 3 and "target leaves no room for a proper ideal" in err, command
     # a window below max generator degree + n is a usage error
     code, _, err = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
     assert code == 2 and "parse error" in err

@@ -1,5 +1,6 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
-has a user, no unused definitions or imports, exercised oracles and no threads."""
+has a user, no unused definitions or imports, exercised oracles, no threads,
+and the benchmark's answer checks and traced names working on the library."""
 
 import ast
 import re
@@ -123,3 +124,25 @@ def test_no_unused_imports():
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    for name in _bound_names(node) if name not in loaded]
     assert not unused, unused
+
+
+def test_benchmark_checks_pass_on_the_library(monkeypatch):
+    # the benchmark reads the library through these names; a deletion it
+    # depends on would otherwise fail every benchmark operation unseen
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import checks
+    import tracing
+    assert checks.self_test(lexlab) == []
+
+    def members(n):
+        family = [I for I in lexlab.all_strongly_stable(lexlab.RingSpec(n), 3) if not I.is_zero]
+        return family[::len(family) // 8][:8]
+
+    for I in members(3):
+        report = lexlab.reports.verify_main(I, include_gin=True, seed=1)
+        assert checks.check_report(lexlab, I, report) == [], I
+    for I in members(4):
+        answer = lexlab.lex_ideal(I), lexlab.exchange_property(I)
+        assert checks.check_exchange(lexlab, I, answer) == [], I
+    for module, function in tracing.TRACED:
+        assert callable(getattr(getattr(lexlab, module), function, None)), (module, function)

@@ -4,9 +4,11 @@ import pytest
 from helpers import brute_ideal_dim, random_ideal, random_monomial, random_stable_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ideals_oracle import (_saturate_by_colon, _saturate_stable,
+from ideals_oracle import (_colon_by_definition, _saturate_by_colon,
+                           _saturate_by_definition, _saturate_stable,
                            _strong_stability_witness_all_pairs)
 
+from lexlab import ideals
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
                     depth_and_dim, graded_generator_counts, intersect,
                     is_strongly_stable, lex_ideal, maximal_ideal, saturate,
@@ -119,6 +121,38 @@ def monomial_ideals(draw):
 @given(monomial_ideals())
 def test_saturate_matches_colon_oracle_on_random_ideals(I):
     assert saturate(I) == _saturate_by_colon(I)
+
+
+@st.composite
+def small_ideal_pairs(draw):
+    n = draw(st.integers(1, 3))
+    ring = RingSpec(n)
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    I = MonomialIdeal(ring, tuple(draw(st.lists(exponent, max_size=5))))
+    J = MonomialIdeal(ring, tuple(draw(st.lists(exponent, min_size=1, max_size=4))))
+    return I, J
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_ideal_pairs())
+def test_colon_and_saturate_match_definition_oracles(pair):
+    I, J = pair
+    assert saturate(I) == _saturate_by_definition(I), I
+    assert colon(I, J) == _colon_by_definition(I, J), (I, J)
+
+
+@pytest.mark.parametrize("ring", [R3, R4])
+def test_saturate_builds_one_piece_on_strongly_stable_input(ring, monkeypatch):
+    # on Borel-fixed input the last variable's piece holds every other piece
+    members = [I for I in all_strongly_stable(ring, 3) if not I.is_zero]
+    members += [lex_ideal(I) for I in members]
+    built = []
+    piece = ideals.colon_by_monomial
+    monkeypatch.setattr(ideals, "colon_by_monomial", lambda I, v: built.append(v) or piece(I, v))
+    for I in members:
+        built.clear()
+        saturate(I)
+        assert len(built) == 1, (I, built)
 
 
 def test_strong_stability_matches_all_pairs_oracle():
