@@ -1,9 +1,12 @@
 """Lex-segment ideals, Gotzmann representations and saturated-lex structure.
 
 The lex ideal of I is spanned degree by degree by initial lex segments of the
-same dimensions as I.  Its saturation is controlled by the canonical binomial
-representation of the Hilbert polynomial, from which the generators and the
-vanishing pattern of local cohomology can be read off directly.
+same dimensions as I.  One walk over the Hilbert function values builds it,
+with one Macaulay growth bound per degree, and stops by Gotzmann persistence;
+it is also the library's one check of Macaulay's theorem.  The saturation is
+controlled by the canonical binomial representation of the Hilbert
+polynomial, from which the generators and the vanishing pattern of local
+cohomology can be read off directly.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Iterator
 
 from .errors import InternalInconsistency, MacaulayViolation
-from .hilbert import (binomial_in_x, hilbert_numerator, macaulay_growth, poly_add,
-                      poly_sub, poly_trim, values_from_numerator)
+from .hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, macaulay_growth,
+                      poly_add, poly_sub, poly_trim)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
 from .ring import Exp, RingSpec
 
@@ -120,73 +124,69 @@ def _lex_monomial(n: int, d: int, rank: int) -> Exp:
     return (*exp, rest)
 
 
-def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
-    """Build the lex ideal from dim I_d for d = 0..D, checking consistency.
+def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
+    """Walk the quotient's Hilbert function values H(0), H(1), ... and yield
+    each degree's minimal generators of the lex ideal, from degree 0 on.
 
     The shadow of an initial lex segment is again one (Macaulay), so only its
-    size is needed: dim R_d minus the largest quotient value that degree d-1
-    allows.  The degree-d generators are the segment's monomials past it."""
-    n = ring.n
-    gens: list[Exp] = []
-    for d, dim_ideal in enumerate(ideal_dims):
+    size is needed: dim R_d minus the largest value that H(d-1) allows.  The
+    degree-d generators are the monomials of the segment past it, unranked
+    directly.  This is the one check of Macaulay's theorem: the values are a
+    Hilbert function exactly when the walk meets no violation."""
+    for d, value in enumerate(values):
+        if not isinstance(value, int):
+            raise MacaulayViolation(f"degree-{d} value {value!r} is not an integer")
         if d == 0:
-            if dim_ideal != 0:
+            if value != 1:
                 raise MacaulayViolation("a proper ideal has no degree-0 part")
+            yield []
             continue
         dim_ring = comb(d + n - 1, n - 1)
-        if dim_ideal > dim_ring:
-            raise MacaulayViolation(f"degree-{d} segment of size {dim_ideal} exceeds dim R_d")
-        shadow = 0 if d == 1 else dim_ring - macaulay_growth(
-            comb(d + n - 2, n - 1) - ideal_dims[d - 1], d - 1)
-        if shadow > dim_ideal:
+        if value < 0:
+            raise MacaulayViolation(
+                f"degree-{d} segment of size {dim_ring - value} exceeds dim R_d")
+        bound = n if d == 1 else macaulay_growth(prev, d - 1)
+        if value > bound:
             raise MacaulayViolation(
                 f"values violate Macaulay growth between degrees {d - 1} and {d}")
-        gens.extend(_lex_monomial(n, d, rank) for rank in range(shadow, dim_ideal))
-    return MonomialIdeal(ring, tuple(gens))
+        yield [_lex_monomial(n, d, rank) for rank in range(dim_ring - bound, dim_ring - value)]
+        prev = value
 
 
 @lru_cache(maxsize=1024)
 def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as `ideal`.
 
+    The walk stops by Gotzmann persistence: at the first degree d above the
+    generator degrees of I that adds no generator, H grows maximally from
+    d-1 to d while I is generated in degrees < d, so it does in every later
+    degree, and the lex ideal has no generator from d on.
     Memoised by value: equal ideals share one computation and one result."""
     if ideal.is_unit:
         raise ValueError("lex ideal of the unit ideal is not defined")
     if ideal.is_zero:
         return ideal
-    ring = ideal.ring
-    n = ring.n
-    num = hilbert_numerator(ideal)
-    # Gotzmann persistence: once I is generated in degrees <= d and the
-    # quotient grows maximally from d to d+1, it does so in every later
-    # degree, so the lex ideal has no generator above d.
-    stop = ideal.max_generator_degree()
-    values = values_from_numerator(num, n, stop + 2)
-    while values[stop + 1] != macaulay_growth(values[stop], stop):
-        stop += 1
-        if len(values) < stop + 3:
-            values = values_from_numerator(num, n, 2 * stop + 2)
-    dims = [comb(d + n - 1, n - 1) - values[d] for d in range(stop + 3)]
-    result = _segments_to_ideal(ring, dims)
-    if result.max_generator_degree() > stop:
-        raise InternalInconsistency(
-            f"lex ideal of {ideal} produced generators beyond the stopping degree")
-    return result
+    n = ideal.ring.n
+    top = ideal.max_generator_degree()
+    gens: list[Exp] = []
+    for d, new in enumerate(_lex_segments(n, hilbert_values(hilbert_numerator(ideal), n))):
+        if d > top and not new:
+            break
+        gens.extend(new)
+    return MonomialIdeal(ideal.ring, tuple(gens))
 
 
 def lex_ideal_from_values(ring: RingSpec, values) -> MonomialIdeal:
     """Lex ideal from raw Hilbert function values for degrees 0..len-1.
 
-    Generators are discovered through the provided window only.  This is the
-    one check of Macaulay's theorem: the values are a Hilbert function
-    exactly when the lex segments of those sizes form an ideal.
+    Generators are discovered through the provided window only, and a
+    sequence that is not a Hilbert function raises `MacaulayViolation`.
     """
     values = list(values)
     if not values:
         raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
-    n = ring.n
-    dims = [comb(d + n - 1, n - 1) - v for d, v in enumerate(values)]
-    return _segments_to_ideal(ring, dims)
+    gens = [g for new in _lex_segments(ring.n, values) for g in new]
+    return MonomialIdeal(ring, tuple(gens))
 
 
 def is_gotzmann(ideal: MonomialIdeal) -> bool:

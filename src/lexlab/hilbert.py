@@ -1,5 +1,5 @@
 """Exact Hilbert functions, series numerators, Hilbert polynomials and
-Macaulay's binomial calculus for monomial quotients R/I.
+Macaulay's growth bound for monomial quotients R/I.
 
 The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from
 Bigatti's pivot recursion on the minimal generators.
@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
+from typing import Iterator
 
 from .errors import InternalInconsistency
 from .ideals import MonomialIdeal, minimal_generators
@@ -117,18 +119,21 @@ def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
     return _numerator_pivot(ideal.ring.n, ideal.gens)
 
 
-def values_from_numerator(num, n: int, upto: int) -> list[int]:
-    """Expand N(t)/(1-t)^n to the coefficient list for degrees 0..upto."""
+def hilbert_values(num, n: int) -> Iterator[int]:
+    """H(0), H(1), ... of the quotient whose series is N(t)/(1-t)^n, without end."""
     terms = [(k, c) for k, c in enumerate(num) if c]
-    out = []
-    for d in range(upto + 1):
+    for d in count():
         v = 0
         for k, c in terms:
             if k > d:
                 break
             v += c * comb(d - k + n - 1, n - 1)
-        out.append(v)
-    return out
+        yield v
+
+
+def values_from_numerator(num, n: int, upto: int) -> list[int]:
+    """Expand N(t)/(1-t)^n to the coefficient list for degrees 0..upto."""
+    return list(islice(hilbert_values(num, n), upto + 1))
 
 
 def hilbert_function(ideal: MonomialIdeal, d: int) -> int:
@@ -222,44 +227,26 @@ def _strip_one_minus_t(num) -> tuple[tuple[int, ...], int]:
     return current, count
 
 
-# -- Macaulay binomial calculus -----------------------------------------------
+# -- Macaulay's growth bound --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MacaulayRep:
-    """Greedy binomial decomposition of an integer in a fixed degree."""
+def macaulay_growth(a: int, d: int) -> int:
+    """Largest admissible value of the Hilbert function in degree d+1 given a in d.
 
-    degree: int
-    binomials: tuple[tuple[int, int], ...]  # (k_i, i), i descending from degree
-
-    def value(self) -> int:
-        return sum(comb(k, i) for k, i in self.binomials)
-
-    def growth(self) -> int:
-        return sum(comb(k + 1, i + 1) for k, i in self.binomials)
-
-
-def macaulay_rep(a: int, d: int) -> MacaulayRep:
+    With a = C(k_d, d) + C(k_{d-1}, d-1) + ... the greedy decomposition
+    (Macaulay), the bound is C(k_d + 1, d + 1) + C(k_{d-1} + 1, d) + ..."""
     if d < 1:
         raise ValueError("Macaulay representations need degree >= 1")
     if a < 0:
         raise ValueError("cannot represent a negative integer")
-    rest = a
-    parts: list[tuple[int, int]] = []
-    i = d
-    while rest > 0:
-        k = i
-        while comb(k + 1, i) <= rest:
-            k += 1
-        parts.append((k, i))
-        rest -= comb(k, i)
-        i -= 1
-    rep = MacaulayRep(d, tuple(parts))
-    if rep.value() != a:
-        raise InternalInconsistency(f"binomial decomposition of {a} in degree {d} failed")
-    return rep
-
-
-def macaulay_growth(a: int, d: int) -> int:
-    """Largest admissible value of the Hilbert function in degree d+1 given a in d."""
-    return macaulay_rep(a, d).growth()
+    growth = 0
+    for i in range(d, 0, -1):
+        if a <= i:
+            # the rest is C(i, i) + C(i-1, i-1) + ..., a terms that each grow to 1
+            return growth + a
+        k, c = i, 1   # c = C(k, i); step k up to the largest with C(k, i) <= a
+        while (wider := c * (k + 1) // (k + 1 - i)) <= a:
+            k, c = k + 1, wider
+        a -= c
+        growth += c * (k + 1) // (i + 1)   # C(k + 1, i + 1)
+    return growth

@@ -14,18 +14,23 @@ pivot on a median power x_i^e (``lexlab.hilbert._numerator_pivot``):
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
 
+The greedy binomial decomposition ``macaulay_rep``, summed term by term,
+checks ``lexlab.hilbert.macaulay_growth``, which takes the same greedy pass
+without building it.
+
 Macaulay's conditions on raw values (value 1 in degree 0, each value within
 dim R_d, no restart after vanishing, growth within Macaulay's bound) check
 ``lexlab.gotzmann.lex_ideal_from_values``, whose lex-segment builder is the
 library's one check of Macaulay's theorem.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from helpers import GeneratorCapExceeded
 
-from lexlab.errors import MacaulayViolation
+from lexlab.errors import InternalInconsistency, MacaulayViolation
 from lexlab.hilbert import (hilbert_numerator, macaulay_growth, poly_add, poly_mul,
                             poly_shift, poly_sub, poly_trim, values_from_numerator)
 from lexlab.ideals import minimal_generators
@@ -114,3 +119,38 @@ def validate_hilbert_values(values, n: int) -> None:
         if values[d] and values[d + 1] > macaulay_growth(values[d], d):
             raise MacaulayViolation(
                 f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")
+
+
+@dataclass(frozen=True)
+class MacaulayRep:
+    """Greedy binomial decomposition of an integer in a fixed degree."""
+
+    degree: int
+    binomials: tuple[tuple[int, int], ...]  # (k_i, i), i descending from degree
+
+    def value(self) -> int:
+        return sum(comb(k, i) for k, i in self.binomials)
+
+    def growth(self) -> int:
+        return sum(comb(k + 1, i + 1) for k, i in self.binomials)
+
+
+def macaulay_rep(a: int, d: int) -> MacaulayRep:
+    if d < 1:
+        raise ValueError("Macaulay representations need degree >= 1")
+    if a < 0:
+        raise ValueError("cannot represent a negative integer")
+    rest = a
+    parts: list[tuple[int, int]] = []
+    i = d
+    while rest > 0:
+        k = i
+        while comb(k + 1, i) <= rest:
+            k += 1
+        parts.append((k, i))
+        rest -= comb(k, i)
+        i -= 1
+    rep = MacaulayRep(d, tuple(parts))
+    if rep.value() != a:
+        raise InternalInconsistency(f"binomial decomposition of {a} in degree {d} failed")
+    return rep

@@ -1,24 +1,23 @@
 """Oracles for the lex ideals of ``lexlab.gotzmann``.
 
-The set-based builder checks the library's shadow-count builder
-(``lexlab.gotzmann._segments_to_ideal``).  It builds each degree's segment
-and the shadow of the previous one as sets of monomials and takes their
-difference, with no use of Macaulay's theorem.
+The set-based builder checks the library's degree walk
+(``lexlab.gotzmann._lex_segments``, run by ``lex_ideal_from_values``).  It
+builds each degree's segment and the shadow of the previous one as sets of
+monomials and takes their difference, with no use of Macaulay's theorem.
 
 ``lex_ideal_gotzmann_bound`` checks the stopping degree of
 ``lexlab.gotzmann.lex_ideal``, which stops by Gotzmann persistence.  It
 stops instead one past the largest of the Gotzmann number of the Hilbert
 polynomial, the last degree where the Hilbert function and polynomial
 differ, and the largest generator degree, all found through the rational
-Hilbert polynomial.  It builds with the library's shadow-count builder, so
-that it reaches degrees where the set-based one cannot.
+Hilbert polynomial.  It builds with ``lex_ideal_from_values`` on the values
+up to that degree, so that it reaches degrees where the set-based builder
+cannot.
 """
 
-from math import comb
-
-from lexlab import MonomialIdeal, RingSpec, gotzmann_representation, hilbert_series
+from lexlab import (MonomialIdeal, RingSpec, gotzmann_representation, hilbert_series,
+                    lex_ideal_from_values)
 from lexlab.errors import InternalInconsistency, MacaulayViolation
-from lexlab.gotzmann import _segments_to_ideal as _shadow_segments_to_ideal
 from lexlab.hilbert import values_from_numerator
 from lexlab.ring import Exp, enumerate_monomials, monomial_mul
 
@@ -60,15 +59,12 @@ def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:
     n = ring.n
     data = hilbert_series(ideal)
     gotz = gotzmann_representation(data.polynomial, n)
-    last_dev = 0
-    for d in range(len(data.values)):
-        if data.values[d] != data.poly_value(d):
-            last_dev = d
+    # the function and polynomial agree from the numerator's degree d0 on,
+    # which can lie past the window of `hilbert_series`
+    values = values_from_numerator(data.numerator, n, data.d0)
+    last_dev = max((d for d, v in enumerate(values) if v != data.poly_value(d)), default=0)
     stop = max(gotz.l, last_dev, ideal.max_generator_degree()) + 1
-    upto = stop + 2
-    values = values_from_numerator(data.numerator, n, upto)
-    dims = [comb(d + n - 1, n - 1) - values[d] for d in range(upto + 1)]
-    result = _shadow_segments_to_ideal(ring, dims)
+    result = lex_ideal_from_values(ring, values_from_numerator(data.numerator, n, stop + 2))
     if result.max_generator_degree() > stop:
         raise InternalInconsistency(
             f"lex ideal of {ideal} produced generators beyond the stopping degree")

@@ -1,7 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from helpers import grothendieck_serre_failures
@@ -413,3 +416,36 @@ def test_report_json_with_gin():
     assert ideal_from_json(data["gin"]) == report.gin == ideal
     assert report.condition_iii is False      # gin = I differs from the lex ideal
     assert data["condition_iii"] is False
+
+
+# -- the README examples ------------------------------------------------------------
+
+
+def _readme_blocks(language):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    return re.findall(rf"```{language}\n(.*?)```", readme, re.S)
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    lines = [line for block in _readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("lexlab ")]
+    assert len(lines) == 9
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
+
+
+def test_readme_library_example_gives_its_commented_results():
+    (block,) = _readme_blocks("python")
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = block.splitlines()[stmt.end_lineno - 1].split("#", 1)[1].strip()
+        result = str(eval(code, namespace))
+        assert comment.startswith(result), (code, result, comment)
+        checked.append(result)
+    assert checked == ["(x^2, x*y, x*z, y^3, y^2*z, y*z^2)", "True", "{1: 2, 2: 2}"]

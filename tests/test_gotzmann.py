@@ -14,12 +14,12 @@ from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 from lex_oracle import lex_ideal_gotzmann_bound
 from window_oracle import lcm_window
 
-from lexlab import (MacaulayViolation, MonomialIdeal, RingSpec,
-                    exchange_property, gotzmann_representation,
-                    graded_generator_counts, hilbert_series, is_gotzmann,
-                    is_strongly_stable, lex_ideal, lex_ideal_from_values,
-                    local_cohomology_table, multiplicity, predict_lc_vanishing,
-                    saturate, saturated_lex_generators)
+from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
+                    enumerate_strongly_stable, exchange_property, gotzmann,
+                    gotzmann_representation, graded_generator_counts, hilbert_series,
+                    is_gotzmann, is_strongly_stable, lex_ideal, lex_ideal_from_values,
+                    local_cohomology_table, macaulay_growth, multiplicity,
+                    predict_lc_vanishing, saturate, saturated_lex_generators)
 from lexlab.families import all_strongly_stable
 from lexlab.hilbert import hilbert_numerator, values_from_numerator
 
@@ -95,6 +95,15 @@ def _rejects(check) -> bool:
     return False
 
 
+def test_lex_segments_reject_values_that_are_not_integers():
+    for bad in (3.0, 2.5, Fraction(3)):
+        values = (1, bad, 3, 1, 1)
+        with pytest.raises(MacaulayViolation, match="degree-1"):
+            lex_ideal_from_values(R3, values)
+        with pytest.raises(MacaulayViolation, match="degree-1"):
+            list(enumerate_strongly_stable(FamilySpec(R3, values, 3)))
+
+
 def test_lex_segments_check_macaulay_like_the_oracle():
     # every window with n <= 4, length <= 5 and values in [-1, dim R_d + 1]
     assert _rejects(lambda: lex_ideal_from_values(R2, ()))
@@ -164,9 +173,10 @@ def _build(builder, n, dims):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ideal_dims())
 def test_segments_to_ideal_matches_set_oracle(case):
-    from lexlab.gotzmann import _segments_to_ideal
     n, dims = case
-    assert _build(_segments_to_ideal, n, dims) == _build(oracle_segments_to_ideal, n, dims)
+    values = [comb(d + n - 1, n - 1) - dim for d, dim in enumerate(dims)]
+    assert (_build(lex_ideal_from_values, n, values)
+            == _build(oracle_segments_to_ideal, n, dims))
 
 
 def test_lex_monomial_unranks_lex_order():
@@ -213,6 +223,31 @@ def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
     assert L == lex_ideal_gotzmann_bound(cube) == lex_ideal(L) == lex_ideal_gotzmann_bound(L)
     power = MonomialIdeal(R3, ((1600, 0, 0),))
     assert lex_ideal(power) == lex_ideal_gotzmann_bound(power) == power
+    powers = MonomialIdeal(R2, ((300, 0), (0, 300)))
+    L = lex_ideal(powers)
+    assert (len(L.gens), L.max_generator_degree()) == (301, 599)
+    assert L == lex_ideal_gotzmann_bound(powers)
+
+
+def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
+    calls = []
+
+    def counted(a, d):
+        calls.append(d)
+        return macaulay_growth(a, d)
+
+    monkeypatch.setattr(gotzmann, "macaulay_growth", counted)
+    gotzmann.lex_ideal.__wrapped__(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
+    assert len(calls) == 1999   # degrees 2..2000; the walk stops at 2000
+    for I in all_strongly_stable(R4, 3):
+        if I.is_zero:
+            continue
+        calls.clear()
+        L = gotzmann.lex_ideal.__wrapped__(I)
+        # the walk stops one past the top generator degree of I and of L,
+        # and takes one growth in every degree from 2 up to the stop
+        stop = max(I.max_generator_degree(), L.max_generator_degree()) + 1
+        assert len(calls) == stop - 1, I
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
                      oracle_families, proper_monomial_ideals, random_ideal)
 from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
-                            _numerator_unit_pivot, interpolated_polynomial)
+                            _numerator_unit_pivot, interpolated_polynomial, macaulay_rep)
 
 from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
                     hilbert_numerator, hilbert_series, macaulay_growth,
-                    macaulay_rep, multiplicity)
+                    multiplicity)
 from lexlab.gotzmann import lex_ideal
 from lexlab.hilbert import _numerator_pivot, poly_eval, values_from_numerator
 
@@ -152,6 +152,19 @@ def test_macaulay_rep_unique_and_greedy():
             reps = _all_macaulay_reps(a, d)
             assert len(reps) == 1, (a, d, reps)
             assert macaulay_rep(a, d).binomials == reps[0]
+
+
+def test_macaulay_growth_matches_the_representation():
+    # degrees 50 and 300 with a <= d + 60 cross into the tail where a <= i
+    pairs = [(a, d) for d in range(1, 10) for a in range(400)]
+    pairs += [(a, d) for d in (50, 300) for a in range(d + 61)]
+    for a, d in pairs:
+        rep = macaulay_rep(a, d)
+        assert rep.value() == a
+        assert macaulay_growth(a, d) == rep.growth(), (a, d)
+    for a, d in ((1, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            macaulay_growth(a, d)
 
 
 def test_growth_bound_and_ideal_growth():
