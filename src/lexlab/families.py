@@ -42,54 +42,72 @@ def _target_values(spec: FamilySpec) -> list[int]:
 def borel_filters(n: int, d: int, forced: frozenset[Exp],
                   size: int | None = None) -> Iterator[frozenset[Exp]]:
     """All Borel-closed subsets of the degree-d monomials containing `forced`
-    (and of the exact cardinality, when given), each exactly once."""
+    (and of the exact cardinality, when given), each exactly once.
+
+    A depth-first walk over the monomials, taking each one before leaving it
+    out; `taken` is its stack of choices, so no call nests per monomial."""
     monos = enumerate_monomials(n, d)  # lex-descending: successors come first
     succ = {u: [v for _, v in adjacent_moves(u)] for u in monos}
-
-    def rec(idx: int, chosen: set[Exp]) -> Iterator[frozenset[Exp]]:
-        if size is not None:
-            if len(chosen) > size or len(chosen) + (len(monos) - idx) < size:
-                return
-        if idx == len(monos):
-            if size is None or len(chosen) == size:
+    chosen: set[Exp] = set()
+    taken: list[bool] = []   # taken[k]: whether monos[k] is in `chosen`
+    while True:
+        idx = len(taken)
+        if size is None or len(chosen) <= size <= len(chosen) + len(monos) - idx:
+            if idx == len(monos):
                 yield frozenset(chosen)
+            elif all(s in chosen for s in succ[monos[idx]]):
+                chosen.add(monos[idx])
+                taken.append(True)
+                continue
+            elif monos[idx] not in forced:
+                taken.append(False)
+                continue
+        # backtrack to the last monomial taken that may still be left out
+        while taken and not (taken[-1] and monos[len(taken) - 1] not in forced):
+            if taken.pop():
+                chosen.discard(monos[len(taken)])
+        if not taken:
             return
-        u = monos[idx]
-        if all(s in chosen for s in succ[u]):
-            chosen.add(u)
-            yield from rec(idx + 1, chosen)
-            chosen.discard(u)
-        if u not in forced:
-            yield from rec(idx + 1, chosen)
-
-    yield from rec(0, set())
+        chosen.discard(monos[len(taken) - 1])
+        taken[-1] = False
 
 
 def _shadow(ring: RingSpec, layer: frozenset[Exp]) -> frozenset[Exp]:
-    return frozenset(monomial_mul(u, v) for u in layer for v in ring.variables())
+    variables = ring.variables()
+    return frozenset(monomial_mul(u, v) for u in layer for v in variables)
 
 
 def _strongly_stable(ring: RingSpec, max_degree: int,
                      required: list[int] | None = None) -> Iterator[MonomialIdeal]:
     """Every strongly stable ideal with minimal generators in degrees <= max_degree;
-    with `required`, only those with dim I_d = required[d] for every listed d."""
+    with `required`, only those with dim I_d = required[d] for every listed d.
+
+    Depth first, degree by degree: stack[d] yields the choices of the
+    degree-d layer, so no call nests per degree."""
     n = ring.n
     top = max_degree if required is None else len(required) - 1
 
-    def rec(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]) -> Iterator[MonomialIdeal]:
-        if d > top:
-            yield MonomialIdeal(ring, gens)
-            return
+    def layers(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]
+               ) -> Iterator[tuple[frozenset[Exp], tuple[Exp, ...]]]:
         shadow = _shadow(ring, prev)
         size = None if required is None else required[d]
         if d > max_degree:
             if len(shadow) == size:
-                yield from rec(d + 1, shadow, gens)
+                yield shadow, gens
         elif size is None or size >= len(shadow):
             for layer in borel_filters(n, d, shadow, size):
-                yield from rec(d + 1, layer, gens + tuple(sorted(layer - shadow)))
+                yield layer, gens + tuple(sorted(layer - shadow))
 
-    return rec(1, frozenset(), ())
+    stack = [iter([(frozenset(), ())])]   # degree 0: no monomial
+    while stack:
+        for layer, gens in stack[-1]:
+            if len(stack) > top:
+                yield MonomialIdeal(ring, gens)
+            else:
+                stack.append(layers(len(stack), layer, gens))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_strongly_stable(spec: FamilySpec) -> Iterator[MonomialIdeal]:

@@ -17,9 +17,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator
 
-from .errors import InternalInconsistency, MacaulayViolation
+from .errors import MacaulayViolation
 from .hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, macaulay_growth,
-                      poly_add, poly_sub, poly_trim)
+                      poly_sub, poly_trim)
 from .ideals import MonomialIdeal, graded_generator_counts, saturate
 from .ring import Exp, RingSpec
 
@@ -46,8 +46,7 @@ def gotzmann_representation(p, n: int) -> GotzmannData:
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
     """
-    target = poly_trim(tuple(Fraction(c) for c in p))
-    remainder = target
+    remainder = poly_trim(tuple(Fraction(c) for c in p))
     if len(remainder) - 1 > n - 2:
         raise MacaulayViolation(
             f"polynomial degree {len(remainder) - 1} too large for {n} variables")
@@ -65,11 +64,6 @@ def gotzmann_representation(p, n: int) -> GotzmannData:
         if remainder and len(remainder) - 1 >= a:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
     a_seq = tuple(exponents)
-    check: tuple = ()
-    for i, ai in enumerate(a_seq):
-        check = poly_add(check, binomial_in_x(ai, i))
-    if poly_trim(check) != target:
-        raise InternalInconsistency("binomial representation does not reproduce input")
     v = [0] * max(n - 1, 0)
     for ai in a_seq:
         v[n - ai - 2] += 1   # slot n - a_j - 1, stored 0-based
@@ -109,30 +103,24 @@ def predict_lc_vanishing(data: GotzmannData) -> frozenset[int]:
 # -- lex ideals ----------------------------------------------------------------
 
 
-def _lex_monomial(n: int, d: int, rank: int) -> Exp:
-    """The degree-d monomial with the given lex rank (rank 0 is x_1^d),
-    unranked without listing the degree."""
-    exp = []
-    rest = d
-    for k in range(n - 1, 0, -1):   # k variables follow this one
-        e = rest
-        while rank >= (block := comb(rest - e + k - 1, k - 1)):
-            rank -= block
-            e -= 1
-        exp.append(e)
-        rest -= e
-    return (*exp, rest)
+def _lex_next(u: Exp) -> Exp:
+    """The monomial right after u in the lex order of its degree."""
+    i = max(k for k in range(len(u) - 1) if u[k])   # last nonzero exponent before x_n
+    return (*u[:i], u[i] - 1, sum(u[i + 1:]) + 1, *(0,) * (len(u) - i - 2))
 
 
 def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
     """Walk the quotient's Hilbert function values H(0), H(1), ... and yield
     each degree's minimal generators of the lex ideal, from degree 0 on.
 
-    The shadow of an initial lex segment is again one (Macaulay), so only its
-    size is needed: dim R_d minus the largest value that H(d-1) allows.  The
-    degree-d generators are the monomials of the segment past it, unranked
-    directly.  This is the one check of Macaulay's theorem: the values are a
-    Hilbert function exactly when the walk meets no violation."""
+    The shadow of the degree-(d-1) lex segment ending at m is the degree-d
+    segment ending at m*x_n (Macaulay), of size dim R_d minus the largest
+    value that H(d-1) allows.  So the degree-d generators are the next
+    bound - H(d) monomials after m*x_n, stepped through in lex order, or
+    from x_1^d on when the segment before is empty.  This is the one check
+    of Macaulay's theorem: the values are a Hilbert function exactly when
+    the walk meets no violation."""
+    last = None   # the last monomial of the previous degree's segment
     for d, value in enumerate(values):
         if not isinstance(value, int):
             raise MacaulayViolation(f"degree-{d} value {value!r} is not an integer")
@@ -141,16 +129,20 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
                 raise MacaulayViolation("a proper ideal has no degree-0 part")
             yield []
             continue
-        dim_ring = comb(d + n - 1, n - 1)
         if value < 0:
-            raise MacaulayViolation(
-                f"degree-{d} segment of size {dim_ring - value} exceeds dim R_d")
+            raise MacaulayViolation(f"degree-{d} segment of size "
+                                    f"{comb(d + n - 1, n - 1) - value} exceeds dim R_d")
         bound = n if d == 1 else macaulay_growth(prev, d - 1)
         if value > bound:
             raise MacaulayViolation(
                 f"values violate Macaulay growth between degrees {d - 1} and {d}")
-        yield [_lex_monomial(n, d, rank) for rank in range(dim_ring - bound, dim_ring - value)]
-        prev = value
+        u = None if last is None else (*last[:-1], last[-1] + 1)   # the shadow's end
+        gens = []
+        for _ in range(bound - value):
+            u = (d, *(0,) * (n - 1)) if u is None else _lex_next(u)
+            gens.append(u)
+        yield gens
+        last, prev = u, value
 
 
 @lru_cache(maxsize=1024)

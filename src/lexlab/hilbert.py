@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import comb
 from typing import Iterator
 
 from .errors import InternalInconsistency
@@ -120,14 +119,15 @@ def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 
 def hilbert_values(num, n: int) -> Iterator[int]:
-    """H(0), H(1), ... of the quotient whose series is N(t)/(1-t)^n, without end."""
-    terms = [(k, c) for k, c in enumerate(num) if c]
+    """H(0), H(1), ... of the quotient whose series is N(t)/(1-t)^n, without end.
+
+    Dividing by 1-t takes running sums, so n running sums of N's
+    coefficients give the values, n additions per degree."""
+    sums = [0] * n
     for d in count():
-        v = 0
-        for k, c in terms:
-            if k > d:
-                break
-            v += c * comb(d - k + n - 1, n - 1)
+        v = num[d] if d < len(num) else 0
+        for i in range(n):
+            v = sums[i] = sums[i] + v
         yield v
 
 

@@ -11,6 +11,10 @@ pivot on a median power x_i^e (``lexlab.hilbert._numerator_pivot``):
   before Bigatti's.  Its recursion is as deep as the exponents are large,
   so it takes small exponents only.
 
+The binomial sum H(d) = sum_k N_k C(d - k + n - 1, n - 1), one ``comb`` per
+numerator term and degree, checks ``lexlab.hilbert.hilbert_values``, which
+takes n running sums of N's coefficients instead.
+
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
 
@@ -78,6 +82,20 @@ def _numerator_unit_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
         tuple(e - 1 if t == pivot and e else e for t, e in enumerate(g)) for g in gens)
     return poly_add(_numerator_unit_pivot(n, plus),
                     poly_shift(_numerator_unit_pivot(n, quotient), 1))
+
+
+def values_by_binomial_sums(num, n: int, upto: int) -> list[int]:
+    """H(0), ..., H(upto) of N(t)/(1-t)^n, summing over the terms of N."""
+    terms = [(k, c) for k, c in enumerate(num) if c]
+    values = []
+    for d in range(upto + 1):
+        v = 0
+        for k, c in terms:
+            if k > d:
+                break
+            v += c * comb(d - k + n - 1, n - 1)
+        values.append(v)
+    return values
 
 
 def _interpolate(points) -> tuple[Fraction, ...]:

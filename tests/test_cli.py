@@ -118,7 +118,7 @@ def test_cli_lex_of_the_zero_ideal(capsys):
 
 
 def test_cli_lex_of_high_degree_power(capsys):
-    # the lex generators are unranked, so no degree's monomials are listed
+    # the lex generators are stepped to, so no degree's monomials are listed
     code, out, _ = run(capsys, "lex", "--ring", "x,y,z", "x^1600")
     assert code == 0
     assert out.strip() == "(x^1600)"
@@ -354,6 +354,20 @@ def test_cli_enumerate(capsys):
         code, out, _ = run(capsys, "enumerate", "--ring", "x,y", "--from-ideal", text,
                            "--max-degree", "1")
         assert code == 0 and out.strip() == "(0)", text
+
+
+@pytest.mark.parametrize("ring, ideal, max_degree, members", [
+    ("x,y,z", "x^2,y^2,z^2", "44", ["(x^2, x*y, x*z, y^3, y^2*z, y*z^2, z^4)",
+                                    "(x^2, x*y, x*z^2, y^2, y*z^2, z^4)"]),
+    ("x,y", "x^2", "600", ["(x^2)"]),
+    ("x", "x^3", "1500", ["(x^3)"]),
+])
+def test_cli_enumerate_to_high_degree(capsys, ring, ideal, max_degree, members):
+    # one nested call per degree and per monomial of a degree once ended in RecursionError
+    code, out, _ = run(capsys, "enumerate", "--ring", ring, "--from-ideal", ideal,
+                       "--max-degree", max_degree)
+    assert code == 0
+    assert out.splitlines() == members
 
 
 def test_cli_probe_rigidity(capsys):

@@ -1,3 +1,4 @@
+import sys
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
                     is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth)
+from lexlab.ring import adjacent_moves, enumerate_monomials
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -20,6 +22,39 @@ def test_borel_filters_degree_two():
     for f in filters:
         ideal = MonomialIdeal(R3, tuple(f))
         assert is_strongly_stable(ideal) or not f
+
+
+def _borel_filters_recursive(n, d, forced, size=None):
+    """The recursion that the library's loop replaced: take each monomial,
+    then leave it out, one call per monomial."""
+    monos = enumerate_monomials(n, d)
+    succ = {u: [v for _, v in adjacent_moves(u)] for u in monos}
+
+    def rec(idx, chosen):
+        if size is not None and (len(chosen) > size
+                                 or len(chosen) + len(monos) - idx < size):
+            return
+        if idx == len(monos):
+            if size is None or len(chosen) == size:
+                yield frozenset(chosen)
+            return
+        u = monos[idx]
+        if all(s in chosen for s in succ[u]):
+            yield from rec(idx + 1, chosen | {u})
+        if u not in forced:
+            yield from rec(idx + 1, chosen)
+
+    return rec(0, frozenset())
+
+
+def test_borel_filters_keep_the_order_of_the_recursion():
+    for n in range(1, 5):
+        for d in range(5 if n < 4 else 4):
+            monos = enumerate_monomials(n, d)
+            for forced in (frozenset(), frozenset(monos[:1]), frozenset(monos[:3])):
+                for size in (None, 0, 1, 2, 4, len(monos)):
+                    assert (list(borel_filters(n, d, forced, size))
+                            == list(_borel_filters_recursive(n, d, forced, size))), (n, d)
 
 
 def test_enumerate_singleton_family():
@@ -95,6 +130,42 @@ def test_enumerate_from_source_ideal():
     spec = FamilySpec(R3, EXAMPLE, 3)
     members = list(enumerate_strongly_stable(spec))
     assert EXAMPLE in members and lex_ideal(EXAMPLE) in members
+
+
+def _deepest_stack(members) -> int:
+    """The deepest call stack below this frame while `members` is drained."""
+    base = _depth(sys._getframe())
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        deepest = max(deepest, _depth(frame) - base)
+
+    sys.setprofile(profile)
+    try:
+        count = sum(1 for _ in members)
+    finally:
+        sys.setprofile(None)
+    assert count > 0
+    return deepest
+
+
+def _depth(frame) -> int:
+    depth = 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_enumeration_stack_depth_grows_with_neither_degree_nor_monomials():
+    cube = MonomialIdeal(R3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    square = MonomialIdeal(R2, ((2, 0),))
+    for ring, ideal in ((R3, cube), (R2, square)):
+        low, high = (_deepest_stack(enumerate_strongly_stable(FamilySpec(ring, ideal, d)))
+                     for d in (5, 15))
+        assert low == high, (ideal, low, high)
+    low, high = (_deepest_stack(all_strongly_stable(RingSpec(1), d)) for d in (3, 60))
+    assert low == high
 
 
 def test_all_strongly_stable_sweep():

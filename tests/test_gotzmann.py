@@ -179,13 +179,13 @@ def test_segments_to_ideal_matches_set_oracle(case):
             == _build(oracle_segments_to_ideal, n, dims))
 
 
-def test_lex_monomial_unranks_lex_order():
-    from lexlab.gotzmann import _lex_monomial
+def test_lex_next_steps_through_lex_order():
+    from lexlab.gotzmann import _lex_next
     from lexlab.ring import enumerate_monomials
-    for n in range(1, 6):
-        for d in range(7):
-            ranked = tuple(_lex_monomial(n, d, r) for r in range(comb(d + n - 1, n - 1)))
-            assert ranked == enumerate_monomials(n, d), (n, d)
+    for n in range(2, 6):
+        for d in range(1, 7):
+            monos = enumerate_monomials(n, d)
+            assert [_lex_next(u) for u in monos[:-1]] == list(monos[1:]), (n, d)
 
 
 def test_lex_ideal_matches_oracle_on_r4_family():
@@ -231,23 +231,34 @@ def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
 
 def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
     calls = []
+    steps = []
 
     def counted(a, d):
         calls.append(d)
         return macaulay_growth(a, d)
 
+    def stepped(u):
+        steps.append(u)
+        return lex_next(u)
+
+    lex_next = gotzmann._lex_next
     monkeypatch.setattr(gotzmann, "macaulay_growth", counted)
-    gotzmann.lex_ideal.__wrapped__(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
+    monkeypatch.setattr(gotzmann, "_lex_next", stepped)
+    L = gotzmann.lex_ideal.__wrapped__(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
     assert len(calls) == 1999   # degrees 2..2000; the walk stops at 2000
+    # 1001 generators, the first taken as x^1000 without a step
+    assert (len(L.gens), len(steps)) == (1001, 1000)
     for I in all_strongly_stable(R4, 3):
         if I.is_zero:
             continue
         calls.clear()
+        steps.clear()
         L = gotzmann.lex_ideal.__wrapped__(I)
         # the walk stops one past the top generator degree of I and of L,
         # and takes one growth in every degree from 2 up to the stop
         stop = max(I.max_generator_degree(), L.max_generator_degree()) + 1
         assert len(calls) == stop - 1, I
+        assert len(steps) <= len(L.gens), I
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

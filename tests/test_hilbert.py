@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
                      oracle_families, proper_monomial_ideals, random_ideal)
 from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
-                            _numerator_unit_pivot, interpolated_polynomial, macaulay_rep)
+                            _numerator_unit_pivot, interpolated_polynomial, macaulay_rep,
+                            values_by_binomial_sums)
 
 from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
                     hilbert_numerator, hilbert_series, macaulay_growth,
@@ -56,6 +57,15 @@ def test_values_from_numerator_matches_double_loop():
         plain = [sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if k <= d)
                  for d in range(upto + 1)]
         assert values_from_numerator(num, n, upto) == plain, (num, n, upto)
+
+
+def test_running_sums_match_binomial_sum_oracle():
+    rng = random.Random(1401)
+    for n in range(1, 6):
+        for _ in range(40):
+            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, 30))]
+            assert (values_from_numerator(num, n, 199)
+                    == values_by_binomial_sums(num, n, 199)), (num, n)
 
 
 def test_numerator_example():
