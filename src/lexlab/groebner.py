@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import InternalInconsistency, UnluckyCoordinates
-from .ideals import MonomialIdeal, is_strongly_stable
+from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators
 from .linalg import fraction_free_rank
 from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, enumerate_monomials,
                    monomial_divides, monomial_lcm, monomial_mul, total_degree)
@@ -213,11 +213,12 @@ def _groebner(polys: list[IntPoly], keys: _OrderKeys) -> list[Entry]:
 
 def _reduce_basis(basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
     """Minimal, inter-reduced primitive basis, by decreasing leading monomial."""
-    lead = [e[0] for e in basis]
-    minimal = [e for i, e in enumerate(basis)
-               if not any(j != i and monomial_divides(lead[j], lead[i])
-                          and (lead[j] != lead[i] or j < i)
-                          for j in range(len(basis)))]
+    # the first element with each minimal leading monomial, in basis order
+    first: dict[Exp, Entry] = {}
+    for e in basis:
+        first.setdefault(e[0], e)
+    keep = set(minimal_generators(first))
+    minimal = [e for u, e in first.items() if u in keep]
     # the leads stay pairwise non-divisible, so one reduction of each element
     # against the others already gives the reduced basis
     reduced = [_entry(_reduce(e[2], minimal[:i] + minimal[i + 1:], keys)[0], keys)

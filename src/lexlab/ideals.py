@@ -2,21 +2,65 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 
-from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_divides,
-                   monomial_lcm, monomial_mul, total_degree)
+from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_lcm,
+                   monomial_mul, total_degree)
+
+
+def _divisor_index(gens) -> list[tuple[int, list[int], list[int]]]:
+    """Per variable x_i dividing some generator: i, the distinct exponents e of
+    x_i among gens, ascending, and for each e the bitmask of the gens (bit k
+    for gens[k]) whose x_i exponent is <= e.  A variable dividing no generator
+    is left out: it cannot stop any generator from dividing anything."""
+    index = []
+    for i, column in enumerate(zip(*gens)):
+        if not any(column):
+            continue
+        exact: dict[int, int] = {}
+        for k, e in enumerate(column):
+            exact[e] = exact.get(e, 0) | 1 << k
+        values = sorted(exact)
+        index.append((i, values, list(accumulate((exact[e] for e in values), or_))))
+    return index
+
+
+def _divisors(index, u: Exp) -> int:
+    """The bitmask of the indexed gens dividing u, one AND per indexed
+    variable; -1 (every bit) when no variable is indexed."""
+    found = -1
+    for i, values, masks in index:
+        k = bisect_right(values, u[i])
+        if not k:
+            return 0
+        found &= masks[k - 1]
+    return found
+
+
+def _membership(gens: tuple[Exp, ...]):
+    """u -> whether u lies in the ideal generated by gens."""
+    if not gens:
+        return lambda u: False
+    index = _divisor_index(gens)
+    return lambda u: _divisors(index, u) != 0
 
 
 def minimal_generators(gens) -> tuple[Exp, ...]:
-    """Drop generators divisible by another; result sorted lex-descending."""
-    kept: list[Exp] = []
-    for u in sorted(set(gens), key=lambda u: (sum(u), u)):
-        if not any(monomial_divides(g, u) for g in kept):
-            kept.append(u)
-    kept.sort(reverse=True)
-    return tuple(kept)
+    """Drop generators divisible by another; result sorted lex-descending.
+
+    u is kept when it is the only input dividing itself.  Indexing every
+    input, not only the minimal ones, gives the same answer: a divisor that
+    is not minimal is itself divided by a minimal one, which then divides u.
+    """
+    unique = sorted(set(gens), reverse=True)
+    if len(unique) < 2:
+        return tuple(unique)
+    index = _divisor_index(unique)
+    return tuple(u for k, u in enumerate(unique) if _divisors(index, u) == 1 << k)
 
 
 @dataclass(frozen=True)
@@ -45,7 +89,7 @@ class MonomialIdeal:
         return bool(self.gens) and not any(self.gens[-1])
 
     def contains(self, u: Exp) -> bool:
-        return any(monomial_divides(g, u) for g in self.gens)
+        return _membership(self.gens)(u)
 
     def max_generator_degree(self) -> int:
         return max((total_degree(g) for g in self.gens), default=0)
@@ -79,9 +123,10 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("colon of ideals over different rings")
     if other.is_zero:
         raise ValueError("colon by the zero ideal is undefined")
+    member = _membership(ideal.gens)
     result = None
     for v in reversed(other.gens):
-        if result is not None and all(ideal.contains(monomial_mul(u, v)) for u in result.gens):
+        if result is not None and all(member(monomial_mul(u, v)) for u in result.gens):
             continue
         piece = colon_by_monomial(ideal, v)
         result = piece if result is None else intersect(result, piece)
@@ -109,17 +154,12 @@ def strong_stability_witness(ideal: MonomialIdeal):
 
     Adjacent moves of the minimal generators suffice: a product inherits
     every move from its generator factor (or the generator divides the
-    moved product), and every move is a chain of adjacent ones.  A generator
-    dividing the moved v = x_(j-1) u / x_j has the x_(j-1) exponent of v, or
-    it would divide u / x_j, so only generators with that exponent are tried.
+    moved product), and every move is a chain of adjacent ones.
     """
-    with_exponent: dict[tuple[int, int], list[Exp]] = {}
-    for g in ideal.gens:
-        for t, e in enumerate(g):
-            with_exponent.setdefault((t, e), []).append(g)
+    member = _membership(ideal.gens)
     for u in ideal.gens:
         for j, v in adjacent_moves(u):
-            if not any(monomial_divides(g, v) for g in with_exponent.get((j - 1, v[j - 1]), ())):
+            if not member(v):
                 return (u, j - 1, j)
     return None
 

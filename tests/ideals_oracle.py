@@ -9,6 +9,11 @@ minimal generator.  Both of those saturation routes lean on the library,
 the first on its `colon` and the second on Borel-fixedness, so two
 definition routes that share no code with `colon` and `saturate` sit next
 to them: membership of each divisor of lcm(G(I)), tested by multiplying.
+
+The library minimalizes and tests membership through one bitset index of
+the generators' exponents.  The routes it replaced stay here: every
+generator, by degree, checked against each one kept before it, and
+membership as a scan for a generator dividing the monomial.
 """
 
 from itertools import product
@@ -17,7 +22,21 @@ from helpers import all_exponents, divides
 
 from lexlab.errors import InternalInconsistency
 from lexlab.ideals import MonomialIdeal, colon, maximal_ideal
-from lexlab.ring import borel_move
+from lexlab.ring import borel_move, monomial_divides
+
+
+def _minimal_generators_pairwise(gens):
+    """Drop generators divisible by another; result sorted lex-descending."""
+    kept = []
+    for u in sorted(set(gens), key=lambda u: (sum(u), u)):
+        if not any(monomial_divides(g, u) for g in kept):
+            kept.append(u)
+    kept.sort(reverse=True)
+    return tuple(kept)
+
+
+def _contains_any_scan(ideal: MonomialIdeal, u) -> bool:
+    return any(monomial_divides(g, u) for g in ideal.gens)
 
 
 def _top_exponents(ideal: MonomialIdeal) -> list[int]:

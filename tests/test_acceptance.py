@@ -25,6 +25,7 @@ from lexlab.reports import VERDICT_VIOLATION
 R2 = RingSpec(2)
 R3 = RingSpec(3)
 R4 = RingSpec(4)
+R5 = RingSpec(5)
 EXAMPLE = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2)))
 EXAMPLE_LEX = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0),
                                  (0, 2, 1), (0, 1, 2)))
@@ -302,3 +303,16 @@ def test_criterion_13_verify_main_builds_no_fraction(monkeypatch):
     ok = (len(r3), len(r4), made[0]) == (64, 350, 0)
     report(13, ok, time.time() - t0,
            f"{made[0]} Fractions built by verify_main over R3 and R4, degree <= 3")
+
+
+def test_criterion_14_r5_equivalence_sweep():
+    t0 = time.time()
+    members = [I for I in all_strongly_stable(R5, 3) if not I.is_zero]
+    reports = [verify_main(I) for I in members]
+    violations = [r.ideal for r in reports if r.verdict == VERDICT_VIOLATION]
+    holds = sum(r.condition_i for r in reports)
+    elapsed = time.time() - t0
+    ok = len(members) == 2429 and not violations
+    report(14, ok and elapsed < 60, elapsed,
+           f"(i) iff (ii) across {len(members)} strongly stable ideals in five variables "
+           f"({holds} with the exchange), {len(violations)} violations")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -227,6 +228,19 @@ def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
     L = lex_ideal(powers)
     assert (len(L.gens), L.max_generator_degree()) == (301, 599)
     assert L == lex_ideal_gotzmann_bound(powers)
+
+
+def test_lex_ideal_with_thousands_of_generators_is_built_in_seconds():
+    # the walk takes well under a second; minimalizing its output pair by
+    # pair takes tens of seconds
+    I = MonomialIdeal(RingSpec(5), ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1)))
+    t0 = time.perf_counter()
+    L = gotzmann.lex_ideal.__wrapped__(I)
+    ok = (len(L.gens), is_strongly_stable(L), hilbert_numerator(L)) == (
+        6231, True, hilbert_numerator(I))
+    elapsed = time.perf_counter() - t0
+    assert ok
+    assert elapsed < 10, elapsed
 
 
 def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):

@@ -2,13 +2,15 @@ import random
 
 import pytest
 from helpers import brute_ideal_dim, random_ideal, random_monomial, random_stable_ideal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ideals_oracle import (_colon_by_definition, _saturate_by_colon,
+from ideals_oracle import (_colon_by_definition, _contains_any_scan,
+                           _minimal_generators_pairwise, _saturate_by_colon,
                            _saturate_by_definition, _saturate_stable,
                            _strong_stability_witness_all_pairs)
 
 from lexlab import ideals
+from lexlab.ideals import minimal_generators
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
                     depth_and_dim, graded_generator_counts, intersect,
                     is_strongly_stable, lex_ideal, maximal_ideal, saturate,
@@ -25,6 +27,51 @@ def test_minimalize_examples():
     assert MonomialIdeal(R3).is_zero
     gens = ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 0), (0, 1, 0))
     assert MonomialIdeal(R3, gens).gens == ((1, 0, 0), (0, 1, 0))
+
+
+@st.composite
+def generators_and_probes(draw):
+    n = draw(st.integers(1, 5))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(exponent, max_size=12))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))   # duplicates
+    return n, gens, draw(st.lists(exponent, max_size=6))
+
+
+def _assert_index_matches_oracles(n, gens, probes):
+    assert minimal_generators(gens) == _minimal_generators_pairwise(gens), gens
+    I = MonomialIdeal(RingSpec(n), tuple(gens))
+    for u in list(probes) + list(gens):
+        assert I.contains(u) == _contains_any_scan(I, u), (gens, u)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(generators_and_probes())
+@example((1, [], [(0,), (2,)]))
+@example((1, [(3,), (1,), (3,), (2,)], [(0,), (1,), (5,)]))
+@example((3, [], [(0, 0, 0), (1, 2, 0)]))
+@example((3, [(0, 0, 0), (1, 0, 2), (0, 0, 0)], [(0, 0, 0), (2, 1, 0)]))
+@example((4, [(1, 1, 0, 0), (0, 1, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0)], [(1, 0, 1, 0)]))
+def test_index_matches_pairwise_oracles(case):
+    # same generators in the same order, same membership answers
+    _assert_index_matches_oracles(*case)
+
+
+def test_index_matches_pairwise_oracles_on_r4_family_and_large_lex_ideals():
+    members = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    assert len(members) == 350
+    # lex ideals of 265 and 301 generators: the masks span many machine words
+    large = [MonomialIdeal(R5, tuple((3 - a, a, 0, 0, 0) for a in range(4))),
+             MonomialIdeal(RingSpec(2), ((300, 0), (0, 300)))]
+    assert [len(lex_ideal(I).gens) for I in large] == [265, 301]
+    for I in members + large:
+        L = lex_ideal(I)
+        n = I.ring.n
+        dropped = [u[:-1] + (0,) for u in L.gens]   # far from minimal
+        probes = [borel_move(u, 0, n - 1) for u in L.gens if u[-1]] + list(I.gens + L.gens)
+        for gens in (I.gens, L.gens, I.gens + L.gens, dropped):
+            _assert_index_matches_oracles(n, gens, probes)
 
 
 def test_unit_and_zero():
