@@ -7,7 +7,7 @@ from math import comb
 from typing import Iterator, Union
 
 from .errors import MacaulayViolation
-from .gotzmann import lex_ideal_from_values
+from .gotzmann import lex_ideal, lex_ideal_from_values
 from .hilbert import hilbert_numerator, values_from_numerator
 from .ideals import MonomialIdeal
 from .ring import Exp, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
@@ -25,18 +25,6 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.max_degree < 0:
             raise ValueError(f"max_degree must be at least 0, got {self.max_degree}")
-
-
-def _target_values(spec: FamilySpec) -> list[int]:
-    n = spec.ring.n
-    if isinstance(spec.target, MonomialIdeal):
-        upto = spec.max_degree + n + 2
-        return values_from_numerator(hilbert_numerator(spec.target), n, upto)
-    values = list(spec.target)
-    if len(values) <= spec.max_degree:
-        raise MacaulayViolation("target values must cover degrees up to max_degree")
-    lex_ideal_from_values(spec.ring, values)
-    return values
 
 
 def borel_filters(n: int, d: int, forced: frozenset[Exp],
@@ -111,14 +99,28 @@ def _strongly_stable(ring: RingSpec, max_degree: int,
 
 
 def enumerate_strongly_stable(spec: FamilySpec) -> Iterator[MonomialIdeal]:
-    """Every strongly stable ideal matching the target values on their window,
-    with minimal generators only in degrees <= max_degree."""
-    n = spec.ring.n
-    values = _target_values(spec)
+    """Every strongly stable ideal with the target's Hilbert function (on the
+    values' window, for a value target) and generators in degrees <= max_degree.
+
+    No member has a generator above T, the top generator degree of the
+    target's lex ideal, as the lex segment has the smallest shadow (Macaulay);
+    so the layers stop at min(max_degree, T).  An ideal target is compared up
+    to T + 1: a member generated in degrees <= T that matches there grows
+    maximally from T on (Gotzmann persistence), as the target does."""
+    ring, target = spec.ring, spec.target
+    n = ring.n
+    if isinstance(target, MonomialIdeal):
+        if target.is_unit:
+            raise MacaulayViolation("target leaves no room for a proper ideal")
+        top = lex_ideal(target).max_generator_degree()
+        values = values_from_numerator(hilbert_numerator(target), n, top + 1)
+    else:
+        values = list(target)
+        if len(values) <= spec.max_degree:
+            raise MacaulayViolation("target values must cover degrees up to max_degree")
+        top = lex_ideal_from_values(ring, values).max_generator_degree()
     required = [comb(d + n - 1, n - 1) - values[d] for d in range(len(values))]
-    if required[0] != 0:
-        raise MacaulayViolation("target leaves no room for a proper ideal")
-    yield from _strongly_stable(spec.ring, spec.max_degree, required)
+    yield from _strongly_stable(ring, min(spec.max_degree, top), required)
 
 
 def all_strongly_stable(ring: RingSpec, max_degree: int) -> Iterator[MonomialIdeal]:

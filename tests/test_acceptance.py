@@ -14,7 +14,8 @@ from helpers import (brute_quotient_dim, grothendieck_serre_failures, random_ide
 from hilbert_oracle import _numerator_inclusion_exclusion
 from window_oracle import adjoin_variable, lcm_window
 
-from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, exchange_property, gin,
+from lexlab import (DegreeWindow, FamilySpec, MonomialIdeal, RingSpec,
+                    enumerate_strongly_stable, exchange_property, gin,
                     gotzmann_representation, is_gotzmann, is_strongly_stable, lex_ideal,
                     local_cohomology_table, all_strongly_stable, saturate,
                     saturated_lex_generators, hilbert_series, tables_agree,
@@ -316,3 +317,33 @@ def test_criterion_14_r5_equivalence_sweep():
     report(14, ok and elapsed < 60, elapsed,
            f"(i) iff (ii) across {len(members)} strongly stable ideals in five variables "
            f"({holds} with the exchange), {len(violations)} violations")
+
+
+def test_criterion_15_complete_families():
+    # one family per Hilbert function of the nonzero members of R3 d <= 4 and
+    # R5 d <= 2, each capped at its lex ideal's top degree and so complete
+    t0 = time.time()
+    counts, holds, violations, broken = [], 0, [], []
+    for ring, d in ((R3, 4), (R5, 2)):
+        targets = {}
+        for ideal in all_strongly_stable(ring, d):
+            if not ideal.is_zero:
+                targets.setdefault(hilbert_numerator(ideal), ideal)
+        members = 0
+        for numerator, target in targets.items():
+            lex = lex_ideal(target)
+            family = list(enumerate_strongly_stable(
+                FamilySpec(ring, target, lex.max_generator_degree())))
+            if lex not in family or any(hilbert_numerator(J) != numerator for J in family):
+                broken.append(target)
+            reports = [verify_main(J) for J in family]
+            violations += [r.ideal for r in reports if r.verdict == VERDICT_VIOLATION]
+            holds += sum(r.condition_i for r in reports)
+            members += len(family)
+        counts.append((len(targets), members))
+    elapsed = time.time() - t0
+    ok = counts == [(236, 483), (62, 145)] and not broken and not violations
+    report(15, ok and elapsed < 20, elapsed,
+           f"complete families of {counts} (Hilbert functions, members) in R3 and R5 "
+           f"({holds} members with the exchange), {len(broken)} broken families, "
+           f"{len(violations)} violations")

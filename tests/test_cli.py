@@ -4,6 +4,7 @@ import io
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -233,9 +234,10 @@ def test_cli_exit_codes(capsys):
         code, _, err = run(capsys, command, "--ring", "x,y", "--from-ideal", "1",
                            "--max-degree", "2")
         assert code == 3 and "target leaves no room for a proper ideal" in err, command
-    # a window below max generator degree + n is a usage error
-    code, _, err = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
-    assert code == 2 and "parse error" in err
+    # a window may end below max generator degree + n: the series data is
+    # closed-form, so the window only sets how far the values are printed
+    code, out, _ = run(capsys, "hf", "--ring", "x,y,z", "--window=0:1", "x^2, y*z")
+    assert code == 0 and out.splitlines()[0] == "values 0..1: 1 3"
     # hf shows degrees from 0, so a window starting elsewhere is a usage error
     for window in ("--window=5:6", "--window=-50:6"):
         code, _, err = run(capsys, "hf", "--ring", "x,y", window, "x^2")
@@ -368,6 +370,30 @@ def test_cli_enumerate_to_high_degree(capsys, ring, ideal, max_degree, members):
                        "--max-degree", max_degree)
     assert code == 0
     assert out.splitlines() == members
+
+
+@pytest.mark.parametrize("ring, ideal", [("x", "x^5"), ("x,y", "x, y^10")])
+def test_cli_family_capped_below_every_member_is_empty(capsys, ring, ideal):
+    # the lex ideal has a generator in degree 5 or 10, and no member can be
+    # generated below it: (0) and (x) miss the target's value in that degree
+    code, out, _ = run(capsys, "enumerate", "--ring", ring, "--from-ideal", ideal,
+                       "--max-degree", "1")
+    assert code == 0 and out.strip() == "(empty family)"
+    code, out, _ = run(capsys, "probe-rigidity", "--ring", ring, "--from-ideal", ideal,
+                       "--max-degree", "1")
+    assert code == 0 and out.splitlines()[0] == "members: 0"
+
+
+def test_cli_family_walk_stops_at_the_lex_top_degree(capsys):
+    # the lex ideal of (x^2, y^2) is generated in degrees <= 3, so a cap of
+    # 1200 costs no more than a cap of 3
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "probe-rigidity", "--ring", "x,y", "--from-ideal", "x^2,y^2",
+                       "--max-degree", "1200")
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out.splitlines()[0] == "members: 1"
+    assert "(x^2, x*y, y^3)" in out
+    assert elapsed < 2, elapsed
 
 
 def test_cli_probe_rigidity(capsys):

@@ -1,14 +1,17 @@
+import gc
+import random
 import sys
 from math import comb
 
 import pytest
-from helpers import brute_quotient_dim
+from helpers import brute_quotient_dim, random_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
                     is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth)
+from lexlab.hilbert import hilbert_numerator, values_from_numerator
 from lexlab.ring import adjacent_moves, enumerate_monomials
 
 R2 = RingSpec(2)
@@ -141,11 +144,17 @@ def _deepest_stack(members) -> int:
         nonlocal deepest
         deepest = max(deepest, _depth(frame) - base)
 
+    # a collector callback (Hypothesis registers one) run inside the drain
+    # would count as one more frame, so the collector waits until it ends
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         count = sum(1 for _ in members)
     finally:
         sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
     assert count > 0
     return deepest
 
@@ -158,12 +167,13 @@ def _depth(frame) -> int:
 
 
 def test_enumeration_stack_depth_grows_with_neither_degree_nor_monomials():
-    cube = MonomialIdeal(R3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
-    square = MonomialIdeal(R2, ((2, 0),))
-    for ring, ideal in ((R3, cube), (R2, square)):
-        low, high = (_deepest_stack(enumerate_strongly_stable(FamilySpec(ring, ideal, d)))
-                     for d in (5, 15))
-        assert low == high, (ideal, low, high)
+    # both caps lie at or below the lex ideal's top degree 9, so the higher
+    # cap walks more degrees
+    cubes = MonomialIdeal(R3, ((3, 0, 0), (0, 3, 0)))
+    assert lex_ideal(cubes).max_generator_degree() == 9
+    low, high = (_deepest_stack(enumerate_strongly_stable(FamilySpec(R3, cubes, d)))
+                 for d in (5, 9))
+    assert low == high, (low, high)
     low, high = (_deepest_stack(all_strongly_stable(RingSpec(1), d)) for d in (3, 60))
     assert low == high
 
@@ -183,3 +193,51 @@ def test_all_strongly_stable_small_count():
     # in one variable the sweep is (0), (x), (x^2), ..., (x^maxdeg)
     members = list(all_strongly_stable(RingSpec(1), 4))
     assert len(members) == 5
+
+
+def test_family_counts_are_symmetric_in_variables_and_degree():
+    # observed, not proved: Q[x1..xn] has as many strongly stable ideals
+    # generated in degrees <= d (the zero ideal included) as Q[x1..xd] has
+    # in degrees <= n
+    for (n, d), count in {(2, 7): 255, (3, 4): 351, (3, 5): 2430}.items():
+        assert sum(1 for _ in all_strongly_stable(RingSpec(n), d)) == count, (n, d)
+        assert sum(1 for _ in all_strongly_stable(RingSpec(d), n)) == count, (d, n)
+
+
+def _oracle_targets():
+    """Every strongly stable ideal of Q[x] of degree <= 5, Q[x,y] of degree
+    <= 4 and Q[x,y,z] of degree <= 3, then seeded random monomial ideals in
+    one to three variables, 400 in all."""
+    targets = [ideal for n, d in ((1, 5), (2, 4), (3, 3))
+               for ideal in all_strongly_stable(RingSpec(n), d)]
+    rng = random.Random(16)
+    while len(targets) < 400:
+        ideal = random_ideal(rng, RingSpec(rng.randint(1, 3)), max_gens=3)
+        if not ideal.is_unit:
+            targets.append(ideal)
+    return targets
+
+
+def test_families_equal_the_brute_force_filter():
+    # capped at D, the family of I is every strongly stable ideal generated
+    # in degrees <= D with I's Hilbert function, and the family of a value
+    # window is every such ideal with those values, wherever D falls against
+    # the lex ideal's top degree
+    by_numerator, by_values = {}, {}
+    for n in (1, 2, 3):
+        for cap in range(6):
+            for member in all_strongly_stable(RingSpec(n), cap):
+                num = hilbert_numerator(member)
+                values = tuple(values_from_numerator(num, n, cap + 1))
+                by_numerator.setdefault((n, cap, num), set()).add(member)
+                by_values.setdefault((n, cap, values), set()).add(member)
+    for target in _oracle_targets():
+        n = target.ring.n
+        num = hilbert_numerator(target)
+        for cap in range(6):
+            members = list(enumerate_strongly_stable(FamilySpec(target.ring, target, cap)))
+            assert len(set(members)) == len(members), (target, cap)
+            assert set(members) == by_numerator.get((n, cap, num), set()), (target, cap)
+            values = tuple(values_from_numerator(num, n, cap + 1))
+            members = set(enumerate_strongly_stable(FamilySpec(target.ring, values, cap)))
+            assert members == by_values.get((n, cap, values), set()), (values, cap)

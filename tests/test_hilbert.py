@@ -98,8 +98,10 @@ def test_hilbert_series_two_planes():
 
 
 def test_hilbert_series_window_validation():
+    # a window below max generator degree + n only shortens the value table
+    assert hilbert_series(EXAMPLE, 3).values == (1, 3, 3, 1)
     with pytest.raises(ValueError):
-        hilbert_series(EXAMPLE, 3)
+        hilbert_series(EXAMPLE, -1)
     data = hilbert_series(EXAMPLE, 6)
     assert data.values == (1, 3, 3, 1, 1, 1, 1)
     assert data.d0 == 5
