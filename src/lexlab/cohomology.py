@@ -45,10 +45,9 @@ from math import comb
 from operator import or_
 
 from .errors import InternalInconsistency
-from .hilbert import dimension, poly_sub, poly_trim
-from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators
+from .hilbert import dimension, eliahou_kervaire, poly_sub
+from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators, projection
 from .linalg import fraction_free_rank
-from .ring import Exp
 
 
 @dataclass(frozen=True)
@@ -85,30 +84,15 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     return _takayama_rows(ideal)
 
 
-def _eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
-    """Series numerator of R/I for the strongly stable I minimally generated
-    by gens: 1 - sum over u of t^deg(u) (1 - t)^(m(u) - 1), m(u) the largest
-    index of a variable dividing u; () for the unit ideal."""
-    if gens and not any(gens[-1]):
-        return ()
-    out = [1] + [0] * max((sum(u) + len(u) for u in gens), default=0)
-    for u in gens:
-        d = sum(u)
-        m = max(t for t, e in enumerate(u) if e)
-        for a in range(m + 1):
-            out[d + a] -= (-1) ** a * comb(m, a)
-    return poly_trim(out)
-
-
 def _herzog_sbarra_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     """Row numerators of R/I for strongly stable I: row i is (-1)^(i+n) times
     the numerator of M_(n-i-1)/M_(n-i), EK(M_(n-i)) - EK(M_(n-i-1))."""
     n = ideal.ring.n
     gens = ideal.gens
-    numerators = [_eliahou_kervaire(gens)]  # numerators[i]: EK(M_(n-i))
+    numerators = [eliahou_kervaire(gens)]  # numerators[i]: EK(M_(n-i))
     for k in range(n - 1, -1, -1):
-        gens = minimal_generators(u[:k] + (0,) * (n - k) for u in gens)
-        numerators.append(_eliahou_kervaire(gens))
+        gens = minimal_generators(projection(gens, k))
+        numerators.append(eliahou_kervaire(gens))
     numerators.append(())  # M_(-1) = R
     rows = []
     for i in range(n + 1):

@@ -1,26 +1,29 @@
 """Lex-segment ideals, Gotzmann representations and saturated-lex structure.
 
 The lex ideal of I is spanned degree by degree by initial lex segments of the
-same dimensions as I.  One walk over the Hilbert function values builds it,
-with one Macaulay growth bound per degree, and stops by Gotzmann persistence;
-it is also the library's one check of Macaulay's theorem.  The saturation is
-controlled by the canonical binomial representation of the Hilbert
-polynomial, from which the generators and the vanishing pattern of local
-cohomology can be read off directly.
+same dimensions as I, so it depends only on the series numerator N of R/I.
+One walk over the Hilbert function values builds it, with one Macaulay
+growth bound per degree, and stops by Gotzmann persistence; it is also the
+library's one check of Macaulay's theorem.  The walk is memoised by
+(ring, N), with N from the Eliahou-Kervaire formula for strongly stable
+input and from the pivot otherwise.  The saturation is controlled by the
+canonical binomial representation of the Hilbert polynomial, from which the
+generators and the vanishing pattern of local cohomology can be read off
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator
 
 from .errors import MacaulayViolation
-from .hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, macaulay_growth,
-                      poly_sub, poly_trim)
-from .ideals import MonomialIdeal, graded_generator_counts, saturate
+from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
+                      macaulay_growth, poly_sub, poly_trim)
+from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, RingSpec
 
 
@@ -145,27 +148,53 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
         last, prev = u, value
 
 
+@dataclass(frozen=True)
+class _Walk:
+    """Key of the lex walk: ring and series numerator, which fix the lex
+    ideal.  top, the largest generator degree of the ideal asked, only sets
+    where the walk may stop, so eq and hash leave it out."""
+    ring: RingSpec
+    num: tuple[int, ...]
+    top: int = field(compare=False)
+
+
+@lru_cache(maxsize=1024)
+def _lex_by_numerator(walk: _Walk) -> MonomialIdeal:
+    """The lex ideal of the quotients with series numerator walk.num, walked
+    until the first degree above walk.top that adds no generator.
+
+    There H grows maximally from d-1 to d while the ideal asked is generated
+    in degrees < d, so by Gotzmann persistence it does in every later
+    degree, and the lex ideal has no generator from d on.  Every ideal with
+    that numerator gives the same lex ideal, so the first one asked sets
+    the stop for all of them."""
+    n = walk.ring.n
+    gens: list[Exp] = []
+    for d, new in enumerate(_lex_segments(n, hilbert_values(walk.num, n))):
+        if d > walk.top and not new:
+            break
+        gens.extend(new)
+    return MonomialIdeal(walk.ring, tuple(gens))
+
+
 @lru_cache(maxsize=1024)
 def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as `ideal`.
 
-    The walk stops by Gotzmann persistence: at the first degree d above the
-    generator degrees of I that adds no generator, H grows maximally from
-    d-1 to d while I is generated in degrees < d, so it does in every later
-    degree, and the lex ideal has no generator from d on.
-    Memoised by value: equal ideals share one computation and one result."""
+    It depends only on the series numerator N, the Eliahou-Kervaire one for
+    strongly stable input and the pivot one otherwise, and the walk is
+    memoised by (ring, N) in `_lex_by_numerator` below this by-value memo,
+    so ideals with one Hilbert function share one walk and one result.
+    Clearing this cache leaves the walk memo in place."""
     if ideal.is_unit:
         raise ValueError("lex ideal of the unit ideal is not defined")
     if ideal.is_zero:
         return ideal
-    n = ideal.ring.n
-    top = ideal.max_generator_degree()
-    gens: list[Exp] = []
-    for d, new in enumerate(_lex_segments(n, hilbert_values(hilbert_numerator(ideal), n))):
-        if d > top and not new:
-            break
-        gens.extend(new)
-    return MonomialIdeal(ideal.ring, tuple(gens))
+    if is_strongly_stable(ideal):
+        num = eliahou_kervaire(ideal.gens)
+    else:
+        num = hilbert_numerator(ideal)
+    return _lex_by_numerator(_Walk(ideal.ring, num, ideal.max_generator_degree()))
 
 
 def lex_ideal_from_values(ring: RingSpec, values) -> MonomialIdeal:

@@ -2,7 +2,11 @@
 Macaulay's growth bound for monomial quotients R/I.
 
 The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from
-Bigatti's pivot recursion on the minimal generators.
+Bigatti's pivot recursion on the minimal generators, for every monomial
+ideal.  A strongly stable ideal also has the Eliahou-Kervaire formula,
+which needs no recursion; the library uses it where it is known that the
+input is strongly stable, and the pivot stays the route that does not
+depend on that.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
+from math import comb
 from typing import Iterator
 
 from .errors import InternalInconsistency
@@ -116,6 +121,22 @@ def _numerator_pivot(n: int, gens: tuple[Exp, ...]) -> tuple[int, ...]:
 def hilbert_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
     """N(t) with HS(R/I, t) = N(t)/(1-t)^n; empty tuple means N = 0."""
     return _numerator_pivot(ideal.ring.n, ideal.gens)
+
+
+def eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
+    """Series numerator of R/I for the strongly stable I minimally generated
+    by gens (Eliahou-Kervaire, J. Algebra 129, 1990): 1 - sum over u of
+    t^deg(u) (1 - t)^(m(u) - 1), m(u) the largest index of a variable dividing
+    u; () for the unit ideal."""
+    if gens and not any(gens[-1]):
+        return ()
+    out = [1] + [0] * max((sum(u) + len(u) for u in gens), default=0)
+    for u in gens:
+        d = sum(u)
+        m = max(t for t, e in enumerate(u) if e)
+        for a in range(m + 1):
+            out[d + a] -= (-1) ** a * comb(m, a)
+    return poly_trim(out)
 
 
 def hilbert_values(num, n: int) -> Iterator[int]:

@@ -1,10 +1,13 @@
-"""Monomial ideals by minimal generators; colon (saturation is one) and Borel-fixedness."""
+"""Monomial ideals by minimal generators; colon, saturation and Borel-fixedness.
+
+A strongly stable ideal is saturated by projection (its last variable set
+to 1), any other monomial ideal by one colon."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import or_
 
@@ -88,8 +91,14 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.gens) and not any(self.gens[-1])
 
+    @cached_property
+    def _member(self):
+        # kept out of the fields, so eq and hash ignore it; only `contains`
+        # builds it, so memoised ideals that are never queried keep no index
+        return _membership(self.gens)
+
     def contains(self, u: Exp) -> bool:
-        return _membership(self.gens)(u)
+        return self._member(u)
 
     def max_generator_degree(self) -> int:
         return max((total_degree(g) for g in self.gens), default=0)
@@ -133,17 +142,28 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
     return result
 
 
-def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The saturation I : m^inf, as the colon by (x_1^rho_1, ..., x_n^rho_n).
+def projection(gens, k: int) -> tuple[Exp, ...]:
+    """gens with x_(k+1), ..., x_n set to 1, the first k exponents kept.  For
+    a strongly stable ideal they generate M_k, not always minimally: M_(n-1)
+    is the saturation (Bayer-Stillman, Invent. Math. 87, 1987)."""
+    return tuple(u[:k] + (0,) * (len(u) - k) for u in gens)
 
-    With rho_k the largest exponent of x_k among the generators, I : x_k^rho_k
-    is already I : x_k^inf.  Each rho_k is at least 1, since x_k^0 = 1 would
-    make the powers the unit ideal.  On Borel-fixed input `colon` builds one
-    piece: if u*x_n^e is in I, moving x_n^e onto any x_k stays in I, so the
-    last variable's piece lies in every other one and the rest are skipped.
+
+def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The saturation I : m^inf.
+
+    A strongly stable I is saturated by setting x_n to 1, which gives
+    I : x_n^inf: if u*x_n^e is in I, moving x_n^e onto any x_k stays in I,
+    so I : x_n^inf lies in every I : x_k^inf and is I : m^inf.  Any other I
+    takes the colon by (x_1^rho_1, ..., x_n^rho_n),
+    with rho_k the largest exponent of x_k among the generators, so that
+    I : x_k^rho_k is already I : x_k^inf.  Each rho_k is at least 1, since
+    x_k^0 = 1 would make the powers the unit ideal.
     """
     if ideal.is_zero or ideal.is_unit:
         return ideal
+    if is_strongly_stable(ideal):
+        return MonomialIdeal(ideal.ring, projection(ideal.gens, ideal.ring.n - 1))
     rho = [max(1, *column) for column in zip(*ideal.gens)]
     powers = tuple(tuple(e * x for x in var) for e, var in zip(rho, ideal.ring.variables()))
     return colon(ideal, MonomialIdeal(ideal.ring, powers))

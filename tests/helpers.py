@@ -4,12 +4,14 @@ The oracles here are deliberately independent of the library: plain
 enumeration, definition-level comparators and finite differencing.
 """
 
+import random
 from itertools import product
 from math import comb
 
 from hypothesis import strategies as st
 
-from lexlab import LexlabError, MonomialIdeal, RingSpec, all_strongly_stable
+from lexlab import (LexlabError, MonomialIdeal, RingSpec, all_strongly_stable,
+                    is_strongly_stable)
 
 
 class GeneratorCapExceeded(LexlabError):
@@ -132,6 +134,18 @@ def random_stable_ideal(rng, ring, max_gens=3, max_deg=3):
     """A strongly stable ideal: Borel closure of a few random monomials."""
     seeds = [random_monomial(rng, ring.n, max_deg) for _ in range(rng.randint(1, max_gens))]
     return MonomialIdeal(ring, tuple(borel_closure(seeds, ring.n)))
+
+
+def non_stable_ideals():
+    """Acceptance criterion 12's 300 seeded random ideals in 2-4 variables
+    that are not strongly stable."""
+    rng = random.Random(1212)
+    members = []
+    while len(members) < 300:
+        I = random_ideal(rng, RingSpec(rng.randint(2, 4)), max_gens=5, max_deg=4)
+        if not is_strongly_stable(I):
+            members.append(I)
+    return members
 
 
 def oracle_families():

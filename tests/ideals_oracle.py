@@ -1,14 +1,16 @@
 """Colon, saturation and strong-stability routes kept as oracles for ``lexlab.ideals``.
 
-The library saturates every monomial ideal by one colon, by the powers
-x_k^rho_k of the variables, and tests strong stability by adjacent moves
-only.  These are the routes it replaced: iterated colon by the maximal ideal
-until the ideal stops growing; "set the last variable to 1", valid on
-Borel-fixed input only; and every move x_i * u / x_j with i < j on every
-minimal generator.  Both of those saturation routes lean on the library,
-the first on its `colon` and the second on Borel-fixedness, so two
-definition routes that share no code with `colon` and `saturate` sit next
-to them: membership of each divisor of lcm(G(I)), tested by multiplying.
+The library saturates a strongly stable ideal by setting its last variable
+to 1, and any other monomial ideal by one colon, by the powers x_k^rho_k of
+the variables; it tests strong stability by adjacent moves only.  Kept
+here: the one colon by the variable powers for every input, the library's
+route before the projection; iterated colon by the maximal ideal until the
+ideal stops growing; the last-variable rule restated on its own; and every
+move x_i * u / x_j with i < j on every minimal generator.  The colon routes
+lean on the library's `colon` and the last-variable rule on
+Borel-fixedness, so two definition routes that share no code with `colon`
+and `saturate` sit next to them: membership of each divisor of lcm(G(I)),
+tested by multiplying.
 
 The library minimalizes and tests membership through one bitset index of
 the generators' exponents.  The routes it replaced stay here: every
@@ -63,10 +65,23 @@ def _colon_by_definition(ideal: MonomialIdeal, other: MonomialIdeal) -> Monomial
 def _saturate_by_definition(ideal: MonomialIdeal) -> MonomialIdeal:
     """I^sat = I : m^t with t = sum_k (max(rho_k, 1) - 1) + 1, rho_k the largest
     exponent of x_k among the generators: every monomial of degree t is
-    divisible by some x_k^max(rho_k, 1), and I : x_k^rho_k = I : x_k^inf."""
+    divisible by some x_k^max(rho_k, 1), and I : x_k^rho_k = I : x_k^inf.
+    A u in I passes with every w, so it is let through untried."""
     t = sum(max(rho, 1) - 1 for rho in _top_exponents(ideal)) + 1
     words = all_exponents(ideal.ring.n, t)
-    return _divisor_members(ideal, lambda u: _times_in(ideal, u, words))
+    one = [(0,) * ideal.ring.n]
+    return _divisor_members(
+        ideal, lambda u: _times_in(ideal, u, one) or _times_in(ideal, u, words))
+
+
+def _saturate_by_powers(ideal: MonomialIdeal) -> MonomialIdeal:
+    """I : (x_1^rho_1, ..., x_n^rho_n), each rho_k the largest exponent of x_k
+    among the generators but at least 1, for every input."""
+    if ideal.is_zero or ideal.is_unit:
+        return ideal
+    rho = [max(1, *column) for column in zip(*ideal.gens)]
+    powers = tuple(tuple(e * x for x in var) for e, var in zip(rho, ideal.ring.variables()))
+    return colon(ideal, MonomialIdeal(ideal.ring, powers))
 
 
 def _saturate_by_colon(ideal: MonomialIdeal) -> MonomialIdeal:

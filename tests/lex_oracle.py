@@ -13,12 +13,21 @@ differ, and the largest generator degree, all found through the rational
 Hilbert polynomial.  It builds with ``lex_ideal_from_values`` on the values
 up to that degree, so that it reaches degrees where the set-based builder
 cannot.
+
+``exchange_by_colon`` checks ``lexlab.gotzmann.exchange_property``, which
+saturates strongly stable input by projection and shares lex ideals by
+series numerator.  It takes the explicit route the library replaced: every
+saturation one colon by the variable powers, and each lex ideal its own
+walk over the pivot numerator, stopped past that ideal's top degree.
 """
+
+from ideals_oracle import _saturate_by_powers
 
 from lexlab import (MonomialIdeal, RingSpec, gotzmann_representation, hilbert_series,
                     lex_ideal_from_values)
 from lexlab.errors import InternalInconsistency, MacaulayViolation
-from lexlab.hilbert import values_from_numerator
+from lexlab.gotzmann import _lex_segments
+from lexlab.hilbert import hilbert_numerator, hilbert_values, values_from_numerator
 from lexlab.ring import Exp, enumerate_monomials, monomial_mul
 
 
@@ -69,3 +78,22 @@ def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:
         raise InternalInconsistency(
             f"lex ideal of {ideal} produced generators beyond the stopping degree")
     return result
+
+
+def _lex_walk_by_value(ideal: MonomialIdeal) -> MonomialIdeal:
+    n = ideal.ring.n
+    top = ideal.max_generator_degree()
+    gens: list[Exp] = []
+    for d, new in enumerate(_lex_segments(n, hilbert_values(hilbert_numerator(ideal), n))):
+        if d > top and not new:
+            break
+        gens.extend(new)
+    return MonomialIdeal(ideal.ring, tuple(gens))
+
+
+def exchange_by_colon(ideal: MonomialIdeal):
+    """(holds, left, right) with left = (I^sat)^lex and right = (I^lex)^sat."""
+    sat = _saturate_by_powers(ideal)
+    right = _saturate_by_powers(_lex_walk_by_value(ideal))
+    left = sat if sat.is_unit else _lex_walk_by_value(sat)
+    return left == right, left, right

@@ -9,13 +9,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from helpers import (brute_quotient_dim, grothendieck_serre_failures, random_ideal,
-                     random_stable_ideal)
+from helpers import (brute_quotient_dim, grothendieck_serre_failures, non_stable_ideals,
+                     random_ideal, random_stable_ideal)
 from hilbert_oracle import _numerator_inclusion_exclusion
 from window_oracle import adjoin_variable, lcm_window
 
 from lexlab import (DegreeWindow, FamilySpec, MonomialIdeal, RingSpec,
-                    enumerate_strongly_stable, exchange_property, gin,
+                    enumerate_strongly_stable, exchange_property, gin, gotzmann,
                     gotzmann_representation, is_gotzmann, is_strongly_stable, lex_ideal,
                     local_cohomology_table, all_strongly_stable, saturate,
                     saturated_lex_generators, hilbert_series, tables_agree,
@@ -263,12 +263,7 @@ def test_criterion_11_r4_equivalence_sweep():
 
 def test_criterion_12_non_stable_sweep():
     t0 = time.time()
-    rng = random.Random(1212)
-    members = []
-    while len(members) < 300:
-        I = random_ideal(rng, RingSpec(rng.randint(2, 4)), max_gens=5, max_deg=4)
-        if not is_strongly_stable(I):
-            members.append(I)
+    members = non_stable_ideals()
     reports = [verify_main(I) for I in members]
     violations = [r.ideal for r in reports if r.verdict == VERDICT_VIOLATION]
     inconclusive = [r.ideal for r in reports if not r.conclusive]
@@ -295,6 +290,7 @@ def test_criterion_13_verify_main_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     lex_ideal.cache_clear()
+    gotzmann._lex_by_numerator.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for I in r3:
         verify_main(I, include_gin=True)

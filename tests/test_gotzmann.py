@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
-                     oracle_families, proper_monomial_ideals, random_ideal,
-                     random_stable_ideal)
+                     non_stable_ideals, oracle_families, proper_monomial_ideals,
+                     random_ideal, random_stable_ideal)
 from hilbert_oracle import validate_hilbert_values
+from ideals_oracle import _saturate_by_powers
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
-from lex_oracle import lex_ideal_gotzmann_bound
+from lex_oracle import exchange_by_colon, lex_ideal_gotzmann_bound
 from window_oracle import lcm_window
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
@@ -230,12 +231,18 @@ def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
     assert L == lex_ideal_gotzmann_bound(powers)
 
 
+def _lex_ideal_afresh(I):
+    # past both memo layers, by value and by numerator, so the walk runs
+    gotzmann._lex_by_numerator.cache_clear()
+    return gotzmann.lex_ideal.__wrapped__(I)
+
+
 def test_lex_ideal_with_thousands_of_generators_is_built_in_seconds():
     # the walk takes well under a second; minimalizing its output pair by
     # pair takes tens of seconds
     I = MonomialIdeal(RingSpec(5), ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1)))
     t0 = time.perf_counter()
-    L = gotzmann.lex_ideal.__wrapped__(I)
+    L = _lex_ideal_afresh(I)
     ok = (len(L.gens), is_strongly_stable(L), hilbert_numerator(L)) == (
         6231, True, hilbert_numerator(I))
     elapsed = time.perf_counter() - t0
@@ -258,7 +265,7 @@ def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
     lex_next = gotzmann._lex_next
     monkeypatch.setattr(gotzmann, "macaulay_growth", counted)
     monkeypatch.setattr(gotzmann, "_lex_next", stepped)
-    L = gotzmann.lex_ideal.__wrapped__(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
+    L = _lex_ideal_afresh(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
     assert len(calls) == 1999   # degrees 2..2000; the walk stops at 2000
     # 1001 generators, the first taken as x^1000 without a step
     assert (len(L.gens), len(steps)) == (1001, 1000)
@@ -267,7 +274,7 @@ def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
             continue
         calls.clear()
         steps.clear()
-        L = gotzmann.lex_ideal.__wrapped__(I)
+        L = _lex_ideal_afresh(I)
         # the walk stops one past the top generator degree of I and of L,
         # and takes one growth in every degree from 2 up to the stop
         stop = max(I.max_generator_degree(), L.max_generator_degree()) + 1
@@ -279,6 +286,43 @@ def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
 @given(proper_monomial_ideals())
 def test_lex_ideal_matches_gotzmann_bound_oracle_on_hypothesis_ideals(ideal):
     assert lex_ideal(ideal) == lex_ideal_gotzmann_bound(ideal)
+
+
+def test_lex_ideal_is_shared_by_numerator_whichever_member_asks_first():
+    # the walk stops past the top degree of the first ideal with a numerator;
+    # every order of two members with one numerator and other top degrees
+    # must give the oracle's lex ideal
+    groups = {}
+    for I in all_strongly_stable(R4, 4):
+        if not I.is_zero:
+            groups.setdefault(hilbert_numerator(I), []).append(I)
+    pairs = 0
+    for members in groups.values():
+        if len({I.max_generator_degree() for I in members}) < 2:
+            continue
+        expected = lex_ideal_gotzmann_bound(members[0])
+        for first in members:
+            lex_ideal.cache_clear()
+            gotzmann._lex_by_numerator.cache_clear()
+            assert lex_ideal(first) == expected, first
+            for second in members:
+                if second.max_generator_degree() != first.max_generator_degree():
+                    assert lex_ideal(second) == expected, (first, second)
+                    pairs += 1
+    assert pairs == 584   # ordered pairs
+
+
+def test_lex_ideal_shares_one_walk_per_numerator():
+    # (x^2, xy, y^2) in Q[x,y,z] and its lex ideal differ as ideals but share
+    # a Hilbert function, so the second one asked walks nothing
+    first = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0)))
+    second = lex_ideal_gotzmann_bound(first)
+    assert first != second
+    lex_ideal.cache_clear()
+    gotzmann._lex_by_numerator.cache_clear()
+    assert lex_ideal(first) is lex_ideal(second) == second
+    info = gotzmann._lex_by_numerator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_lex_ideal_is_memoised_by_value():
@@ -448,6 +492,22 @@ def test_exchange_examples():
     saturated_lex = MonomialIdeal(R3, ((1, 0, 0), (0, 2, 0)))
     rep = exchange_property(saturated_lex)
     assert rep.holds and rep.left == saturated_lex and rep.right == saturated_lex
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 5), (4, 4), (5, 3)])
+def test_exchange_matches_colon_oracle_on_families(n, max_degree):
+    # the projection saturates I and its lex ideal; the oracle takes colons
+    for I in all_strongly_stable(RingSpec(n), max_degree):
+        if not I.is_zero:
+            rep = exchange_property(I)
+            assert (rep.holds, rep.left, rep.right) == exchange_by_colon(I), I
+            assert saturate(I) == _saturate_by_powers(I), I
+
+
+def test_exchange_matches_colon_oracle_on_non_stable_ideals():
+    for I in non_stable_ideals():
+        rep = exchange_property(I)
+        assert (rep.holds, rep.left, rep.right) == exchange_by_colon(I), I
 
 
 def test_exchange_artinian():

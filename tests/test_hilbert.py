@@ -11,11 +11,12 @@ from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
                             _numerator_unit_pivot, interpolated_polynomial, macaulay_rep,
                             values_by_binomial_sums)
 
-from lexlab import (MonomialIdeal, RingSpec, dimension, hilbert_function,
-                    hilbert_numerator, hilbert_series, macaulay_growth,
+from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension,
+                    hilbert_function, hilbert_numerator, hilbert_series, macaulay_growth,
                     multiplicity)
 from lexlab.gotzmann import lex_ideal
-from lexlab.hilbert import _numerator_pivot, poly_eval, values_from_numerator
+from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, poly_eval,
+                            values_from_numerator)
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -225,6 +226,14 @@ def test_bigatti_pivot_matches_unit_step_oracle(I):
 def test_bigatti_pivot_matches_unit_step_oracle_on_families():
     for I in oracle_families():
         assert hilbert_numerator(I) == _numerator_unit_pivot(I.ring.n, I.gens), I
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 5), (4, 4), (5, 3)])
+def test_eliahou_kervaire_matches_pivot_on_families(n, max_degree):
+    # every member is strongly stable: lex_ideal reads its numerator by
+    # Eliahou-Kervaire, and the answer checks read it by the pivot
+    for I in all_strongly_stable(RingSpec(n), max_degree):
+        assert eliahou_kervaire(I.gens) == hilbert_numerator(I), I
 
 
 def test_bigatti_pivot_on_large_exponents():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ideals_oracle import (_colon_by_definition, _contains_any_scan,
                            _minimal_generators_pairwise, _saturate_by_colon,
-                           _saturate_by_definition, _saturate_stable,
+                           _saturate_by_definition, _saturate_by_powers, _saturate_stable,
                            _strong_stability_witness_all_pairs)
 
 from lexlab import ideals
@@ -140,11 +140,15 @@ def test_both_saturation_paths_agree_on_stable_ideals():
 
 
 @pytest.mark.parametrize("n, max_degree, with_lex", [
-    (3, 3, False), (4, 3, True), (3, 4, False), (5, 2, False)])
+    (3, 3, False), (4, 3, True), (3, 4, False), (5, 2, False),
+    (3, 5, True), (4, 4, True), (5, 3, True)])
 def test_saturate_matches_colon_oracle_on_families(n, max_degree, with_lex):
+    # the last three are the exchange oracle's families, where the definition
+    # oracle is too slow: the iterated colon by m shares no code with the
+    # projection that saturates these strongly stable ideals
     members = [I for I in all_strongly_stable(RingSpec(n), max_degree) if not I.is_zero]
     if with_lex:
-        members += [lex_ideal(I) for I in members]
+        members = {*members, *map(lex_ideal, members)}
     for I in members:
         assert saturate(I) == _saturate_by_colon(I), I
 
@@ -190,7 +194,9 @@ def test_colon_and_saturate_match_definition_oracles(pair):
 
 @pytest.mark.parametrize("ring", [R3, R4])
 def test_saturate_builds_one_piece_on_strongly_stable_input(ring, monkeypatch):
-    # on Borel-fixed input the last variable's piece holds every other piece
+    # on Borel-fixed input the last variable's piece of the colon by the
+    # variable powers holds every other piece; saturate itself projects
+    # such input and builds no piece at all
     members = [I for I in all_strongly_stable(ring, 3) if not I.is_zero]
     members += [lex_ideal(I) for I in members]
     built = []
@@ -198,8 +204,34 @@ def test_saturate_builds_one_piece_on_strongly_stable_input(ring, monkeypatch):
     monkeypatch.setattr(ideals, "colon_by_monomial", lambda I, v: built.append(v) or piece(I, v))
     for I in members:
         built.clear()
-        saturate(I)
+        sat = _saturate_by_powers(I)
         assert len(built) == 1, (I, built)
+        built.clear()
+        assert saturate(I) == sat and not built, (I, built)
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 4), (4, 3), (5, 2)])
+def test_saturate_matches_definition_oracle_on_families_and_lex_ideals(n, max_degree):
+    # the projection route on every member and its lex ideal; the oracle's
+    # divisors-times-words scan does not reach the larger families in seconds
+    members = [I for I in all_strongly_stable(RingSpec(n), max_degree) if not I.is_zero]
+    for I in {*members, *map(lex_ideal, members)}:
+        assert saturate(I) == _saturate_by_definition(I), I
+
+
+def test_contains_builds_the_index_once_per_ideal(monkeypatch):
+    L = lex_ideal(MonomialIdeal(R5, ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1))))
+    I = MonomialIdeal(R5, L.gens)   # a fresh instance: no index built yet
+    assert len(I.gens) == 6231
+    built = []
+    index = ideals._divisor_index
+    monkeypatch.setattr(ideals, "_divisor_index", lambda gens: built.append(1) or index(gens))
+    rng = random.Random(40)
+    probes = rng.sample(I.gens, 50) + [random_monomial(rng, 5, 12) for _ in range(50)]
+    answers = [I.contains(u) for u in probes]
+    assert len(built) == 1
+    assert answers == [_contains_any_scan(I, u) for u in probes]
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_strong_stability_matches_all_pairs_oracle():
