@@ -299,7 +299,8 @@ class SequentialCMVerdict(Enum):
 def sequentially_cm_verdict(ideal: MonomialIdeal,
                             gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
     """Local cohomology of R/I against R/gin(I), compared exactly; only the
-    gin is probabilistic.  A mismatch refutes sequential Cohen-Macaulayness.
+    gin of an ideal that is not strongly stable is probabilistic.  A mismatch
+    refutes sequential Cohen-Macaulayness.
     """
     if ideal.is_unit:
         raise ValueError("verdict needs a proper ideal")

@@ -1,5 +1,6 @@
-"""Buchberger completion over Q, initial ideals, and probabilistic generic
-initial ideals through random integer coordinate changes.
+"""Buchberger completion over Q, initial ideals, and generic initial ideals:
+a strongly stable ideal is its own gin, other input takes random integer
+coordinate changes.
 
 The core works over the integers.  A polynomial is a dict from exponent
 tuples to ints, and basis elements are kept primitive: content divided out,
@@ -10,9 +11,9 @@ times the element is subtracted, t = gcd(c, lcg).  S-polynomials are formed
 by the same cross-multiplication, and each monomial's term-order key is
 computed once per call.  `Fraction` appears only at the public API: the
 elements of a `GBasis` are monic `Poly`s, and `normal_form`, `spoly` and
-`apply_change` return exact rational results, while `gin` runs its trials
-on the integer core and builds no `Fraction`.  The `Fraction`-based
-reference route is the oracle in the test suite.
+`apply_change` return exact rational results, while the gin trials run on
+the integer core and build no `Fraction`.  The `Fraction`-based reference
+route is the oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -309,16 +310,30 @@ def _integer_generators(ideal_or_polys,
 
 def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
         seed: int = 0, bound: int = 1000) -> MonomialIdeal:
-    """Generic initial ideal in reverse-lex order, by independent random trials.
+    """Generic initial ideal in reverse-lex order.
 
-    The generators must be homogeneous.  All trials must agree; the result
-    must be strongly stable.  Either failure is bad luck in the coordinates
-    and surfaces as `UnluckyCoordinates` instead of being resolved silently.
+    A strongly stable monomial ideal I is its own gin, over Q: a generic
+    change factors into a lower-triangular one, which fixes the Borel-fixed
+    I, and a unitriangular one, X_i -> X_i + (later variables).  That maps
+    each monomial m to m plus monomials m*x_i/x_j with i > j, all smaller
+    than m in every order with x_1 > ... > x_n, so it keeps every leading
+    term: in(g(I)) contains I, and with the same Hilbert function equals I.
+    Other input takes `_gin_trials`.  The generators must be homogeneous.
     """
     if trials < 2:
         raise ValueError("need at least two independent trials")
     if bound < 1:
         raise ValueError("coordinate entries need a bound of at least 1")
+    if isinstance(ideal_or_polys, MonomialIdeal) and is_strongly_stable(ideal_or_polys):
+        return ideal_or_polys
+    return _gin_trials(ideal_or_polys, ring, trials, seed, bound)
+
+
+def _gin_trials(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
+                seed: int = 0, bound: int = 1000) -> MonomialIdeal:
+    """gin by independent random trials, which must agree on a strongly
+    stable ideal; either failure is bad luck in the coordinates and raises
+    `UnluckyCoordinates`.  Runs on strongly stable input too, for tests."""
     gens, ring = _integer_generators(ideal_or_polys, ring)
     if not gens:
         return MonomialIdeal(ring)

@@ -251,9 +251,12 @@ def test_cli_exit_codes(capsys):
     for command in ("enumerate", "probe-rigidity"):
         code, _, err = run(capsys, command, "--ring", "x,y", "--target", "", "--max-degree", "1")
         assert code == 2 and "bad --target values ''" in err, command
-    # gin needs two trials and a coordinate bound of at least 1
+    # gin needs two trials and a coordinate bound of at least 1, also on a
+    # strongly stable ideal, which is its own gin
     for option in (["--trials", "1"], ["--trials", "0"], ["--bound", "0"], ["--bound=-3"]):
         code, _, err = run(capsys, "gin", "--ring", "x,y", *option, "x^2 - y^2, x*y")
+        assert code == 2 and "parse error" in err, option
+        code, _, err = run(capsys, "gin", "--ring", "x,y,z", *option, EXAMPLE_TEXT)
         assert code == 2 and "parse error" in err, option
     # gin needs homogeneous generators
     for text in ("x^2 - y, x*y", "x^2 - 1"):
@@ -447,6 +450,15 @@ def test_verify_main_never_violates_on_family():
         report = verify_main(member)
         assert report.verdict == "consistent"
         assert report.condition_i == report.condition_ii_on_window
+
+
+def test_cli_verify_main_with_gin_prints_the_recorded_json(capsys):
+    # the README example's report, recorded from the coordinate-trial route:
+    # returning a strongly stable ideal as its own gin changes no byte
+    code, out, _ = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
+                       "--format", "json", EXAMPLE_TEXT)
+    assert code == 0
+    assert out == (Path(__file__).parent / "verify_main_with_gin.json").read_text()
 
 
 def test_report_json_with_gin():

@@ -4,6 +4,8 @@ from math import gcd
 
 import groebner_oracle as oracle
 import pytest
+
+import lexlab.groebner
 from helpers import random_ideal, random_stable_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from lexlab import (DEGREVLEX, LEX, MonomialIdeal, Poly, RingSpec, buchberger,
                     saturate, spoly)
 from lexlab.errors import InternalInconsistency, UnluckyCoordinates
 from lexlab.families import all_strongly_stable
-from lexlab.groebner import CoordinateChange, apply_change, random_coordinate_change
+from lexlab.groebner import (CoordinateChange, _gin_trials, apply_change,
+                             random_coordinate_change)
 from lexlab.linalg import fraction_free_rank
 from lexlab.ring import enumerate_monomials, monomial_mul
 
@@ -66,6 +69,7 @@ def polynomial_degree_dim(polys, ring: RingSpec, d: int) -> int:
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
+R4 = RingSpec(4)
 EXAMPLE = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 2)))
 
 
@@ -132,6 +136,37 @@ def test_gin_principal():
 
 def test_gin_of_strongly_stable_is_identity():
     assert gin(EXAMPLE, trials=3, seed=0) == EXAMPLE
+    assert _gin_trials(EXAMPLE, trials=3, seed=0) == EXAMPLE
+
+
+def test_gin_of_strongly_stable_input_runs_no_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a coordinate trial ran")
+
+    monkeypatch.setattr(lexlab.groebner, "random_coordinate_change", no_trial)
+    for I in [*all_strongly_stable(R3, 3), *all_strongly_stable(R4, 2)]:
+        assert gin(I) is I
+    # input that is not strongly stable still takes the trials
+    with pytest.raises(AssertionError, match="trial ran"):
+        gin(MonomialIdeal(R3, ((1, 1, 0), (1, 0, 1))))
+
+
+def test_gin_trials_fix_strongly_stable_ideals(monkeypatch):
+    # the theorem gin relies on, checked by Buchberger in random coordinates
+    r3 = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
+    r4 = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    assert (len(r3), len(r4)) == (64, 350)
+    changes = []
+
+    def counted(*args):
+        changes.append(random_coordinate_change(*args))
+        return changes[-1]
+
+    monkeypatch.setattr(lexlab.groebner, "random_coordinate_change", counted)
+    checked = r3 + random.Random(18).sample(r4, 48)
+    for index, I in enumerate(checked):
+        assert _gin_trials(I, seed=index) == I, I
+    assert len(changes) == 3 * len(checked)
 
 
 def test_gin_xy_xz():
@@ -140,6 +175,7 @@ def test_gin_xy_xz():
 
 
 def test_gin_requires_two_trials():
+    # EXAMPLE is strongly stable: the argument checks come before the shortcut
     with pytest.raises(ValueError):
         gin(EXAMPLE, trials=1)
 
@@ -152,7 +188,7 @@ def test_gin_idempotent_and_stable():
             continue
         G = gin(I, trials=2, seed=0)
         assert is_strongly_stable(G)
-        assert gin(G, trials=2, seed=0) == G
+        assert _gin_trials(G, trials=2, seed=0) == G
         for d in range(6):
             assert hilbert_function(G, d) == hilbert_function(I, d)
 
@@ -173,7 +209,7 @@ def test_exchange_passes_to_gin():
         if I.is_unit or I.is_zero:
             continue
         if exchange_property(I).holds:
-            assert exchange_property(gin(I, trials=2, seed=0)).holds
+            assert exchange_property(_gin_trials(I, trials=2, seed=0)).holds
 
 
 def test_coordinate_change_deterministic():
