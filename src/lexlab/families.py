@@ -71,7 +71,9 @@ def _strongly_stable(ring: RingSpec, max_degree: int,
     with `required`, only those with dim I_d = required[d] for every listed d.
 
     Depth first, degree by degree: stack[d] yields the choices of the
-    degree-d layer, so no call nests per degree."""
+    degree-d layer, so no call nests per degree.  A layer minus the shadow
+    of the layer below is that degree's minimal generators, and the layers
+    are Borel-closed, so each member is built as known strongly stable."""
     n = ring.n
     top = max_degree if required is None else len(required) - 1
 
@@ -90,7 +92,7 @@ def _strongly_stable(ring: RingSpec, max_degree: int,
     while stack:
         for layer, gens in stack[-1]:
             if len(stack) > top:
-                yield MonomialIdeal(ring, gens)
+                yield MonomialIdeal._strongly_stable(ring, gens)
             else:
                 stack.append(layers(len(stack), layer, gens))
                 break

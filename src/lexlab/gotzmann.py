@@ -23,8 +23,8 @@ from typing import Iterator
 from .errors import MacaulayViolation
 from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
                       macaulay_growth, poly_sub, poly_trim)
-from .ideals import (MonomialIdeal, graded_generator_counts, is_strongly_stable, projection,
-                     saturate)
+from .ideals import (MonomialIdeal, graded_generator_counts, is_strongly_stable,
+                     minimal_generators, projection, saturate)
 from .ring import Exp, RingSpec
 
 
@@ -168,14 +168,15 @@ def _lex_by_numerator(walk: _Walk) -> MonomialIdeal:
     in degrees < d, so by Gotzmann persistence it does in every later
     degree, and the lex ideal has no generator from d on.  Every ideal with
     that numerator gives the same lex ideal, so the first one asked sets
-    the stop for all of them."""
+    the stop for all of them.  The walk yields the minimal generators of a
+    lex ideal, which is strongly stable, so the result is built as such."""
     n = walk.ring.n
     gens: list[Exp] = []
     for d, new in enumerate(_lex_segments(n, hilbert_values(walk.num, n))):
         if d > walk.top and not new:
             break
         gens.extend(new)
-    return MonomialIdeal(walk.ring, tuple(gens))
+    return MonomialIdeal._strongly_stable(walk.ring, gens)
 
 
 @lru_cache(maxsize=1024)
@@ -235,7 +236,8 @@ def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
     if ideal.is_unit:
         raise ValueError("exchange property needs a proper ideal")
     sat = saturate(ideal)
-    right = MonomialIdeal(ideal.ring, projection(lex_ideal(ideal).gens, ideal.ring.n - 1))
+    right = MonomialIdeal._strongly_stable(
+        ideal.ring, minimal_generators(projection(lex_ideal(ideal).gens, ideal.ring.n - 1)))
     if sat.is_unit:
         left = sat  # artinian quotient: both sides are the unit ideal
     else:

@@ -1,7 +1,12 @@
 """Monomial ideals by minimal generators; colon, saturation and Borel-fixedness.
 
 A strongly stable ideal is saturated by projection (its last variable set
-to 1), any other monomial ideal by one colon."""
+to 1), any other monomial ideal by one colon.  The library's own strongly
+stable constructions (lex ideals, family members, these projections) go
+through `MonomialIdeal._strongly_stable`, which takes their generators as
+minimal and records the stability they have by construction, so neither
+minimalization nor the stability witness runs on them; this module is the
+only one that writes that record."""
 
 from __future__ import annotations
 
@@ -71,17 +76,35 @@ class MonomialIdeal:
     """A monomial ideal, canonically stored by its minimal generators.
 
     The empty generating set is the zero ideal; {1} is the unit ideal.
-    Construction minimalizes, so equality is plain field equality.
+    Construction validates and minimalizes, so equality is plain field
+    equality; only `_strongly_stable` skips both, for generators already
+    minimal, and it alone marks the ideal strongly stable.
     """
 
     ring: RingSpec
     gens: tuple[Exp, ...] = ()
+
+    # True only on ideals built by `_strongly_stable`.  A plain class
+    # attribute, not a field, so eq and hash ignore it, as they do `_member`
+    _known_stable = False
 
     def __post_init__(self) -> None:
         for u in self.gens:
             if len(u) != self.ring.n or any(e < 0 for e in u):
                 raise ValueError(f"bad exponent vector {u!r} for n={self.ring.n}")
         object.__setattr__(self, "gens", minimal_generators(self.gens))
+
+    @classmethod
+    def _strongly_stable(cls, ring: RingSpec, gens) -> MonomialIdeal:
+        """The ideal of `gens`, which must be the minimal generators of a
+        strongly stable ideal, in any order.  They are only sorted into the
+        canonical lex-descending order: no validation, no minimalization,
+        and `is_strongly_stable` reads the mark instead of the witness."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ring", ring)
+        object.__setattr__(ideal, "gens", tuple(sorted(gens, reverse=True)))
+        object.__setattr__(ideal, "_known_stable", True)
+        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -163,7 +186,8 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
     if ideal.is_zero or ideal.is_unit:
         return ideal
     if is_strongly_stable(ideal):
-        return MonomialIdeal(ideal.ring, projection(ideal.gens, ideal.ring.n - 1))
+        return MonomialIdeal._strongly_stable(
+            ideal.ring, minimal_generators(projection(ideal.gens, ideal.ring.n - 1)))
     rho = [max(1, *column) for column in zip(*ideal.gens)]
     powers = tuple(tuple(e * x for x in var) for e, var in zip(rho, ideal.ring.variables()))
     return colon(ideal, MonomialIdeal(ideal.ring, powers))
@@ -186,8 +210,10 @@ def strong_stability_witness(ideal: MonomialIdeal):
 
 @lru_cache(maxsize=4096)
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
-    """Memoised by value: local cohomology, gin and depth each ask."""
-    return strong_stability_witness(ideal) is None
+    """Memoised by value: local cohomology, gin and depth each ask.  An
+    ideal built by `MonomialIdeal._strongly_stable` is answered from its
+    mark; any other runs the witness once."""
+    return ideal._known_stable or strong_stability_witness(ideal) is None
 
 
 def graded_generator_counts(ideal: MonomialIdeal) -> dict[int, int]:

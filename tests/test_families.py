@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
-                    is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth)
+                    is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth,
+                    strong_stability_witness)
 from lexlab.hilbert import hilbert_numerator, values_from_numerator
 from lexlab.ring import adjacent_moves, enumerate_monomials
 
@@ -123,7 +124,7 @@ def test_lex_and_family_validate_values_alike(case):
 def test_enumerated_members_match_target():
     spec = FamilySpec(R3, (1, 3, 3, 1, 1), 3)
     for member in enumerate_strongly_stable(spec):
-        assert is_strongly_stable(member)
+        assert strong_stability_witness(member) is None
         assert member.max_generator_degree() <= 3
         for d, v in enumerate((1, 3, 3, 1, 1)):
             assert brute_quotient_dim(member, d) == v
@@ -184,7 +185,7 @@ def test_all_strongly_stable_sweep():
     assert MonomialIdeal(R3) in members          # the zero ideal
     assert EXAMPLE in members
     for member in members:
-        assert is_strongly_stable(member)
+        assert strong_stability_witness(member) is None
         assert member.max_generator_degree() <= 3
         assert not member.is_unit
 

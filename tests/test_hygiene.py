@@ -1,6 +1,7 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
 has a user, no unused definitions or imports, exercised oracles, no threads,
-and the benchmark's answer checks and traced names working on the library."""
+the strong-stability mark kept to one module, and the benchmark's answer
+checks and traced names working on the library."""
 
 import ast
 import re
@@ -23,6 +24,21 @@ def test_every_cache_is_bounded():
             "lexlab.hilbert._numerator_pivot", "lexlab.ideals.is_strongly_stable",
             "lexlab.ring.enumerate_monomials"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_only_ideals_marks_an_ideal_strongly_stable():
+    # the mark that lets is_strongly_stable skip the witness is written by
+    # MonomialIdeal._strongly_stable alone; other modules call that
+    # constructor and never name the mark, by attribute or by string
+    src = Path(lexlab.__file__).parent
+    writers = set()
+    for f in src.glob("*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "_known_stable"
+                    or isinstance(node, ast.Name) and node.id == "_known_stable"
+                    or isinstance(node, ast.Constant) and node.value == "_known_stable"):
+                writers.add(f.name)
+    assert writers == {"ideals.py"}, writers
 
 
 def test_all_exports_no_modules():

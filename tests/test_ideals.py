@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from itertools import chain
 
 import pytest
-from helpers import brute_ideal_dim, random_ideal, random_monomial, random_stable_ideal
+from helpers import (brute_ideal_dim, non_stable_ideals, oracle_families, random_ideal,
+                     random_monomial, random_stable_ideal)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ideals_oracle import (_colon_by_definition, _contains_any_scan,
@@ -12,9 +15,9 @@ from ideals_oracle import (_colon_by_definition, _contains_any_scan,
 from lexlab import ideals
 from lexlab.ideals import minimal_generators
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
-                    depth_and_dim, graded_generator_counts, intersect,
-                    is_strongly_stable, lex_ideal, maximal_ideal, saturate,
-                    strong_stability_witness)
+                    depth_and_dim, exchange_property, graded_generator_counts, intersect,
+                    is_strongly_stable, lex_ideal, local_cohomology_table, maximal_ideal,
+                    parse_ideal, parse_ring, saturate, strong_stability_witness)
 
 R3 = RingSpec(3)
 R4 = RingSpec(4)
@@ -288,3 +291,77 @@ def test_intersect_is_symmetric_and_contained():
         assert ab == intersect(b, a)
         for g in ab.gens:
             assert a.contains(g) and b.contains(g)
+
+
+# -- ideals known strongly stable by construction --------------------------------
+
+
+def _assert_canonical_and_stable(X):
+    # rebuilt by the validating, minimalizing constructor: same generators in
+    # the same order, same hash; stability by the witness, never the mark
+    rebuilt = MonomialIdeal(X.ring, X.gens)
+    assert rebuilt == X and hash(rebuilt) == hash(X), X
+    assert strong_stability_witness(X) is None, X
+
+
+def test_known_strongly_stable_constructions_are_canonical_and_stable():
+    # every check is by value, so an ideal met twice is checked once
+    members = list(chain(oracle_families(), all_strongly_stable(R4, 4),
+                         all_strongly_stable(R5, 3)))
+    assert len(members) == 14640
+    built = set(members)
+    for I in members:
+        if not I.is_zero:
+            built.update((lex_ideal(I), saturate(I), exchange_property(I).right))
+    built.update(lex_ideal(I) for I in non_stable_ideals())
+    large = lex_ideal(MonomialIdeal(R5, ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1))))
+    assert len(large.gens) == 6231
+    for X in [*built, large]:
+        _assert_canonical_and_stable(X)
+
+
+def test_stability_mark_agrees_with_the_witness_on_library_output():
+    # is_strongly_stable without its by-value cache reads the mark first; on
+    # every ideal the library builds the answer must be the witness's
+    stable = is_strongly_stable.__wrapped__
+    built = [*all_strongly_stable(R4, 3)]
+    for I in non_stable_ideals():
+        sat = saturate(I)
+        built += [I, sat, lex_ideal(I), colon(I, maximal_ideal(I.ring))]
+        if not sat.is_unit:
+            built.append(exchange_property(I).right)
+    assert any(strong_stability_witness(X) is not None for X in built)
+    for X in built:
+        assert stable(X) == (strong_stability_witness(X) is None), X
+
+
+def test_marked_and_plain_constructions_are_interchangeable():
+    assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["ring", "gens"]
+    members = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    for I in members + [lex_ideal(I) for I in members[::7]]:
+        marked = MonomialIdeal._strongly_stable(I.ring, reversed(I.gens))
+        plain = MonomialIdeal(I.ring, I.gens)
+        assert marked._known_stable and not plain._known_stable
+        assert marked == plain == I and hash(marked) == hash(plain), I
+        assert {marked: 1}[plain] == 1 and len({marked, plain}) == 1
+
+
+@pytest.mark.parametrize("text", ["x^2, x*y, y^3, x*z^2", "x*z, y^2"])
+def test_typed_input_pays_the_witness_once(text, monkeypatch):
+    ring = parse_ring("x,y,z")
+    I = parse_ideal(text, ring)
+    calls = []
+    witness = ideals.strong_stability_witness
+    monkeypatch.setattr(ideals, "strong_stability_witness",
+                        lambda J: calls.append(J) or witness(J))
+    is_strongly_stable.cache_clear()
+    assert not I._known_stable
+    is_strongly_stable(I)
+    lex_ideal(I)
+    if is_strongly_stable(I):
+        # the lex ideal, the saturations and the exchange's right side are
+        # built strongly stable, so none of them asks the witness
+        exchange_property(I)
+        local_cohomology_table(I)
+        local_cohomology_table(saturate(I))
+    assert calls == [I]
