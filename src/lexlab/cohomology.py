@@ -17,8 +17,10 @@ i and carries all of H^i(R/I).  So row i is its Hilbert function minus its
 Hilbert polynomial up to the sign (-1)^i, which in the basis above is
 (-1)^(i+n) times its series numerator.  Each M_k is strongly stable, and
 the Eliahou-Kervaire resolution (J. Algebra 129, 1990) writes its numerator
-with no recursion.  The cost is n minimalizations, each of at most as many
-monomials as I has generators.
+with no recursion.  Each link of the chain is the previous one projected,
+and `projection` keeps a monomial unless it divided by its last variable is
+projected too, so the cost is one set lookup per generator per link, with
+no minimalization pass.
 
 Any other monomial ideal takes Takayama's degree complexes.  For a in Z^n
 let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc. Sci. Math.
@@ -46,7 +48,7 @@ from operator import or_
 
 from .errors import InternalInconsistency
 from .hilbert import dimension, eliahou_kervaire, poly_sub
-from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators, projection
+from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
 
 
@@ -91,7 +93,7 @@ def _herzog_sbarra_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     gens = ideal.gens
     numerators = [eliahou_kervaire(gens)]  # numerators[i]: EK(M_(n-i))
     for k in range(n - 1, -1, -1):
-        gens = minimal_generators(projection(gens, k))
+        gens = projection(gens, k)
         numerators.append(eliahou_kervaire(gens))
     numerators.append(())  # M_(-1) = R
     rows = []

@@ -23,8 +23,8 @@ from typing import Iterator
 from .errors import MacaulayViolation
 from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
                       macaulay_growth, poly_sub, poly_trim)
-from .ideals import (MonomialIdeal, graded_generator_counts, is_strongly_stable,
-                     minimal_generators, projection, saturate)
+from .ideals import (MonomialIdeal, graded_generator_counts, is_strongly_stable, projection,
+                     saturate)
 from .ring import Exp, RingSpec
 
 
@@ -237,7 +237,7 @@ def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
         raise ValueError("exchange property needs a proper ideal")
     sat = saturate(ideal)
     right = MonomialIdeal._strongly_stable(
-        ideal.ring, minimal_generators(projection(lex_ideal(ideal).gens, ideal.ring.n - 1)))
+        ideal.ring, projection(lex_ideal(ideal).gens, ideal.ring.n - 1))
     if sat.is_unit:
         left = sat  # artinian quotient: both sides are the unit ideal
     else:

@@ -1,12 +1,13 @@
 """Monomial ideals by minimal generators; colon, saturation and Borel-fixedness.
 
 A strongly stable ideal is saturated by projection (its last variable set
-to 1), any other monomial ideal by one colon.  The library's own strongly
-stable constructions (lex ideals, family members, these projections) go
-through `MonomialIdeal._strongly_stable`, which takes their generators as
-minimal and records the stability they have by construction, so neither
-minimalization nor the stability witness runs on them; this module is the
-only one that writes that record."""
+to 1), any other monomial ideal by one colon.  `projection` returns minimal
+generators by one set lookup per projected monomial, with no divisibility
+index.  The library's own strongly stable constructions (lex ideals, family
+members, these projections) go through `MonomialIdeal._strongly_stable`,
+which takes their generators as minimal and records the stability they have
+by construction, so neither minimalization nor the stability witness runs
+on them; this module is the only one that writes that record."""
 
 from __future__ import annotations
 
@@ -166,10 +167,33 @@ def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
 
 
 def projection(gens, k: int) -> tuple[Exp, ...]:
-    """gens with x_(k+1), ..., x_n set to 1, the first k exponents kept.  For
-    a strongly stable ideal they generate M_k, not always minimally: M_(n-1)
-    is the saturation (Bayer-Stillman, Invent. Math. 87, 1987)."""
-    return tuple(u[:k] + (0,) * (len(u) - k) for u in gens)
+    """The minimal generators of M_k, the ideal of `gens` with x_(k+1), ...,
+    x_n set to 1, in the order of `gens`.  `gens` must be the minimal
+    generators of a strongly stable ideal I; M_(n-1) is its saturation
+    (Bayer-Stillman, Invent. Math. 87, 1987).
+
+    Let P be the projected monomials and m(v) the last variable of v.  M_k is
+    strongly stable, so v in P is not minimal exactly when v / x_m(v) is in
+    M_k (move the extra factor onto x_m(v)), and then v / x_m(v) is in P, so
+    one lookup decides v.  For if v / x_m(v) is in M_k, then
+    w = (v / x_m(v)) * x_(k+1)^e is in I for some e, by moving the tail
+    variables to x_(k+1).  Its Eliahou-Kervaire decomposition g * z has g in
+    G(I) a prefix of the sorted word of w.  g is not a prefix of v / x_m(v)
+    alone: it would strictly divide the generator that v came from.  So
+    g = (v / x_m(v)) * x_(k+1)^e' with e' >= 1, and g projects to
+    v / x_m(v).  The unit has no last variable and keeps itself."""
+    if not gens:
+        return ()
+    pad = (0,) * (len(gens[0]) - k)
+    projected = dict.fromkeys(u[:k] + pad for u in gens)  # P, in input order
+    kept = []
+    for v in projected:
+        m = k - 1
+        while m >= 0 and not v[m]:
+            m -= 1
+        if m < 0 or v[:m] + (v[m] - 1,) + v[m + 1:] not in projected:
+            kept.append(v)
+    return tuple(kept)
 
 
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -177,7 +201,8 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
 
     A strongly stable I is saturated by setting x_n to 1, which gives
     I : x_n^inf: if u*x_n^e is in I, moving x_n^e onto any x_k stays in I,
-    so I : x_n^inf lies in every I : x_k^inf and is I : m^inf.  Any other I
+    so I : x_n^inf lies in every I : x_k^inf and is I : m^inf; `projection`
+    gives its minimal generators with no minimalization pass.  Any other I
     takes the colon by (x_1^rho_1, ..., x_n^rho_n),
     with rho_k the largest exponent of x_k among the generators, so that
     I : x_k^rho_k is already I : x_k^inf.  Each rho_k is at least 1, since
@@ -186,8 +211,7 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
     if ideal.is_zero or ideal.is_unit:
         return ideal
     if is_strongly_stable(ideal):
-        return MonomialIdeal._strongly_stable(
-            ideal.ring, minimal_generators(projection(ideal.gens, ideal.ring.n - 1)))
+        return MonomialIdeal._strongly_stable(ideal.ring, projection(ideal.gens, ideal.ring.n - 1))
     rho = [max(1, *column) for column in zip(*ideal.gens)]
     powers = tuple(tuple(e * x for x in var) for e, var in zip(rho, ideal.ring.variables()))
     return colon(ideal, MonomialIdeal(ideal.ring, powers))

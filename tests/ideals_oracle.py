@@ -16,6 +16,10 @@ The library minimalizes and tests membership through one bitset index of
 the generators' exponents.  The routes it replaced stay here: every
 generator, by degree, checked against each one kept before it, and
 membership as a scan for a generator dividing the monomial.
+
+The library's `projection` of a strongly stable ideal keeps a projected
+monomial v unless v divided by its last variable is projected too.  The
+route it replaced stays here: set the variables to 1, then minimalize.
 """
 
 from itertools import product
@@ -23,7 +27,7 @@ from itertools import product
 from helpers import all_exponents, divides
 
 from lexlab.errors import InternalInconsistency
-from lexlab.ideals import MonomialIdeal, colon, maximal_ideal
+from lexlab.ideals import MonomialIdeal, colon, maximal_ideal, minimal_generators
 from lexlab.ring import borel_move, monomial_divides
 
 
@@ -35,6 +39,12 @@ def _minimal_generators_pairwise(gens):
             kept.append(u)
     kept.sort(reverse=True)
     return tuple(kept)
+
+
+def _projection_then_minimalize(gens, k):
+    """Minimal generators of gens with x_(k+1), ..., x_n set to 1, by the
+    general minimalization, for any monomial generators."""
+    return minimal_generators(tuple(u[:k] + (0,) * (len(u) - k) for u in gens))
 
 
 def _contains_any_scan(ideal: MonomialIdeal, u) -> bool:

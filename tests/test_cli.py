@@ -118,6 +118,24 @@ def test_cli_lex_of_the_zero_ideal(capsys):
         assert code == 2 and "not both" in err, argv
 
 
+@pytest.mark.parametrize("ring", ["x", "x,y,z"])
+def test_cli_zero_and_unit_ideals(capsys, ring):
+    # the projection chain of the zero ideal is empty and that of the unit
+    # ideal is the unit: R/0 = R has only its top row, R/R no row at all
+    n = len(ring.split(","))
+    code, out, _ = run(capsys, "lc", "--ring", ring, "--format", "json", "0")
+    assert code == 0 and list(json.loads(out)["rows"]) == [str(n)]
+    code, out, _ = run(capsys, "lc", "--ring", ring, "--format", "json", "1")
+    assert code == 0 and json.loads(out)["rows"] == {}
+    for text, shown in (("0", "(0)"), ("1", "(1)"), ("x^3", "(1)" if n == 1 else "(x^3)")):
+        code, out, _ = run(capsys, "sat", "--ring", ring, text)
+        assert code == 0 and out.strip() == shown, text
+    code, out, _ = run(capsys, "verify-main", "--ring", ring, "--format", "json", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "consistent"
+    code, _, err = run(capsys, "verify-main", "--ring", ring, "1")
+    assert code == 3 and "verification needs a proper ideal" in err
+
+
 def test_cli_lex_of_high_degree_power(capsys):
     # the lex generators are stepped to, so no degree's monomials are listed
     code, out, _ = run(capsys, "lex", "--ring", "x,y,z", "x^1600")

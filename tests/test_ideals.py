@@ -8,12 +8,12 @@ from helpers import (brute_ideal_dim, non_stable_ideals, oracle_families, random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ideals_oracle import (_colon_by_definition, _contains_any_scan,
-                           _minimal_generators_pairwise, _saturate_by_colon,
-                           _saturate_by_definition, _saturate_by_powers, _saturate_stable,
-                           _strong_stability_witness_all_pairs)
+                           _minimal_generators_pairwise, _projection_then_minimalize,
+                           _saturate_by_colon, _saturate_by_definition, _saturate_by_powers,
+                           _saturate_stable, _strong_stability_witness_all_pairs)
 
-from lexlab import ideals
-from lexlab.ideals import minimal_generators
+from lexlab import cohomology, gotzmann, ideals
+from lexlab.ideals import minimal_generators, projection
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
                     depth_and_dim, exchange_property, graded_generator_counts, intersect,
                     is_strongly_stable, lex_ideal, local_cohomology_table, maximal_ideal,
@@ -220,6 +220,79 @@ def test_saturate_matches_definition_oracle_on_families_and_lex_ideals(n, max_de
     members = [I for I in all_strongly_stable(RingSpec(n), max_degree) if not I.is_zero]
     for I in {*members, *map(lex_ideal, members)}:
         assert saturate(I) == _saturate_by_definition(I), I
+
+
+# -- the projection chain M_n = I, M_(n-1) = I^sat, ..., M_0 ------------------------
+
+
+def _assert_chain_matches_oracle(gens, n):
+    # k = n keeps the minimal generators; each later link is fed the
+    # previous link's output, as the local cohomology rows feed it
+    for k in range(n, -1, -1):
+        projected = projection(gens, k)
+        assert sorted(projected, reverse=True) == list(_projection_then_minimalize(gens, k)), \
+            (gens, k)
+        gens = projected
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 5), (4, 4), (5, 3)])
+def test_projection_chain_matches_minimalized_oracle_on_families(n, max_degree):
+    members = [I for I in all_strongly_stable(RingSpec(n), max_degree) if not I.is_zero]
+    for I in {*members, *map(lex_ideal, members)}:
+        _assert_chain_matches_oracle(I.gens, n)
+
+
+def test_projection_chain_matches_minimalized_oracle_on_large_lex_ideals():
+    lex_ideals = [lex_ideal(I) for I in non_stable_ideals()]
+    large = [lex_ideal(MonomialIdeal(R5, ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1)))),
+             lex_ideal(parse_ideal("x1^3, x1^2*x2, x1*x2^2, x2^3",
+                                   parse_ring("x1,x2,x3,x4,x5,x6")))]
+    assert [len(L.gens) for L in large] == [6231, 11137]
+    for L in lex_ideals + large:
+        _assert_chain_matches_oracle(L.gens, L.ring.n)
+
+
+def test_projection_edge_cases():
+    unit3 = ((0, 0, 0),)
+    for k in range(4):
+        assert projection((), k) == () == _projection_then_minimalize((), k)
+        assert projection(unit3, k) == unit3 == _projection_then_minimalize(unit3, k)
+    # k = 0 sends every generator to the unit
+    for I in [EXAMPLE, MonomialIdeal(R3, ((0, 0, 4),)), maximal_ideal(R4)]:
+        assert projection(I.gens, 0) == ((0,) * I.ring.n,)
+    # one variable: (x^3) is saturated to the unit
+    for gens in [((3,),), ((0,),), ()]:
+        for k in (0, 1):
+            assert projection(gens, k) == _projection_then_minimalize(gens, k), (gens, k)
+    assert projection(((3,),), 1) == ((3,),) and projection(((3,),), 0) == ((0,),)
+    # the zero ideal reaches the rows with no generators: R/0 = R has only
+    # its top row, and R/R has none
+    for ring in [RingSpec(1), R3]:
+        for I in [MonomialIdeal(ring), MonomialIdeal(ring, ((0,) * ring.n,))]:
+            assert saturate(I) == I == _saturate_by_colon(I)
+            assert local_cohomology_table(I).nonzero_rows() == ([ring.n] if I.is_zero else [])
+
+
+def test_projection_chain_builds_no_divisor_index(monkeypatch):
+    # an R4 degree <= 3 pass of the lex ideal, the exchange and the tables
+    # minimalizes every projection by lookups; typed input that is not
+    # strongly stable still saturates by the colon, which indexes
+    members = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    for cache in (lex_ideal, gotzmann._lex_by_numerator, cohomology._engine,
+                  is_strongly_stable):
+        cache.cache_clear()
+    built = []
+    index = ideals._divisor_index
+    monkeypatch.setattr(ideals, "_divisor_index", lambda gens: built.append(1) or index(gens))
+    for I in members:
+        L = lex_ideal(I)
+        exchange_property(I)
+        local_cohomology_table(I)
+        local_cohomology_table(L)
+    assert not built
+    for I in non_stable_ideals():
+        saturate(I)
+    assert built
 
 
 def test_contains_builds_the_index_once_per_ideal(monkeypatch):
