@@ -5,8 +5,10 @@ j -> C(k - j - 1, n - 1): h^i(R/I)_j is the sum of N_i[k] C(k - j - 1, n - 1)
 over k - j >= n.  The basis functions vanish above their top degree k - n,
 and the tops of distinct k differ, so they are linearly independent: two
 rows agree in every degree exactly when their numerators are equal, and
-comparisons need no degree window.  Two routes fill the rows, one for each
-kind of input, and no input can take both.
+comparisons need no degree window.  Tables only display rows: with
+top = max k - n, h^i(R/I)_(top-s) is the coefficient of t^s in the
+reflected numerator sum N_i[k] t^(top+n-k) over (1-t)^n.  Two routes fill
+the rows, one for each kind of input, and no input can take both.
 
 A strongly stable ideal takes a closed form.  With x_1 > ... > x_n, let M_k
 be I with x_(k+1), ..., x_n set to 1, so M_n = I, M_(n-1) = I^sat and
@@ -18,9 +20,7 @@ Hilbert polynomial up to the sign (-1)^i, which in the basis above is
 (-1)^(i+n) times its series numerator.  Each M_k is strongly stable, and
 the Eliahou-Kervaire resolution (J. Algebra 129, 1990) writes its numerator
 with no recursion.  Each link of the chain is the previous one projected,
-and `projection` keeps a monomial unless it divided by its last variable is
-projected too, so the cost is one set lookup per generator per link, with
-no minimalization pass.
+one set lookup per generator.
 
 Any other monomial ideal takes Takayama's degree complexes.  For a in Z^n
 let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc. Sci. Math.
@@ -32,9 +32,7 @@ x_j among the generators.  Delta_a depends only on G and on the cell of a
 off G, the box between consecutive generator exponents that holds it, so
 each ideal reduces to finitely many cells, each of which scans every
 generator.  The complexes have at most n vertices and their homology is
-exact, by fraction-free elimination.  Each cell writes its part of N
-directly as its homology times a product of at most n binomials
-x^hi - x^lo, whatever the size of its exponents.
+exact, by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -43,11 +41,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb
 from operator import or_
 
 from .errors import InternalInconsistency
-from .hilbert import dimension, eliahou_kervaire, poly_sub
+from .hilbert import dimension, eliahou_kervaire, hilbert_values, poly_sub
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
 
@@ -236,19 +233,18 @@ class LCTable:
 
 
 def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = None) -> LCTable:
-    """h^i(R/I)_j for 0 <= i <= n and j in the window, from the row numerators."""
+    """h^i(R/I)_j for 0 <= i <= n and j in the window: `hilbert_values`
+    expands each row's reflected numerator, from the row's top down."""
     window = window or default_window(ideal)
     n = ideal.ring.n
     entries: dict[tuple[int, int], int] = {}
     for i, numerator in enumerate(_engine(ideal)):
         if not numerator:
             continue
-        for j in window.degrees():
-            value = 0
-            for k, c in numerator.items():
-                if k - j >= n:
-                    value += c * comb(k - j - 1, n - 1)
-            if value:
+        last = max(numerator)
+        reflected = [numerator.get(k, 0) for k in range(last, min(numerator) - 1, -1)]
+        for j, value in zip(range(last - n, window.lo - 1, -1), hilbert_values(reflected, n)):
+            if value and j <= window.hi:
                 entries[(i, j)] = value
     return LCTable(n, window, entries)
 

@@ -140,7 +140,10 @@ def eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
 
 
 def hilbert_values(num, n: int) -> Iterator[int]:
-    """H(0), H(1), ... of the quotient whose series is N(t)/(1-t)^n, without end.
+    """The coefficients of N(t)/(1-t)^n for any N, without end: H(0), H(1),
+    ... when N is a Hilbert series numerator, and a local cohomology row read
+    down from its top when `local_cohomology_table` passes the row's
+    reflected numerator.
 
     Dividing by 1-t takes running sums, so n running sums of N's
     coefficients give the values, n additions per degree."""

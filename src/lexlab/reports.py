@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
                          equal_rows, local_cohomology_table, sequentially_cm_verdict,
@@ -28,14 +29,17 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
 
 @dataclass
 class VerificationReport:
+    """The verdict compares `condition_i`, from the exchange sides, with
+    `condition_ii_on_window`, from the row numerators; `gin`, `seq_cm` and
+    `condition_iii` are filled in when gin was asked for.  `window`,
+    `table_ideal` and `table_lex` only display the tables, so they are built
+    on first access, when the report is printed or serialized."""
+
     ideal: MonomialIdeal
     lex: MonomialIdeal
     sat_then_lex: MonomialIdeal       # left side of the exchange
     lex_then_sat: MonomialIdeal       # right side
     condition_i: bool
-    window: DegreeWindow              # display only: the comparison is exact
-    table_ideal: LCTable
-    table_lex: LCTable
     condition_ii_on_window: bool      # exact: the tables agree in every degree
     first_mismatch: tuple[int, int] | None
     gin: MonomialIdeal | None
@@ -43,6 +47,18 @@ class VerificationReport:
     condition_iii: bool | None
     verdict: str
     conclusive = True                 # tables are compared in every degree
+
+    @cached_property
+    def window(self) -> DegreeWindow:
+        return default_window(self.ideal, self.lex)
+
+    @cached_property
+    def table_ideal(self) -> LCTable:
+        return local_cohomology_table(self.ideal, self.window)
+
+    @cached_property
+    def table_lex(self) -> LCTable:
+        return local_cohomology_table(self.lex, self.window)
 
     def to_json(self) -> dict:
         return {
@@ -87,15 +103,12 @@ def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3
                 seed: int = 0) -> VerificationReport:
     """Decide the exchange condition and the cohomology condition exactly; a
     disagreement is flagged as a violation (which would indicate a bug, not
-    new mathematics).  The tables are shown on a window that holds the first
-    mismatch when there is one."""
+    new mathematics).  The report builds its tables only when they are
+    shown, on a window that holds the first mismatch when there is one."""
     if ideal.is_unit:
         raise ValueError("verification needs a proper ideal")
     lex = lex_ideal(ideal)
     exchange = exchange_property(ideal)
-    window = default_window(ideal, lex)
-    table_ideal = local_cohomology_table(ideal, window)
-    table_lex = local_cohomology_table(lex, window)
     mismatch = tables_agree(ideal, lex)
     condition_ii = mismatch is None
     verdict = VERDICT_VIOLATION if exchange.holds != condition_ii else VERDICT_CONSISTENT
@@ -113,7 +126,6 @@ def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3
         ideal=ideal, lex=lex,
         sat_then_lex=exchange.left, lex_then_sat=exchange.right,
         condition_i=exchange.holds,
-        window=window, table_ideal=table_ideal, table_lex=table_lex,
         condition_ii_on_window=condition_ii, first_mismatch=mismatch,
         gin=gin_ideal, seq_cm=seq_cm, condition_iii=condition_iii,
         verdict=verdict)

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from helpers import grothendieck_serre_failures
+from helpers import grothendieck_serre_failures, non_stable_ideals
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from window_oracle import lcm_window, windowed_rows_equal
@@ -17,9 +17,10 @@ from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, UnluckyCoordinate
                     lex_ideal, local_cohomology_table, parse_ideal, parse_monomial,
                     parse_polynomial, parse_ring)
 from lexlab.cli import main
-from lexlab.cohomology import LCTable
+from lexlab import reports
+from lexlab.cohomology import LCTable, default_window
 from lexlab.reports import ideal_from_json, probe_rigidity, verify_main
-from lexlab.families import FamilySpec
+from lexlab.families import FamilySpec, all_strongly_stable
 
 R3 = RingSpec(3)
 EXAMPLE_TEXT = "x^2, x*y, y^2, x*z^2, y*z^2"
@@ -477,6 +478,46 @@ def test_cli_verify_main_with_gin_prints_the_recorded_json(capsys):
                        "--format", "json", EXAMPLE_TEXT)
     assert code == 0
     assert out == (Path(__file__).parent / "verify_main_with_gin.json").read_text()
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (("lc", "--ring", "x,y,z", EXAMPLE_TEXT, "--window=-6:4"), "lc_window_example.txt"),
+    (("verify-main", "--ring", "x,y,z", "--with-gin", EXAMPLE_TEXT),
+     "verify_main_with_gin.txt"),
+])
+def test_cli_readme_tables_print_the_recorded_text(capsys, argv, recorded):
+    # recorded before the tables became display-only; the verify-main summary
+    # prints the window, which is now built on first access
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / recorded).read_text()
+
+
+def test_verify_main_builds_tables_only_for_display(monkeypatch):
+    calls = {"local_cohomology_table": 0, "default_window": 0}
+
+    def counted(name):
+        original = getattr(reports, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(reports, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    family = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
+    assert len(family) == 64
+    built = [verify_main(I, include_gin=with_gin) for I in family for with_gin in (False, True)]
+    built += [verify_main(I) for I in non_stable_ideals()]
+    assert calls == {"local_cohomology_table": 0, "default_window": 0}
+    monkeypatch.undo()
+    for report in built:
+        window = default_window(report.ideal, report.lex)
+        assert report.to_json()["tables"] == {
+            "ideal": local_cohomology_table(report.ideal, window).to_json(),
+            "lex": local_cohomology_table(report.lex, window).to_json()}, report.ideal
+        assert report.table_ideal is report.table_ideal
 
 
 def test_report_json_with_gin():

@@ -160,7 +160,14 @@ def test_tables_match_block_oracle_on_sweep():
     assert len(members) == 64
     for I in members:
         w = lcm_window(I)
-        assert local_cohomology_table(I, w) == oracle_table(I, w), I
+        full = oracle_table(I, w)
+        assert local_cohomology_table(I, w) == full, I
+        # each row is a running sum started at the row's top, so windows that
+        # end short of it, miss it or lie wholly below it test the start offset
+        top = max(j for _, j in full.entries)
+        for edge in (DegreeWindow(top + 1, top + 3), DegreeWindow(w.lo - 3, w.lo - 1),
+                     DegreeWindow(w.lo, w.lo), DegreeWindow(top, top)):
+            assert local_cohomology_table(I, edge) == oracle_table(I, edge), (I, edge)
 
 
 def test_import_leaves_numpy_out():
