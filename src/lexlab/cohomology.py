@@ -18,9 +18,10 @@ cohomology, 2002): M_(n-i-1)/M_(n-i) is zero or Cohen-Macaulay of dimension
 i and carries all of H^i(R/I).  So row i is its Hilbert function minus its
 Hilbert polynomial up to the sign (-1)^i, which in the basis above is
 (-1)^(i+n) times its series numerator.  Each M_k is strongly stable, and
-the Eliahou-Kervaire resolution (J. Algebra 129, 1990) writes its numerator
-with no recursion.  Each link of the chain is the previous one projected,
-one set lookup per generator.
+its Eliahou-Kervaire numerator (J. Algebra 129, 1990) is 1 minus one term
+t^deg(u) (1-t)^(m(u)-1) per generator u, so a row comes from only the
+generators that change between two links, counted by (degree, m(u)).  Each
+link is the previous one projected, one set lookup per generator.
 
 Any other monomial ideal takes Takayama's degree complexes.  For a in Z^n
 let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc. Sci. Math.
@@ -44,7 +45,7 @@ from itertools import product
 from operator import or_
 
 from .errors import InternalInconsistency
-from .hilbert import dimension, eliahou_kervaire, hilbert_values, poly_sub
+from .hilbert import _expand_tally, _tally, dimension, hilbert_values
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
 
@@ -71,13 +72,13 @@ def default_window(*ideals: MonomialIdeal) -> DegreeWindow:
     return DegreeWindow(-(hi + n + 2), hi)
 
 
-# -- the row numerators -----------------------------------------------------------
+# -- the row numerators -------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
-    """Row numerators of R/I: h^i(R/I)_j = sum of N_i[k] * C(k - j - 1, n - 1)
-    over k - j >= n, with zero coefficients left out."""
+    """Row numerators N_i of R/I in the module's basis, with zero
+    coefficients left out."""
     if is_strongly_stable(ideal):
         return _herzog_sbarra_rows(ideal)
     return _takayama_rows(ideal)
@@ -85,19 +86,21 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
 
 def _herzog_sbarra_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     """Row numerators of R/I for strongly stable I: row i is (-1)^(i+n) times
-    the numerator of M_(n-i-1)/M_(n-i), EK(M_(n-i)) - EK(M_(n-i-1))."""
+    EK(M_(n-i)) - EK(M_(n-i-1)), from the generators not in both."""
     n = ideal.ring.n
-    gens = ideal.gens
-    numerators = [eliahou_kervaire(gens)]  # numerators[i]: EK(M_(n-i))
+    links = [ideal.gens]
     for k in range(n - 1, -1, -1):
-        gens = projection(gens, k)
-        numerators.append(eliahou_kervaire(gens))
-    numerators.append(())  # M_(-1) = R
+        links.append(projection(links[-1], k))
+    links = [set(g) for g in links] + [{(0,) * n}]  # links[i]: G(M_(n-i))
     rows = []
     for i in range(n + 1):
+        upper, lower = links[i], links[i + 1]
+        if upper == lower:
+            rows.append({})
+            continue
         sign = (-1) ** (i + n)
-        difference = poly_sub(numerators[i], numerators[i + 1])
-        rows.append({k: sign * c for k, c in enumerate(difference) if c})
+        table = _tally({}, lower - upper, sign)
+        rows.append(_expand_tally(_tally(table, upper - lower, -sign)))
     return tuple(rows)
 
 
@@ -187,7 +190,7 @@ def _times_binomial(terms: dict[int, int], lo: int, hi: int) -> dict[int, int]:
     return out
 
 
-# -- local cohomology tables ----------------------------------------------------
+# -- local cohomology tables --------------------------------------------------
 
 
 @dataclass(frozen=True, eq=True)
@@ -261,7 +264,7 @@ def tables_agree(a: MonomialIdeal, b: MonomialIdeal) -> tuple[int, int] | None:
     """None when R/a and R/b have the same local cohomology in every degree.
     Otherwise (i, j): i is the lowest row that differs and j the top degree
     where it does, the top of the largest k whose numerator coefficients
-    differ; the rows differ there by exactly that difference."""
+    differ."""
     equal = equal_rows(a, b)
     if all(equal):
         return None
@@ -270,7 +273,7 @@ def tables_agree(a: MonomialIdeal, b: MonomialIdeal) -> tuple[int, int] | None:
     return i, max(k for k in ra.keys() | rb.keys() if ra.get(k) != rb.get(k)) - a.ring.n
 
 
-# -- derived invariants ----------------------------------------------------------
+# -- derived invariants -------------------------------------------------------
 
 
 def depth_and_dim(ideal: MonomialIdeal) -> tuple[int, int]:

@@ -127,16 +127,42 @@ def eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
     """Series numerator of R/I for the strongly stable I minimally generated
     by gens (Eliahou-Kervaire, J. Algebra 129, 1990): 1 - sum over u of
     t^deg(u) (1 - t)^(m(u) - 1), m(u) the largest index of a variable dividing
-    u; () for the unit ideal."""
-    if gens and not any(gens[-1]):
-        return ()
-    out = [1] + [0] * max((sum(u) + len(u) for u in gens), default=0)
-    for u in gens:
-        d = sum(u)
-        m = max(t for t, e in enumerate(u) if e)
-        for a in range(m + 1):
-            out[d + a] -= (-1) ** a * comb(m, a)
+    u; () for the unit ideal.  The generators are counted by (degree, m(u))
+    first, so each distinct pair expands its binomial once."""
+    terms = _expand_tally(_tally({}, gens, 1))
+    out = [1] + [0] * max(terms, default=0)
+    for k, c in terms.items():
+        out[k] -= c
     return poly_trim(out)
+
+
+def _tally(table: dict, gens, weight: int) -> dict:
+    """Add `weight` to table[(deg u, m)] for each u in gens, x_(m+1) the last
+    variable dividing u; the unit takes the key (0, 0)."""
+    for u in gens:
+        m = len(u) - 1
+        while m and not u[m]:
+            m -= 1
+        key = sum(u), m
+        table[key] = table.get(key, 0) + weight
+    return table
+
+
+def _expand_tally(table: dict) -> dict[int, int]:
+    """The sum of c t^d (1 - t)^m over table[(d, m)] = c, as {degree:
+    coefficient} in increasing degree with zero coefficients left out."""
+    out: dict[int, int] = {}
+    for (d, m), c in table.items():
+        if c:
+            for a, b in enumerate(_signed_binomials(m), d):
+                out[a] = out.get(a, 0) + c * b
+    return {k: c for k, c in sorted(out.items()) if c}
+
+
+@lru_cache(maxsize=64)
+def _signed_binomials(m: int) -> tuple[int, ...]:
+    """The coefficients (-1)^a C(m, a) of (1 - t)^m."""
+    return tuple((-1) ** a * comb(m, a) for a in range(m + 1))
 
 
 def hilbert_values(num, n: int) -> Iterator[int]:

@@ -6,8 +6,9 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from helpers import (GeneratorCapExceeded, brute_ideal_dim, ext_dimensions,
+from helpers import (GeneratorCapExceeded, brute_ideal_dim, ext_dimensions, non_stable_ideals,
                      proper_monomial_ideals, random_ideal, random_stable_ideal)
+from herzog_sbarra_oracle import eliahou_kervaire_per_generator, rows_per_link
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
@@ -16,6 +17,7 @@ from window_oracle import (adjoin_variable, lcm_window, windowed_mismatch,
                            windowed_rows_equal)
 
 import lexlab
+from lexlab import cohomology, hilbert
 from lexlab import (DegreeWindow, MonomialIdeal, RingSpec, SequentialCMVerdict,
                     all_strongly_stable, default_window, depth_and_dim, is_strongly_stable,
                     lex_ideal, local_cohomology_table, saturate, sequentially_cm_verdict,
@@ -550,3 +552,64 @@ def test_engine_takes_the_closed_form_exactly_on_strongly_stable_input():
     assert _engine(stable) == _herzog_sbarra_rows(stable)
     assert not is_strongly_stable(TWO_PLANES)
     assert _engine(TWO_PLANES) == _takayama_rows(TWO_PLANES)
+
+
+# -- the closed form from the generators that change between links ---------------
+
+
+def test_closed_form_matches_the_per_link_oracle_on_families_and_lex_ideals():
+    # rows from the changed generators against the numerator of every link,
+    # grouped Eliahou-Kervaire against one expansion per generator
+    members = [I for n, d in ((1, 4), (2, 6), (3, 5), (4, 4), (5, 3))
+               for I in all_strongly_stable(RingSpec(n), d)]
+    lexes = [lex_ideal(I) for I in members if not I.is_zero]
+    lexes += [lex_ideal(I) for I in non_stable_ideals()]
+    large = lex_ideal(MonomialIdeal(RingSpec(5), ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1))))
+    assert len(large.gens) == 6231
+    ideals = members + lexes + [large]
+    assert len(ideals) == 28886
+    for I in ideals:
+        assert _herzog_sbarra_rows(I) == rows_per_link(I), I
+        assert eliahou_kervaire(I.gens) == eliahou_kervaire_per_generator(I.gens), I
+
+
+@pytest.mark.parametrize("I, last_row", [
+    (MonomialIdeal(R1), {0: 1}),
+    (MonomialIdeal(R1, ((0,),)), {}),
+    (MonomialIdeal(R3), {0: 1}),
+    (MonomialIdeal(R3, ((0, 0, 0),)), {}),
+    (MonomialIdeal(R1, ((1,),)), {}),
+    # (x1, x2, x3): the first projection, its saturation, is already the unit
+    (MonomialIdeal(R3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), {}),
+    # (x1, x2^2) is saturated, so the first two links are equal
+    (MonomialIdeal(R3, ((1, 0, 0), (0, 2, 0))), {}),
+])
+def test_closed_form_on_zero_unit_and_equal_links(I, last_row):
+    assert is_strongly_stable(I)
+    rows = _engine(I)
+    assert rows == rows_per_link(I) == _takayama_rows(I), I
+    assert rows[-1] == last_row
+    assert (rows[0] == {}) == (saturate(I) == I)
+
+
+def test_closed_form_rows_take_no_link_numerator(monkeypatch):
+    # the rows expand only the generators that change between links, so no
+    # link's whole Eliahou-Kervaire numerator and no numerator difference
+    calls = []
+
+    def counting(function):
+        def counted(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return counted
+
+    for name in ("eliahou_kervaire", "poly_sub"):
+        counted = counting(getattr(hilbert, name))
+        monkeypatch.setattr(hilbert, name, counted)
+        monkeypatch.setattr(cohomology, name, counted, raising=False)
+    members = [I for I in all_strongly_stable(R4, 3) if 8 <= len(I.gens) <= 10]
+    assert len(members) == 109
+    _engine.cache_clear()
+    for I in members:
+        local_cohomology_table(I)
+    assert calls == []
