@@ -23,8 +23,7 @@ from typing import Iterator
 from .errors import MacaulayViolation
 from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
                       macaulay_growth, poly_sub, poly_trim)
-from .ideals import (MonomialIdeal, graded_generator_counts, is_strongly_stable, projection,
-                     saturate)
+from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, RingSpec
 
 
@@ -116,6 +115,8 @@ def _lex_next(u: Exp) -> Exp:
 def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
     """Walk the quotient's Hilbert function values H(0), H(1), ... and yield
     each degree's minimal generators of the lex ideal, from degree 0 on.
+    Cut after any degree, they minimally generate a lex ideal, which is
+    strongly stable, so both callers build through `_strongly_stable`.
 
     The shadow of the degree-(d-1) lex segment ending at m is the degree-d
     segment ending at m*x_n (Macaulay), of size dim R_d minus the largest
@@ -168,8 +169,7 @@ def _lex_by_numerator(walk: _Walk) -> MonomialIdeal:
     in degrees < d, so by Gotzmann persistence it does in every later
     degree, and the lex ideal has no generator from d on.  Every ideal with
     that numerator gives the same lex ideal, so the first one asked sets
-    the stop for all of them.  The walk yields the minimal generators of a
-    lex ideal, which is strongly stable, so the result is built as such."""
+    the stop for all of them."""
     n = walk.ring.n
     gens: list[Exp] = []
     for d, new in enumerate(_lex_segments(n, hilbert_values(walk.num, n))):
@@ -208,8 +208,8 @@ def lex_ideal_from_values(ring: RingSpec, values) -> MonomialIdeal:
     values = list(values)
     if not values:
         raise MacaulayViolation("a proper cyclic quotient has value 1 in degree 0")
-    gens = [g for new in _lex_segments(ring.n, values) for g in new]
-    return MonomialIdeal(ring, tuple(gens))
+    return MonomialIdeal._strongly_stable(
+        ring, [g for new in _lex_segments(ring.n, values) for g in new])
 
 
 def is_gotzmann(ideal: MonomialIdeal) -> bool:
@@ -231,13 +231,12 @@ class ExchangeReport:
 
 def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
     """Compare lex-then-saturate against saturate-then-lex, exactly.  A lex
-    ideal is strongly stable by construction, so its saturation is its
-    projection, with no strong-stability test."""
+    ideal is built strongly stable, so `saturate` projects it with no
+    strong-stability witness."""
     if ideal.is_unit:
         raise ValueError("exchange property needs a proper ideal")
     sat = saturate(ideal)
-    right = MonomialIdeal._strongly_stable(
-        ideal.ring, projection(lex_ideal(ideal).gens, ideal.ring.n - 1))
+    right = saturate(lex_ideal(ideal))
     if sat.is_unit:
         left = sat  # artinian quotient: both sides are the unit ideal
     else:

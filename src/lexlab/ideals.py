@@ -5,15 +5,15 @@ to 1), any other monomial ideal by one colon.  `projection` returns minimal
 generators by one set lookup per projected monomial, with no divisibility
 index.  The library's own strongly stable constructions (lex ideals, family
 members, these projections) go through `MonomialIdeal._strongly_stable`,
-which takes their generators as minimal and records the stability they have
+which takes their generators as minimal and pre-sets the stability they have
 by construction, so neither minimalization nor the stability witness runs
-on them; this module is the only one that writes that record."""
+on them; this module is the only one that names that attribute."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
 
@@ -79,15 +79,11 @@ class MonomialIdeal:
     The empty generating set is the zero ideal; {1} is the unit ideal.
     Construction validates and minimalizes, so equality is plain field
     equality; only `_strongly_stable` skips both, for generators already
-    minimal, and it alone marks the ideal strongly stable.
+    minimal, and it alone pre-sets the ideal strongly stable.
     """
 
     ring: RingSpec
     gens: tuple[Exp, ...] = ()
-
-    # True only on ideals built by `_strongly_stable`.  A plain class
-    # attribute, not a field, so eq and hash ignore it, as they do `_member`
-    _known_stable = False
 
     def __post_init__(self) -> None:
         for u in self.gens:
@@ -100,11 +96,11 @@ class MonomialIdeal:
         """The ideal of `gens`, which must be the minimal generators of a
         strongly stable ideal, in any order.  They are only sorted into the
         canonical lex-descending order: no validation, no minimalization,
-        and `is_strongly_stable` reads the mark instead of the witness."""
+        and `_stable` is set to True, so the witness never runs on it."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ring", ring)
         object.__setattr__(ideal, "gens", tuple(sorted(gens, reverse=True)))
-        object.__setattr__(ideal, "_known_stable", True)
+        object.__setattr__(ideal, "_stable", True)
         return ideal
 
     @property
@@ -120,6 +116,11 @@ class MonomialIdeal:
         # kept out of the fields, so eq and hash ignore it; only `contains`
         # builds it, so memoised ideals that are never queried keep no index
         return _membership(self.gens)
+
+    @cached_property
+    def _stable(self) -> bool:
+        # outside the fields, like `_member`: one witness run per instance
+        return strong_stability_witness(self) is None
 
     def contains(self, u: Exp) -> bool:
         return self._member(u)
@@ -232,12 +233,11 @@ def strong_stability_witness(ideal: MonomialIdeal):
     return None
 
 
-@lru_cache(maxsize=4096)
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
-    """Memoised by value: local cohomology, gin and depth each ask.  An
-    ideal built by `MonomialIdeal._strongly_stable` is answered from its
-    mark; any other runs the witness once."""
-    return ideal._known_stable or strong_stability_witness(ideal) is None
+    """Memoised on the instance: local cohomology, gin and depth each ask.
+    An ideal built by `MonomialIdeal._strongly_stable` is stable by
+    construction; any other runs the witness on its first query."""
+    return ideal._stable
 
 
 def graded_generator_counts(ideal: MonomialIdeal) -> dict[int, int]:

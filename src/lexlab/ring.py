@@ -223,7 +223,7 @@ class Poly:
 
     def monic(self, order: TermOrder) -> "Poly":
         _, c = self.leading(order)
-        return self.scaled(Fraction(1) / c)
+        return self.scaled(Fraction(c.denominator, c.numerator))
 
     def primitive(self) -> "Poly":
         """Scale to coprime integer coefficients, positive on the largest monomial."""

@@ -1,7 +1,7 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
 has a user, no unused definitions or imports, exercised oracles, no threads,
-the strong-stability mark kept to one module, and the benchmark's answer
-checks and traced names working on the library."""
+the strong-stability attribute kept to one module, no floating point, and
+the benchmark's answer checks and traced names working on the library."""
 
 import ast
 import re
@@ -21,24 +21,51 @@ def test_every_cache_is_bounded():
                     caches[f"{name}.{attr}"] = value.cache_parameters()["maxsize"]
     assert {"lexlab.cohomology._engine", "lexlab.gotzmann._lex_by_numerator",
             "lexlab.gotzmann.lex_ideal",
-            "lexlab.hilbert._numerator_pivot", "lexlab.ideals.is_strongly_stable",
+            "lexlab.hilbert._numerator_pivot",
             "lexlab.ring.enumerate_monomials"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
 
 
 def test_only_ideals_marks_an_ideal_strongly_stable():
-    # the mark that lets is_strongly_stable skip the witness is written by
-    # MonomialIdeal._strongly_stable alone; other modules call that
-    # constructor and never name the mark, by attribute or by string
+    # the cached property that is_strongly_stable reads is defined, and
+    # pre-set by MonomialIdeal._strongly_stable, in ideals.py alone; other
+    # modules call that constructor and never name the attribute, by
+    # attribute, by name, by definition or by string
     src = Path(lexlab.__file__).parent
     writers = set()
     for f in src.glob("*.py"):
         for node in ast.walk(ast.parse(f.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr == "_known_stable"
-                    or isinstance(node, ast.Name) and node.id == "_known_stable"
-                    or isinstance(node, ast.Constant) and node.value == "_known_stable"):
+            if (isinstance(node, ast.Attribute) and node.attr == "_stable"
+                    or isinstance(node, ast.Name) and node.id == "_stable"
+                    or isinstance(node, ast.FunctionDef) and node.name == "_stable"
+                    or isinstance(node, ast.Constant) and node.value == "_stable"):
                 writers.add(f.name)
     assert writers == {"ideals.py"}, writers
+
+
+EXACT_MATH = {"comb", "factorial", "gcd", "lcm"}
+
+
+def test_library_is_float_free():
+    # exact arithmetic only: no true division, no float literal or name, and
+    # from math only the integer functions
+    found = []
+    for f in sorted(Path(lexlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            where = f"{f.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{where} /")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where} float")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "math" for alias in node.names):
+                found.append(f"{where} import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{alias.name}" for alias in node.names
+                          if alias.name not in EXACT_MATH]
+    assert not found, found
 
 
 def test_all_exports_no_modules():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from itertools import chain
 
 import pytest
@@ -16,8 +18,9 @@ from lexlab import cohomology, gotzmann, ideals
 from lexlab.ideals import minimal_generators, projection
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, borel_move, colon,
                     depth_and_dim, exchange_property, graded_generator_counts, intersect,
-                    is_strongly_stable, lex_ideal, local_cohomology_table, maximal_ideal,
-                    parse_ideal, parse_ring, saturate, strong_stability_witness)
+                    is_strongly_stable, lex_ideal, lex_ideal_from_values,
+                    local_cohomology_table, maximal_ideal, parse_ideal, parse_ring, saturate,
+                    strong_stability_witness)
 
 R3 = RingSpec(3)
 R4 = RingSpec(4)
@@ -278,8 +281,7 @@ def test_projection_chain_builds_no_divisor_index(monkeypatch):
     # minimalizes every projection by lookups; typed input that is not
     # strongly stable still saturates by the colon, which indexes
     members = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
-    for cache in (lex_ideal, gotzmann._lex_by_numerator, cohomology._engine,
-                  is_strongly_stable):
+    for cache in (lex_ideal, gotzmann._lex_by_numerator, cohomology._engine):
         cache.cache_clear()
     built = []
     index = ideals._divisor_index
@@ -387,6 +389,12 @@ def test_known_strongly_stable_constructions_are_canonical_and_stable():
         if not I.is_zero:
             built.update((lex_ideal(I), saturate(I), exchange_property(I).right))
     built.update(lex_ideal(I) for I in non_stable_ideals())
+    # raw-value walks: the windows the CLI tests type, a window with no
+    # generator and windows whose ideal is all of m
+    for ring, values in [(R3, (1, 3, 3, 1, 1)), (R4, (1, 4, 6, 4, 2, 1)), (R3, (1,)),
+                         (R3, (1, 3, 6, 10)), (R3, (1, 0)), (R4, (1, 0, 0))]:
+        built.add(lex_ideal_from_values(ring, values))
+    assert MonomialIdeal(R3) in built and maximal_ideal(R4) in built
     large = lex_ideal(MonomialIdeal(R5, ((2, 0, 2, 0, 0), (0, 1, 0, 1, 1))))
     assert len(large.gens) == 6231
     for X in [*built, large]:
@@ -394,9 +402,9 @@ def test_known_strongly_stable_constructions_are_canonical_and_stable():
 
 
 def test_stability_mark_agrees_with_the_witness_on_library_output():
-    # is_strongly_stable without its by-value cache reads the mark first; on
-    # every ideal the library builds the answer must be the witness's
-    stable = is_strongly_stable.__wrapped__
+    # is_strongly_stable reads the instance's attribute, pre-set on the
+    # library's strongly stable constructions; on every ideal the library
+    # builds the answer must be the witness's
     built = [*all_strongly_stable(R4, 3)]
     for I in non_stable_ideals():
         sat = saturate(I)
@@ -405,7 +413,7 @@ def test_stability_mark_agrees_with_the_witness_on_library_output():
             built.append(exchange_property(I).right)
     assert any(strong_stability_witness(X) is not None for X in built)
     for X in built:
-        assert stable(X) == (strong_stability_witness(X) is None), X
+        assert is_strongly_stable(X) == (strong_stability_witness(X) is None), X
 
 
 def test_marked_and_plain_constructions_are_interchangeable():
@@ -414,9 +422,36 @@ def test_marked_and_plain_constructions_are_interchangeable():
     for I in members + [lex_ideal(I) for I in members[::7]]:
         marked = MonomialIdeal._strongly_stable(I.ring, reversed(I.gens))
         plain = MonomialIdeal(I.ring, I.gens)
-        assert marked._known_stable and not plain._known_stable
+        assert vars(marked)["_stable"] and "_stable" not in vars(plain)
         assert marked == plain == I and hash(marked) == hash(plain), I
         assert {marked: 1}[plain] == 1 and len({marked, plain}) == 1
+
+
+def test_stability_holds_no_ideal_alive():
+    I = parse_ideal("x^3, x^2*y, y^4, x*z^3", parse_ring("x,y,z"))
+    assert not is_strongly_stable(I)
+    ref = weakref.ref(I)
+    del I
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("text", ["x^2, x*y, y^3, x*z^2", "x*z, y^2"])
+def test_equal_instances_each_pay_the_witness_once(text, monkeypatch):
+    ring = parse_ring("x,y,z")
+    calls = []
+    witness = ideals.strong_stability_witness
+    monkeypatch.setattr(ideals, "strong_stability_witness",
+                        lambda J: calls.append(J) or witness(J))
+    I, J = parse_ideal(text, ring), parse_ideal(text, ring)
+    assert I == J and I is not J
+    for _ in range(3):
+        assert is_strongly_stable(I) == is_strongly_stable(J)
+    assert [id(X) for X in calls] == [id(I), id(J)]
+    calls.clear()
+    marked = MonomialIdeal._strongly_stable(ring, lex_ideal(I).gens)
+    assert is_strongly_stable(marked) and is_strongly_stable(saturate(marked))
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["x^2, x*y, y^3, x*z^2", "x*z, y^2"])
@@ -427,8 +462,7 @@ def test_typed_input_pays_the_witness_once(text, monkeypatch):
     witness = ideals.strong_stability_witness
     monkeypatch.setattr(ideals, "strong_stability_witness",
                         lambda J: calls.append(J) or witness(J))
-    is_strongly_stable.cache_clear()
-    assert not I._known_stable
+    assert "_stable" not in vars(I)
     is_strongly_stable(I)
     lex_ideal(I)
     if is_strongly_stable(I):
