@@ -5,7 +5,8 @@ from types import ModuleType as _ModuleType
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
                          depth_and_dim, local_cohomology_table, sequentially_cm_verdict,
                          tables_agree)
-from .errors import LexlabError, MacaulayViolation, ParseError, UnluckyCoordinates
+from .errors import (InvalidArgument, LexlabError, MacaulayViolation, ParseError,
+                     UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable
 from .gotzmann import (GotzmannData, exchange_property, gotzmann_representation,
                        is_gotzmann, lex_ideal, lex_ideal_from_values, predict_lc_vanishing,

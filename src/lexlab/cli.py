@@ -11,7 +11,7 @@ import json
 import sys
 
 from .cohomology import DegreeWindow, local_cohomology_table
-from .errors import LexlabError, ParseError
+from .errors import InvalidArgument, LexlabError, ParseError
 from .families import FamilySpec, enumerate_strongly_stable
 from .gotzmann import lex_ideal, lex_ideal_from_values
 from .groebner import gin
@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _window(args) -> DegreeWindow | None:
     if not args.window:
         return None
-    lo, hi = parse_window(args.window)
-    return DegreeWindow(lo, hi)
+    return DegreeWindow(*parse_window(args.window))
 
 
 def _monomial_ideal(args, ring) -> MonomialIdeal:
@@ -104,13 +103,6 @@ def _values(text: str, option: str) -> tuple[int, ...]:
         raise ParseError(f"bad {option} values {text!r}") from exc
 
 
-def _check_gin_options(trials: int, bound: int = 1) -> None:
-    if trials < 2:
-        raise ParseError(f"--trials must be at least 2, got {trials}")
-    if bound < 1:
-        raise ParseError(f"--bound must be at least 1, got {bound}")
-
-
 def _family_spec(args, ring) -> FamilySpec:
     if (args.target is None) == (args.from_ideal is None):
         raise ParseError("give exactly one of --target or --from-ideal")
@@ -121,8 +113,6 @@ def _family_spec(args, ring) -> FamilySpec:
         if not isinstance(parsed, MonomialIdeal):
             raise ParseError("--from-ideal needs a monomial ideal")
         target = parsed
-    if args.max_degree < 0:
-        raise ParseError(f"--max-degree must be at least 0, got {args.max_degree}")
     return FamilySpec(ring, target, args.max_degree)
 
 
@@ -162,13 +152,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gin":
-        _check_gin_options(args.trials, args.bound)
-        parsed = parse_ideal(args.ideal, ring)
-        if not isinstance(parsed, MonomialIdeal) and not all(
-                p.is_homogeneous() for p in parsed):
-            raise ParseError("gin needs homogeneous generators")
-        result = gin(parsed, ring=ring, trials=args.trials, seed=args.seed,
-                     bound=args.bound)
+        result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
+                     seed=args.seed, bound=args.bound)
         _emit(args, ideal_to_json(result), str(result))
         return 0
 
@@ -179,8 +164,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-main":
-        if args.with_gin:
-            _check_gin_options(args.trials)
         ideal = _monomial_ideal(args, ring)
         report = verify_main(ideal, include_gin=args.with_gin, trials=args.trials,
                              seed=args.seed)
@@ -214,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, InvalidArgument) as exc:
         print(f"lexlab: parse error: {exc}", file=sys.stderr)
         return 2
     except LexlabError as exc:

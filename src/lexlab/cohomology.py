@@ -44,7 +44,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, InvalidArgument
 from .hilbert import _expand_tally, _tally, dimension, hilbert_values
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
@@ -57,7 +57,7 @@ class DegreeWindow:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"empty degree window [{self.lo}, {self.hi}]")
+            raise InvalidArgument(f"empty degree window: lo {self.lo} exceeds hi {self.hi}")
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)

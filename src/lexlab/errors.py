@@ -15,6 +15,10 @@ class ParseError(LexlabError):
         super().__init__(message)
 
 
+class InvalidArgument(LexlabError, ValueError):
+    """An argument outside the range its function accepts, named with its value."""
+
+
 class MacaulayViolation(LexlabError):
     """Numeric data that cannot be the Hilbert function of any homogeneous ideal."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Union
 
-from .errors import MacaulayViolation
+from .errors import InvalidArgument, MacaulayViolation
 from .gotzmann import lex_ideal, lex_ideal_from_values
 from .hilbert import hilbert_numerator, values_from_numerator
 from .ideals import MonomialIdeal
@@ -24,7 +24,7 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.max_degree < 0:
-            raise ValueError(f"max_degree must be at least 0, got {self.max_degree}")
+            raise InvalidArgument(f"max_degree must be at least 0, got {self.max_degree}")
 
 
 def borel_filters(n: int, d: int, forced: frozenset[Exp],

@@ -32,19 +32,35 @@ from .ring import Exp, RingSpec
 
 @dataclass(frozen=True)
 class GotzmannData:
-    """Exponents a_1 >= ... >= a_l of the binomial representation, plus the
-    derived v-vector whose entries count exponents by codimension slot."""
+    """The v-vector of the binomial representation of a Hilbert polynomial:
+    v[i-1] counts the summands with exponent n - i - 1, i = 1..n-1.  The
+    exponents a_1 >= ... >= a_l, their number l (the Gotzmann number) and h,
+    the largest index with v_h != 0 (0 when empty), follow from it."""
 
     n: int
-    a: tuple[int, ...]
-    v: tuple[int, ...]   # v[i-1] is the i-th entry, i = 1..n-1
-    h: int               # largest index with v_h != 0 (0 when empty)
-    l: int               # number of binomial summands
+    v: tuple[int, ...]
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return tuple(self.n - i - 1 for i, count in enumerate(self.v, 1) for _ in range(count))
+
+    @property
+    def h(self) -> int:
+        return max((i for i, count in enumerate(self.v, 1) if count), default=0)
+
+    @property
+    def l(self) -> int:
+        return sum(self.v)
 
 
 def gotzmann_representation(p, n: int) -> GotzmannData:
     """Canonical decomposition of a Hilbert polynomial, given by its
-    coefficients from the constant term up, into shifted binomials.
+    coefficients from the constant term up, into shifted binomials
+    C(X + a_j - j + 1, a_j), j = 1..l.
+
+    The c summands of exponent a, c = a! times the leading coefficient left,
+    start at some index s and sum to C(X + a + 2 - s, a + 1) minus
+    C(X + a + 2 - s - c, a + 1) (hockey stick): one subtraction per run.
 
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
@@ -53,25 +69,21 @@ def gotzmann_representation(p, n: int) -> GotzmannData:
     if len(remainder) - 1 > n - 2:
         raise MacaulayViolation(
             f"polynomial degree {len(remainder) - 1} too large for {n} variables")
-    exponents: list[int] = []
-    index = 1
+    v = [0] * max(n - 1, 0)
+    shift = 0   # summands before this run, s - 1
     while remainder:
         a = len(remainder) - 1
         lead = remainder[-1] * factorial(a)
         if lead.denominator != 1 or lead <= 0:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
-        for _ in range(int(lead)):
-            remainder = poly_trim(poly_sub(remainder, binomial_in_x(a, index - 1)))
-            exponents.append(a)
-            index += 1
+        c = int(lead)
+        run = poly_sub(binomial_in_x(a + 1, shift), binomial_in_x(a + 1, shift + c))
+        remainder = poly_sub(remainder, run)
         if remainder and len(remainder) - 1 >= a:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
-    a_seq = tuple(exponents)
-    v = [0] * max(n - 1, 0)
-    for ai in a_seq:
-        v[n - ai - 2] += 1   # slot n - a_j - 1, stored 0-based
-    h = max((i + 1 for i, entry in enumerate(v) if entry), default=0)
-    return GotzmannData(n, a_seq, tuple(v), h, len(a_seq))
+        v[n - a - 2] = c   # slot n - a - 1, stored 0-based
+        shift += c
+    return GotzmannData(n, tuple(v))
 
 
 def saturated_lex_generators(data: GotzmannData, ring: RingSpec | None = None) -> MonomialIdeal:

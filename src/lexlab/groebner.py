@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, sub
 
-from .errors import InternalInconsistency, UnluckyCoordinates
+from .errors import InternalInconsistency, InvalidArgument, UnluckyCoordinates
 from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators
 from .linalg import fraction_free_rank
 from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, enumerate_monomials,
@@ -303,8 +303,10 @@ def _integer_generators(ideal_or_polys,
         if not polys:
             raise ValueError("need a ring for an empty generator list")
         ring = RingSpec(polys[0].n)
-    if not all(p.is_homogeneous() for p in polys):
-        raise ValueError("gin needs homogeneous generators")
+    for i, p in enumerate(polys, 1):
+        if not p.is_homogeneous():
+            raise InvalidArgument(f"gin needs homogeneous generators, got generator {i} "
+                                  f"with terms of degrees {sorted({sum(u) for u in p.terms})}")
     return [_integral(p)[0] for p in polys if not p.is_zero()], ring
 
 
@@ -321,9 +323,9 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
     Other input takes `_gin_trials`.  The generators must be homogeneous.
     """
     if trials < 2:
-        raise ValueError("need at least two independent trials")
+        raise InvalidArgument(f"trials must be at least 2, got {trials}")
     if bound < 1:
-        raise ValueError("coordinate entries need a bound of at least 1")
+        raise InvalidArgument(f"bound must be at least 1, got {bound}")
     if isinstance(ideal_or_polys, MonomialIdeal) and is_strongly_stable(ideal_or_polys):
         return ideal_or_polys
     return _gin_trials(ideal_or_polys, ring, trials, seed, bound)

@@ -128,7 +128,4 @@ def parse_window(text: str):
     m = re.fullmatch(r"\s*(-?\d+)\s*:\s*(-?\d+)\s*", text)
     if not m:
         raise ParseError(f"window must look like lo:hi, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if lo > hi:
-        raise ParseError(f"empty window {text!r}: lo exceeds hi")
-    return lo, hi
+    return int(m.group(1)), int(m.group(2))

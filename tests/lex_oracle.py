@@ -10,9 +10,15 @@ monomials and takes their difference, with no use of Macaulay's theorem.
 stops instead one past the largest of the Gotzmann number of the Hilbert
 polynomial, the last degree where the Hilbert function and polynomial
 differ, and the largest generator degree, all found through the rational
-Hilbert polynomial.  It builds with ``lex_ideal_from_values`` on the values
-up to that degree, so that it reaches degrees where the set-based builder
-cannot.
+Hilbert polynomial; it counts the Gotzmann number with
+``gotzmann_by_summands``, not with the library's route.  It builds with
+``lex_ideal_from_values`` on the values up to that degree, so that it
+reaches degrees where the set-based builder cannot.
+
+``gotzmann_by_summands`` checks ``lexlab.gotzmann.gotzmann_representation``,
+which subtracts one run of equal exponents at a time.  It subtracts one
+binomial per summand and returns the exponent sequence itself, so its cost
+is the Gotzmann number.
 
 ``exchange_by_colon`` checks ``lexlab.gotzmann.exchange_property``, which
 saturates strongly stable input by projection and shares lex ideals by
@@ -21,13 +27,16 @@ saturation one colon by the variable powers, and each lex ideal its own
 walk over the pivot numerator, stopped past that ideal's top degree.
 """
 
+from fractions import Fraction
+from math import factorial
+
 from ideals_oracle import _saturate_by_powers
 
-from lexlab import (MonomialIdeal, RingSpec, gotzmann_representation, hilbert_series,
-                    lex_ideal_from_values)
+from lexlab import MonomialIdeal, RingSpec, hilbert_series, lex_ideal_from_values
 from lexlab.errors import InternalInconsistency, MacaulayViolation
 from lexlab.gotzmann import _lex_segments
-from lexlab.hilbert import hilbert_numerator, hilbert_values, values_from_numerator
+from lexlab.hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, poly_sub,
+                            poly_trim, values_from_numerator)
 from lexlab.ring import Exp, enumerate_monomials, monomial_mul
 
 
@@ -58,6 +67,30 @@ def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(gens))
 
 
+def gotzmann_by_summands(p, n: int, cap: int | None = None) -> tuple[int, ...] | None:
+    """Exponents a_1 >= ... >= a_l with p = sum_j C(X + a_j - j + 1, a_j),
+    one subtraction per summand; None once more than `cap` summands are
+    taken."""
+    remainder = poly_trim(tuple(Fraction(c) for c in p))
+    if len(remainder) - 1 > n - 2:
+        raise MacaulayViolation(
+            f"polynomial degree {len(remainder) - 1} too large for {n} variables")
+    exponents: list[int] = []
+    while remainder:
+        a = len(remainder) - 1
+        lead = remainder[-1] * factorial(a)
+        if lead.denominator != 1 or lead <= 0:
+            raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
+        for _ in range(int(lead)):
+            if cap is not None and len(exponents) == cap:
+                return None
+            remainder = poly_sub(remainder, binomial_in_x(a, len(exponents)))
+            exponents.append(a)
+        if remainder and len(remainder) - 1 >= a:
+            raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
+    return tuple(exponents)
+
+
 def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as `ideal`."""
     if ideal.is_unit:
@@ -67,12 +100,12 @@ def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:
     ring = ideal.ring
     n = ring.n
     data = hilbert_series(ideal)
-    gotz = gotzmann_representation(data.polynomial, n)
+    gotzmann_number = len(gotzmann_by_summands(data.polynomial, n))
     # the function and polynomial agree from the numerator's degree d0 on,
     # which can lie past the window of `hilbert_series`
     values = values_from_numerator(data.numerator, n, data.d0)
     last_dev = max((d for d, v in enumerate(values) if v != data.poly_value(d)), default=0)
-    stop = max(gotz.l, last_dev, ideal.max_generator_degree()) + 1
+    stop = max(gotzmann_number, last_dev, ideal.max_generator_degree()) + 1
     result = lex_ideal_from_values(ring, values_from_numerator(data.numerator, n, stop + 2))
     if result.max_generator_degree() > stop:
         raise InternalInconsistency(

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from window_oracle import lcm_window, windowed_rows_equal
 
-from lexlab import (MonomialIdeal, ParseError, Poly, RingSpec, UnluckyCoordinates, gin,
-                    lex_ideal, local_cohomology_table, parse_ideal, parse_monomial,
+from lexlab import (DegreeWindow, InvalidArgument, MonomialIdeal, ParseError, Poly, RingSpec,
+                    UnluckyCoordinates, gin, lex_ideal, local_cohomology_table, parse_ideal, parse_monomial,
                     parse_polynomial, parse_ring)
 from lexlab.cli import main
 from lexlab import reports
@@ -284,6 +284,21 @@ def test_cli_exit_codes(capsys):
     code, _, err = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
                        "--trials", "1", EXAMPLE_TEXT)
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FamilySpec(RingSpec(2), (1, 2, 1), -1), "max_degree must be at least 0, got -1"),
+    (lambda: gin(parse_ideal(EXAMPLE_TEXT, R3), trials=1), "trials must be at least 2, got 1"),
+    (lambda: gin(parse_ideal(EXAMPLE_TEXT, R3), bound=0), "bound must be at least 1, got 0"),
+    (lambda: gin(parse_ideal("x*y, x^2 - y", RingSpec(2))),
+     "homogeneous generators, got generator 2 with terms of degrees [1, 2]"),
+    (lambda: DegreeWindow(3, 1), "empty degree window: lo 3 exceeds hi 1"),
+], ids=["max_degree", "trials", "bound", "homogeneous", "window"])
+def test_library_checks_arguments_once(call, message):
+    # the CLI keeps no copy of these checks: it maps InvalidArgument to exit 2
+    with pytest.raises(InvalidArgument) as err:
+        call()
+    assert isinstance(err.value, ValueError) and message in str(err.value)
 
 
 def test_cli_malformed_numbers_exit_2(capsys):

@@ -13,7 +13,7 @@ from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
 from hilbert_oracle import validate_hilbert_values
 from ideals_oracle import _saturate_by_powers
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
-from lex_oracle import exchange_by_colon, lex_ideal_gotzmann_bound
+from lex_oracle import exchange_by_colon, gotzmann_by_summands, lex_ideal_gotzmann_bound
 from window_oracle import lcm_window
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
@@ -24,7 +24,8 @@ from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     predict_lc_vanishing, saturate, saturated_lex_generators,
                     strong_stability_witness)
 from lexlab.families import all_strongly_stable
-from lexlab.hilbert import hilbert_numerator, values_from_numerator
+from lexlab.hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, poly_add,
+                            values_from_numerator)
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -373,6 +374,84 @@ def test_gotzmann_representation_against_search():
     assert not _brute_representation_exists((0, 2), 6)   # 2X has none at all
 
 
+def _family_polynomials():
+    """The distinct Hilbert polynomials of R3 d <= 5, R4 d <= 4 and R5 d <= 3,
+    each as sum_k N_k C(X + n - 1 - k, n - 1) over its numerator N."""
+    polys = set()
+    for n, d in ((3, 5), (4, 4), (5, 3)):
+        for num in {eliahou_kervaire(I.gens)
+                    for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero}:
+            poly = ()
+            for k, c in enumerate(num):
+                poly = poly_add(poly, tuple(c * b for b in binomial_in_x(n - 1, k)))
+            polys.add((n, poly))
+    return polys
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except MacaulayViolation:
+        return "rejected"
+
+
+def test_gotzmann_runs_match_summand_loop():
+    # one subtraction per run against one per summand: the same exponents,
+    # their v-vector (slot n - a - 1), count and h (the slot of the smallest)
+    polys = _family_polynomials()
+    assert len(polys) == 394
+    for n, p in polys:
+        a, g = gotzmann_by_summands(p, n), gotzmann_representation(p, n)
+        assert g.a == a and g.l == len(a), (n, p)
+        assert g.v == tuple(a.count(n - i - 1) for i in range(1, n)), (n, p)
+        assert g.h == (n - 1 - a[-1] if a else 0), (n, p)
+    # seeded random rational polynomials: accepted and rejected alike
+    rng = random.Random(24)
+    outcomes = {"accepted": 0, "rejected": 0, "skipped": 0}
+    for _ in range(4000):
+        n = rng.randint(2, 6)
+        d = rng.randint(0, n - 2)
+        p = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 6, factorial(d))))
+             for _ in range(d)] + [Fraction(rng.randint(0, 4), factorial(d))]
+        a = _outcome(gotzmann_by_summands, p, n, 2000)   # None past 2000 summands
+        if a is None:
+            outcomes["skipped"] += 1
+            continue
+        g = _outcome(gotzmann_representation, p, n)
+        assert (g if g == "rejected" else g.a) == a, (n, p)
+        outcomes["rejected" if a == "rejected" else "accepted"] += 1
+    assert outcomes["accepted"] > 1000 and outcomes["rejected"] > 1000, outcomes
+
+
+FOUR_SQUARES_R8 = MonomialIdeal(RingSpec(8), tuple(
+    tuple(2 if j == i else 0 for j in range(8)) for i in range(4)))
+
+
+def test_gotzmann_representation_of_four_squares_in_r8():
+    # Gotzmann number 11,356,522: one subtraction per summand cannot meet the bound
+    p = hilbert_series(FOUR_SQUARES_R8).polynomial
+    t0 = time.perf_counter()
+    g = gotzmann_representation(p, 8)
+    elapsed = time.perf_counter() - t0
+    assert g.v == (0, 0, 0, 16, 88, 4700, 11351718)
+    assert g.l == 11_356_522 and g.h == 7
+    assert elapsed < 1.0, elapsed
+
+
+def test_gotzmann_representation_subtracts_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(a, shift):
+        calls.append((a, shift))
+        return binomial_in_x(a, shift)
+
+    monkeypatch.setattr(gotzmann, "binomial_in_x", counted)
+    for n, p in ((3, (5,)), (4, (2, 2)), (8, hilbert_series(FOUR_SQUARES_R8).polynomial)):
+        calls.clear()
+        g = gotzmann_representation(p, n)
+        assert len(calls) == 2 * sum(1 for count in g.v if count) <= 2 * (n - 1), (n, calls)
+
+
 def test_gotzmann_representation_empty():
     g = gotzmann_representation((), 3)
     assert (g.a, g.h, g.l) == ((), 0, 0)
@@ -589,15 +668,9 @@ def test_factorization_of_saturated_lex():
 
 
 def gotzmann_representation_from_v(v, n):
-    """Build GotzmannData with a prescribed v-vector via its a-sequence."""
-    a = []
-    for i, count in enumerate(v, start=1):
-        a.extend([n - i - 1] * count)
-    a.sort(reverse=True)
+    """GotzmannData with a prescribed v-vector, padded to n - 1 entries."""
     from lexlab import GotzmannData
-    h = max((i + 1 for i, c in enumerate(v) if c), default=0)
-    full_v = tuple(v) + (0,) * (n - 1 - len(v))
-    return GotzmannData(n, tuple(a), full_v, h, len(a))
+    return GotzmannData(n, tuple(v) + (0,) * (n - 1 - len(v)))
 
 
 def test_bar_restriction():
