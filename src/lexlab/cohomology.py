@@ -254,9 +254,15 @@ def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = N
 
 def equal_rows(a: MonomialIdeal, b: MonomialIdeal) -> tuple[bool, ...]:
     """Per cohomological index i, whether h^i(R/a) and h^i(R/b) agree in every
-    degree, which holds exactly when the row numerators are equal."""
+    degree, which holds exactly when the row numerators are equal.  Equal
+    ideals have equal rows, so they are compared by value and no row is
+    built; this settles a member that is its own lex ideal or its own gin.
+    `verify_main` reads both of its conditions from the lowest unequal row
+    that `tables_agree` takes from here."""
     if a.ring.n != b.ring.n:
         raise ValueError("tables of different rings")
+    if a == b:
+        return (True,) * (a.ring.n + 1)
     return tuple(ra == rb for ra, rb in zip(_engine(a), _engine(b)))
 
 

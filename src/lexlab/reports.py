@@ -8,8 +8,9 @@ from functools import cached_property
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
                          equal_rows, local_cohomology_table, sequentially_cm_verdict,
                          tables_agree)
+from .errors import InternalInconsistency
 from .families import FamilySpec, enumerate_strongly_stable
-from .gotzmann import exchange_property, lex_ideal
+from .gotzmann import ExchangeReport, exchange_property, lex_ideal
 from .ideals import MonomialIdeal
 from .parsing import parse_monomial, parse_ring
 
@@ -29,16 +30,15 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
 
 @dataclass
 class VerificationReport:
-    """The verdict compares `condition_i`, from the exchange sides, with
-    `condition_ii_on_window`, from the row numerators; `gin`, `seq_cm` and
+    """The verdict compares `condition_i`, read from row 0 of the tables,
+    with `condition_ii_on_window`, from every row; `gin`, `seq_cm` and
     `condition_iii` are filled in when gin was asked for.  `window`,
-    `table_ideal` and `table_lex` only display the tables, so they are built
-    on first access, when the report is printed or serialized."""
+    `table_ideal`, `table_lex` and the exchange sides `sat_then_lex` and
+    `lex_then_sat` only display the check, so they are built on first
+    access, when the report is printed or serialized."""
 
     ideal: MonomialIdeal
     lex: MonomialIdeal
-    sat_then_lex: MonomialIdeal       # left side of the exchange
-    lex_then_sat: MonomialIdeal       # right side
     condition_i: bool
     condition_ii_on_window: bool      # exact: the tables agree in every degree
     first_mismatch: tuple[int, int] | None
@@ -47,6 +47,25 @@ class VerificationReport:
     condition_iii: bool | None
     verdict: str
     conclusive = True                 # tables are compared in every degree
+
+    @cached_property
+    def _exchange(self) -> ExchangeReport:
+        """The explicit exchange sides, which must agree with the row-0
+        decision of `condition_i`."""
+        exchange = exchange_property(self.ideal)
+        if exchange.holds != self.condition_i:
+            raise InternalInconsistency(
+                f"the exchange sides of {self.ideal} give condition (i) = {exchange.holds}, "
+                f"row 0 of the tables gives {self.condition_i}")
+        return exchange
+
+    @property
+    def sat_then_lex(self) -> MonomialIdeal:
+        return self._exchange.left
+
+    @property
+    def lex_then_sat(self) -> MonomialIdeal:
+        return self._exchange.right
 
     @cached_property
     def window(self) -> DegreeWindow:
@@ -101,31 +120,46 @@ class VerificationReport:
 
 def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3,
                 seed: int = 0) -> VerificationReport:
-    """Decide the exchange condition and the cohomology condition exactly; a
+    """Decide the exchange condition (i) and the cohomology condition (ii)
+    exactly, from one comparison of the table rows of R/I and R/I^lex; a
     disagreement is flagged as a violation (which would indicate a bug, not
-    new mathematics).  The report builds its tables only when they are
-    shown, on a window that holds the first mismatch when there is one."""
+    new mathematics).
+
+    Row 0 decides (i).  H^0_m(R/I) = I^sat/I, so h^0(R/I)_j is
+    HF(R/I, j) - HF(R/I^sat, j), and I and I^lex share their Hilbert
+    function: row 0 of the two tables agrees exactly when I^sat and
+    (I^lex)^sat have the same Hilbert function.  (I^sat)^lex has the
+    Hilbert function of I^sat, and (I^lex)^sat is lex, since saturating a
+    lex ideal gives a lex ideal.  Two lex ideals are equal exactly when
+    their Hilbert functions are, so row 0 agrees exactly when
+    (I^sat)^lex = (I^lex)^sat.  `tables_agree` returns the lowest row that
+    differs, so (i) holds when no row differs or the first one that does is
+    above row 0.  The exchange sides are built only when the report is
+    shown, and then they must give the same (i).
+
+    With gin asked for, gin runs first, so a bad `trials` is rejected before
+    any other work.  The report builds its tables only when they are shown,
+    on a window that holds the first mismatch when there is one."""
     if ideal.is_unit:
         raise ValueError("verification needs a proper ideal")
-    lex = lex_ideal(ideal)
-    exchange = exchange_property(ideal)
-    mismatch = tables_agree(ideal, lex)
-    condition_ii = mismatch is None
-    verdict = VERDICT_VIOLATION if exchange.holds != condition_ii else VERDICT_CONSISTENT
     gin_ideal = None
-    seq_cm = None
-    condition_iii = None
     if include_gin:
         from .groebner import gin
         gin_ideal = gin(ideal, trials=trials, seed=seed)
+    lex = lex_ideal(ideal)
+    mismatch = tables_agree(ideal, lex)
+    condition_ii = mismatch is None
+    condition_i = condition_ii or mismatch[0] > 0
+    verdict = VERDICT_VIOLATION if condition_i != condition_ii else VERDICT_CONSISTENT
+    seq_cm = None
+    condition_iii = None
+    if include_gin:
         seq_verdict = sequentially_cm_verdict(ideal, gin_ideal=gin_ideal)
         seq_cm = seq_verdict.value
         condition_iii = (seq_verdict is SequentialCMVerdict.CONSISTENT
                          and gin_ideal == lex)
     return VerificationReport(
-        ideal=ideal, lex=lex,
-        sat_then_lex=exchange.left, lex_then_sat=exchange.right,
-        condition_i=exchange.holds,
+        ideal=ideal, lex=lex, condition_i=condition_i,
         condition_ii_on_window=condition_ii, first_mismatch=mismatch,
         gin=gin_ideal, seq_cm=seq_cm, condition_iii=condition_iii,
         verdict=verdict)

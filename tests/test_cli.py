@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 from window_oracle import lcm_window, windowed_rows_equal
 
 from lexlab import (DegreeWindow, InvalidArgument, MonomialIdeal, ParseError, Poly, RingSpec,
-                    UnluckyCoordinates, gin, lex_ideal, local_cohomology_table, parse_ideal, parse_monomial,
-                    parse_polynomial, parse_ring)
+                    UnluckyCoordinates, exchange_property, gin, lex_ideal,
+                    local_cohomology_table, parse_ideal, parse_monomial, parse_polynomial,
+                    parse_ring)
 from lexlab.cli import main
 from lexlab import reports
 from lexlab.cohomology import LCTable, default_window
+from lexlab.errors import InternalInconsistency
 from lexlab.reports import ideal_from_json, probe_rigidity, verify_main
 from lexlab.families import FamilySpec, all_strongly_stable
 
@@ -508,8 +511,9 @@ def test_cli_readme_tables_print_the_recorded_text(capsys, argv, recorded):
     assert out == (Path(__file__).parent / recorded).read_text()
 
 
-def test_verify_main_builds_tables_only_for_display(monkeypatch):
-    calls = {"local_cohomology_table": 0, "default_window": 0}
+def _count_report_calls(monkeypatch, *names):
+    """Calls that `reports` makes to each named function, by name."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(reports, name)
@@ -519,13 +523,20 @@ def test_verify_main_builds_tables_only_for_display(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(reports, name, wrapper)
 
-    for name in calls:
+    for name in names:
         counted(name)
+    return calls
+
+
+def test_verify_main_builds_tables_only_for_display(monkeypatch):
+    # the exchange sides too: condition (i) is read from row 0 of the tables
+    calls = _count_report_calls(monkeypatch, "local_cohomology_table", "default_window",
+                                "exchange_property")
     family = [I for I in all_strongly_stable(R3, 3) if not I.is_zero]
     assert len(family) == 64
     built = [verify_main(I, include_gin=with_gin) for I in family for with_gin in (False, True)]
     built += [verify_main(I) for I in non_stable_ideals()]
-    assert calls == {"local_cohomology_table": 0, "default_window": 0}
+    assert calls == {"local_cohomology_table": 0, "default_window": 0, "exchange_property": 0}
     monkeypatch.undo()
     for report in built:
         window = default_window(report.ideal, report.lex)
@@ -533,6 +544,44 @@ def test_verify_main_builds_tables_only_for_display(monkeypatch):
             "ideal": local_cohomology_table(report.ideal, window).to_json(),
             "lex": local_cohomology_table(report.lex, window).to_json()}, report.ideal
         assert report.table_ideal is report.table_ideal
+        sides = exchange_property(report.ideal)
+        assert (report.sat_then_lex, report.lex_then_sat) == (sides.left, sides.right)
+        assert report.condition_i == sides.holds, report.ideal
+
+
+def test_verify_main_sides_cross_check_row_zero(capsys, monkeypatch):
+    # a report whose (i) disagrees with its explicit sides is a bug: exit 3
+    holds = verify_main(parse_ideal(EXAMPLE_TEXT, R3))
+    fails = verify_main(MonomialIdeal(RingSpec(4), ((1, 0, 1, 0), (1, 0, 0, 1),
+                                                    (0, 1, 1, 0), (0, 1, 0, 1))))
+    assert holds.condition_i and not fails.condition_i
+    for report in (holds, fails):
+        for side in ("sat_then_lex", "lex_then_sat"):
+            flipped = dataclasses.replace(report, condition_i=not report.condition_i)
+            with pytest.raises(InternalInconsistency):
+                getattr(flipped, side)
+        flipped = dataclasses.replace(report, condition_i=not report.condition_i)
+        with pytest.raises(InternalInconsistency):
+            flipped.to_json()
+    import lexlab.cli as cli
+
+    def flipping(*args, **kwargs):
+        report = verify_main(*args, **kwargs)
+        return dataclasses.replace(report, condition_i=not report.condition_i)
+
+    monkeypatch.setattr(cli, "verify_main", flipping)
+    code, out, err = run(capsys, "verify-main", "--ring", "x,y,z", EXAMPLE_TEXT)
+    assert code == 3 and out == "" and "row 0" in err
+
+
+def test_verify_main_rejects_bad_trials_before_any_lex_work(monkeypatch):
+    calls = _count_report_calls(monkeypatch, "lex_ideal", "tables_agree")
+    ideal = parse_ideal("x^4*y^4, z^5*w^3", parse_ring("x,y,z,w"))
+    with pytest.raises(InvalidArgument):
+        verify_main(ideal, include_gin=True, trials=1)
+    assert calls == {"lex_ideal": 0, "tables_agree": 0}
+    assert _exit_code(["verify-main", "--ring", "x,y,z,w", "--with-gin", "--trials", "1",
+                       "x^4*y^4, z^5*w^3"]) == 2
 
 
 def test_report_json_with_gin():

@@ -419,6 +419,24 @@ def test_tables_agree_gives_the_top_of_the_lowest_differing_row():
         tables_agree(EXAMPLE, TWO_PLANES)
 
 
+def test_equal_ideals_compare_no_rows(monkeypatch):
+    # two instances with the same value: no row is built, on either route
+    def refuse(ideal):
+        raise AssertionError(f"rows built for {ideal}")
+
+    monkeypatch.setattr(cohomology, "_herzog_sbarra_rows", refuse)
+    monkeypatch.setattr(cohomology, "_takayama_rows", refuse)
+    _engine.cache_clear()
+    for I in (EXAMPLE, TWO_PLANES, MonomialIdeal(R3)):
+        copy = MonomialIdeal(I.ring, tuple(reversed(I.gens)))
+        assert copy is not I and copy == I
+        assert cohomology.equal_rows(I, copy) == (True,) * (I.ring.n + 1), I
+        assert tables_agree(I, copy) is None, I
+        assert sequentially_cm_verdict(I, gin_ideal=copy) is SequentialCMVerdict.CONSISTENT
+    assert _rigidity_member(lex_ideal(EXAMPLE)).equal_rows == (True,) * 4
+    assert _engine.cache_info().misses == 0
+
+
 # -- depth, dim, sequential CM -------------------------------------------------------
 
 

@@ -22,10 +22,11 @@ from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     is_gotzmann, lex_ideal, lex_ideal_from_values,
                     local_cohomology_table, macaulay_growth, multiplicity,
                     predict_lc_vanishing, saturate, saturated_lex_generators,
-                    strong_stability_witness)
+                    strong_stability_witness, verify_main)
 from lexlab.families import all_strongly_stable
 from lexlab.hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, poly_add,
                             values_from_numerator)
+from lexlab.reports import VERDICT_CONSISTENT
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -574,20 +575,32 @@ def test_exchange_examples():
     assert rep.holds and rep.left == saturated_lex and rep.right == saturated_lex
 
 
+def _assert_row_zero_decides_like_oracle(I, oracle):
+    # verify_main reads (i) from row 0 of the tables, the oracle from the
+    # explicit sides; both conditions must then agree
+    report = verify_main(I)
+    assert report.condition_i == oracle[0], I
+    assert report.verdict == VERDICT_CONSISTENT, I
+
+
 @pytest.mark.parametrize("n, max_degree", [(3, 5), (4, 4), (5, 3)])
 def test_exchange_matches_colon_oracle_on_families(n, max_degree):
     # the projection saturates I and its lex ideal; the oracle takes colons
     for I in all_strongly_stable(RingSpec(n), max_degree):
         if not I.is_zero:
+            oracle = exchange_by_colon(I)
             rep = exchange_property(I)
-            assert (rep.holds, rep.left, rep.right) == exchange_by_colon(I), I
+            assert (rep.holds, rep.left, rep.right) == oracle, I
             assert saturate(I) == _saturate_by_powers(I), I
+            _assert_row_zero_decides_like_oracle(I, oracle)
 
 
 def test_exchange_matches_colon_oracle_on_non_stable_ideals():
     for I in non_stable_ideals():
+        oracle = exchange_by_colon(I)
         rep = exchange_property(I)
-        assert (rep.holds, rep.left, rep.right) == exchange_by_colon(I), I
+        assert (rep.holds, rep.left, rep.right) == oracle, I
+        _assert_row_zero_decides_like_oracle(I, oracle)
 
 
 def test_exchange_artinian():
@@ -606,7 +619,7 @@ def test_inclusion_left_in_right():
         assert all(rep.right.contains(g) for g in rep.left.gens)
 
 
-def test_exchange_iff_h0_equալ():
+def test_exchange_iff_h0_equal():
     rng = random.Random(29)
     for _ in range(20):
         I = random_ideal(rng, R3, max_gens=4, max_deg=3)
@@ -621,6 +634,7 @@ def test_exchange_iff_h0_equալ():
             == brute_ideal_dim(satL, j) - brute_ideal_dim(L, j)
             for j in range(upto))
         assert exchange_property(I).holds == h0_equal
+        assert verify_main(I).condition_i == h0_equal
 
 
 def test_saturated_exchange_iff_lex_saturated():

@@ -1,7 +1,8 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
 has a user, no unused definitions or imports, exercised oracles, no threads,
-the strong-stability attribute kept to one module, no floating point, and
-the benchmark's answer checks and traced names working on the library."""
+the strong-stability attribute kept to one module, no floating point, ASCII
+source, and the benchmark's answer checks and traced names working on the
+library."""
 
 import ast
 import re
@@ -65,6 +66,18 @@ def test_library_is_float_free():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where} math.{alias.name}" for alias in node.names
                           if alias.name not in EXACT_MATH]
+    assert not found, found
+
+
+def test_library_and_tests_are_ascii():
+    # a look-alike letter in a name makes it a different name; test ids and
+    # greps must match what is typed
+    root = Path(lexlab.__file__).parent
+    files = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 20
+    found = [f"{f.name}:{number}" for f in files
+             for number, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1)
+             if not line.isascii()]
     assert not found, found
 
 
