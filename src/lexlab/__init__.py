@@ -13,7 +13,7 @@ from .gotzmann import (GotzmannData, exchange_property, gotzmann_representation,
                        saturated_lex_generators)
 from .groebner import buchberger, gin, initial_ideal, normal_form, spoly
 from .hilbert import (dimension, hilbert_function, hilbert_numerator, hilbert_series,
-                      macaulay_growth, multiplicity)
+                      multiplicity)
 from .ideals import (MonomialIdeal, colon, graded_generator_counts, intersect,
                      is_strongly_stable, maximal_ideal, saturate, strong_stability_witness)
 from .parsing import parse_ideal, parse_monomial, parse_polynomial, parse_ring

@@ -2,9 +2,10 @@
 
 The lex ideal of I is spanned degree by degree by initial lex segments of the
 same dimensions as I, so it depends only on the series numerator N of R/I.
-One walk over the Hilbert function values builds it, with one Macaulay
-growth bound per degree, and stops by Gotzmann persistence; it is also the
-library's one check of Macaulay's theorem.  The walk is memoised by
+One walk over the Hilbert function values builds it, bounding each degree's
+value by the number of monomials lex-after the shadow of the segment before
+(Macaulay), and stops by Gotzmann persistence; it is also the library's one
+check of Macaulay's theorem.  The walk is memoised by
 (ring, N), with N from the Eliahou-Kervaire formula for strongly stable
 input and from the pivot otherwise.  The saturation is controlled by the
 canonical binomial representation of the Hilbert polynomial, from which the
@@ -22,7 +23,7 @@ from typing import Iterator
 
 from .errors import MacaulayViolation
 from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
-                      macaulay_growth, poly_sub, poly_trim)
+                      poly_sub, poly_trim)
 from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, RingSpec
 
@@ -78,9 +79,8 @@ def gotzmann_representation(p, n: int) -> GotzmannData:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
         c = int(lead)
         run = poly_sub(binomial_in_x(a + 1, shift), binomial_in_x(a + 1, shift + c))
+        # the run leads with c/a! X^a, as the remainder does, so the degree drops
         remainder = poly_sub(remainder, run)
-        if remainder and len(remainder) - 1 >= a:
-            raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
         v[n - a - 2] = c   # slot n - a - 1, stored 0-based
         shift += c
     return GotzmannData(n, tuple(v))
@@ -124,6 +124,22 @@ def _lex_next(u: Exp) -> Exp:
     return (*u[:i], u[i] - 1, sum(u[i + 1:]) + 1, *(0,) * (len(u) - i - 2))
 
 
+def _count_after(u: Exp) -> int:
+    """The number of monomials of u's degree after u in lex order.
+
+    Those that first fall below u at position i agree with u before i and
+    hold less than u_i at i.  With r the degree u leaves from i on and k
+    the number of variables after i, C(r + k, k) monomials hold r in the
+    variables from i on, and C(r - u_i + k, k) of them at least u_i at i."""
+    count, r, k = 0, sum(u), len(u) - 1
+    for e in u[:-1]:
+        if e:
+            count += comb(r + k, k) - comb(r - e + k, k)
+            r -= e
+        k -= 1
+    return count
+
+
 def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
     """Walk the quotient's Hilbert function values H(0), H(1), ... and yield
     each degree's minimal generators of the lex ideal, from degree 0 on.
@@ -131,13 +147,13 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
     strongly stable, so both callers build through `_strongly_stable`.
 
     The shadow of the degree-(d-1) lex segment ending at m is the degree-d
-    segment ending at m*x_n (Macaulay), of size dim R_d minus the largest
-    value that H(d-1) allows.  So the degree-d generators are the next
-    bound - H(d) monomials after m*x_n, stepped through in lex order, or
-    from x_1^d on when the segment before is empty.  This is the one check
-    of Macaulay's theorem: the values are a Hilbert function exactly when
-    the walk meets no violation."""
-    last = None   # the last monomial of the previous degree's segment
+    segment ending at u = m*x_n (Macaulay), so H(d) is at most the number
+    of degree-d monomials after u, or dim R_d when the segment before is
+    empty.  The degree-d generators are the next bound - H(d) monomials
+    after u, stepped through in lex order, or from x_1^d on.  This is the
+    one check of Macaulay's theorem: the values are a Hilbert function
+    exactly when the walk meets no violation."""
+    u = None   # the end of the previous degree's segment, None while empty
     for d, value in enumerate(values):
         if not isinstance(value, int):
             raise MacaulayViolation(f"degree-{d} value {value!r} is not an integer")
@@ -149,17 +165,19 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
         if value < 0:
             raise MacaulayViolation(f"degree-{d} segment of size "
                                     f"{comb(d + n - 1, n - 1) - value} exceeds dim R_d")
-        bound = n if d == 1 else macaulay_growth(prev, d - 1)
+        if u is None:
+            bound = comb(d + n - 1, n - 1)
+        else:
+            u = (*u[:-1], u[-1] + 1)   # the shadow's end
+            bound = _count_after(u)
         if value > bound:
             raise MacaulayViolation(
                 f"values violate Macaulay growth between degrees {d - 1} and {d}")
-        u = None if last is None else (*last[:-1], last[-1] + 1)   # the shadow's end
         gens = []
         for _ in range(bound - value):
             u = (d, *(0,) * (n - 1)) if u is None else _lex_next(u)
             gens.append(u)
         yield gens
-        last, prev = u, value
 
 
 @dataclass(frozen=True)

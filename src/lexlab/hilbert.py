@@ -1,5 +1,5 @@
-"""Exact Hilbert functions, series numerators, Hilbert polynomials and
-Macaulay's growth bound for monomial quotients R/I.
+"""Exact Hilbert functions, series numerators and Hilbert polynomials for
+monomial quotients R/I.
 
 The series numerator N(t) with HS(R/I, t) = N(t) / (1-t)^n comes from
 Bigatti's pivot recursion on the minimal generators, for every monomial
@@ -275,28 +275,3 @@ def _strip_one_minus_t(num) -> tuple[tuple[int, ...], int]:
         current = poly_trim(q)
         count += 1
     return current, count
-
-
-# -- Macaulay's growth bound --------------------------------------------------
-
-
-def macaulay_growth(a: int, d: int) -> int:
-    """Largest admissible value of the Hilbert function in degree d+1 given a in d.
-
-    With a = C(k_d, d) + C(k_{d-1}, d-1) + ... the greedy decomposition
-    (Macaulay), the bound is C(k_d + 1, d + 1) + C(k_{d-1} + 1, d) + ..."""
-    if d < 1:
-        raise ValueError("Macaulay representations need degree >= 1")
-    if a < 0:
-        raise ValueError("cannot represent a negative integer")
-    growth = 0
-    for i in range(d, 0, -1):
-        if a <= i:
-            # the rest is C(i, i) + C(i-1, i-1) + ..., a terms that each grow to 1
-            return growth + a
-        k, c = i, 1   # c = C(k, i); step k up to the largest with C(k, i) <= a
-        while (wider := c * (k + 1) // (k + 1 - i)) <= a:
-            k, c = k + 1, wider
-        a -= c
-        growth += c * (k + 1) // (i + 1)   # C(k + 1, i + 1)
-    return growth

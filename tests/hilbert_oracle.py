@@ -18,9 +18,11 @@ takes n running sums of N's coefficients instead.
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
 
-The greedy binomial decomposition ``macaulay_rep``, summed term by term,
-checks ``lexlab.hilbert.macaulay_growth``, which takes the same greedy pass
-without building it.
+The greedy binomial decomposition ``macaulay_rep``, whose growth sums
+C(k_i + 1, i + 1) over its terms C(k_i, i), is Macaulay's bound on H(d + 1)
+from H(d).  It checks the bound the lex walk ``lexlab.gotzmann._lex_segments``
+takes from monomials instead: the number of degree-(d + 1) monomials
+lex-after the shadow of the degree-d segment (``_count_after``).
 
 Macaulay's conditions on raw values (value 1 in degree 0, each value within
 dim R_d, no restart after vanishing, growth within Macaulay's bound) check
@@ -35,8 +37,8 @@ from math import comb
 from helpers import GeneratorCapExceeded
 
 from lexlab.errors import InternalInconsistency, MacaulayViolation
-from lexlab.hilbert import (hilbert_numerator, macaulay_growth, poly_add, poly_mul,
-                            poly_shift, poly_sub, poly_trim, values_from_numerator)
+from lexlab.hilbert import (hilbert_numerator, poly_add, poly_mul, poly_shift, poly_sub,
+                            poly_trim, values_from_numerator)
 from lexlab.ideals import minimal_generators
 from lexlab.ring import Exp, monomial_lcm, total_degree
 
@@ -134,7 +136,7 @@ def validate_hilbert_values(values, n: int) -> None:
     for d in range(1, len(values) - 1):
         if values[d] == 0 and values[d + 1] != 0:
             raise MacaulayViolation(f"function restarts after vanishing in degree {d}")
-        if values[d] and values[d + 1] > macaulay_growth(values[d], d):
+        if values[d] and values[d + 1] > macaulay_rep(values[d], d).growth():
             raise MacaulayViolation(
                 f"growth {values[d]} -> {values[d + 1]} violates Macaulay's bound in degree {d}")
 

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from helpers import (brute_quotient_dim, grothendieck_serre_failures, non_stable_ideals,
                      random_ideal, random_stable_ideal)
-from hilbert_oracle import _numerator_inclusion_exclusion
+from hilbert_oracle import _numerator_inclusion_exclusion, macaulay_rep
 from window_oracle import adjoin_variable, lcm_window
 
 from lexlab import (DegreeWindow, FamilySpec, MonomialIdeal, RingSpec,
@@ -21,7 +21,7 @@ from lexlab import (DegreeWindow, FamilySpec, MonomialIdeal, RingSpec,
                     saturated_lex_generators, hilbert_series, tables_agree,
                     lex_ideal_from_values, strong_stability_witness, verify_main)
 from lexlab.groebner import _gin_trials
-from lexlab.hilbert import hilbert_numerator, macaulay_growth, values_from_numerator
+from lexlab.hilbert import hilbert_numerator, values_from_numerator
 from lexlab.reports import VERDICT_VIOLATION
 
 R2 = RingSpec(2)
@@ -235,7 +235,7 @@ def test_criterion_10_hilbert_engine():
             ok = False
             break
         for d in range(1, 9):
-            if brute[d] and brute[d + 1] > macaulay_growth(brute[d], d):
+            if brute[d] and brute[d + 1] > macaulay_rep(brute[d], d).growth():
                 ok = False
                 break
     elapsed = time.time() - t0

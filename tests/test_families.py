@@ -5,12 +5,13 @@ from math import comb
 
 import pytest
 from helpers import brute_quotient_dim, random_ideal
+from hilbert_oracle import macaulay_rep
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
-                    is_strongly_stable, lex_ideal, lex_ideal_from_values, macaulay_growth,
+                    is_strongly_stable, lex_ideal, lex_ideal_from_values,
                     strong_stability_witness)
 from lexlab.hilbert import hilbert_numerator, values_from_numerator
 from lexlab.ring import adjacent_moves, enumerate_monomials
@@ -97,7 +98,7 @@ def value_windows(draw):
     values = [draw(st.sampled_from((1, 1, 1, 0, 2)))]
     for d in range(1, draw(st.integers(0, 4)) + 1):
         prev, dim_prev = values[-1], comb(d + n - 2, n - 1)
-        bound = (macaulay_growth(prev, d - 1) if d > 1 and 0 <= prev <= dim_prev
+        bound = (macaulay_rep(prev, d - 1).growth() if d > 1 and 0 <= prev <= dim_prev
                  else comb(d + n - 1, n - 1))
         values.append(draw(st.integers(-1, bound + 1)))
     return n, tuple(values)

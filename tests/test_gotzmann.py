@@ -20,7 +20,7 @@ from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     enumerate_strongly_stable, exchange_property, gotzmann,
                     gotzmann_representation, graded_generator_counts, hilbert_series,
                     is_gotzmann, lex_ideal, lex_ideal_from_values,
-                    local_cohomology_table, macaulay_growth, multiplicity,
+                    local_cohomology_table, multiplicity,
                     predict_lc_vanishing, saturate, saturated_lex_generators,
                     strong_stability_witness, verify_main)
 from lexlab.families import all_strongly_stable
@@ -254,34 +254,38 @@ def test_lex_ideal_with_thousands_of_generators_is_built_in_seconds():
 
 
 def test_lex_ideal_takes_one_growth_per_degree_walked(monkeypatch):
-    calls = []
+    degrees = []
     steps = []
 
-    def counted(a, d):
-        calls.append(d)
-        return macaulay_growth(a, d)
+    def counted(u):
+        degrees.append(sum(u))
+        return count_after(u)
 
     def stepped(u):
         steps.append(u)
         return lex_next(u)
 
-    lex_next = gotzmann._lex_next
-    monkeypatch.setattr(gotzmann, "macaulay_growth", counted)
+    count_after, lex_next = gotzmann._count_after, gotzmann._lex_next
+    monkeypatch.setattr(gotzmann, "_count_after", counted)
     monkeypatch.setattr(gotzmann, "_lex_next", stepped)
     L = _lex_ideal_afresh(MonomialIdeal(R2, ((1000, 0), (0, 1000))))
-    assert len(calls) == 1999   # degrees 2..2000; the walk stops at 2000
+    # of the bounds in degrees 2..2000 (the walk stops at 2000), those up to
+    # 1000 follow an empty segment and are dim R_d; the other 1000 are counts
+    assert degrees == list(range(1001, 2001))
     # 1001 generators, the first taken as x^1000 without a step
     assert (len(L.gens), len(steps)) == (1001, 1000)
     for I in all_strongly_stable(R4, 3):
         if I.is_zero:
             continue
-        calls.clear()
+        degrees.clear()
         steps.clear()
         L = _lex_ideal_afresh(I)
         # the walk stops one past the top generator degree of I and of L,
-        # and takes one growth in every degree from 2 up to the stop
+        # and counts once in every degree from the one after L's lowest
+        # generator degree up to the stop
         stop = max(I.max_generator_degree(), L.max_generator_degree()) + 1
-        assert len(calls) == stop - 1, I
+        first = min(map(sum, L.gens))
+        assert degrees == list(range(first + 1, stop + 1)), I
         assert len(steps) <= len(L.gens), I
 
 

@@ -12,11 +12,11 @@ from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
                             values_by_binomial_sums)
 
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension,
-                    hilbert_function, hilbert_numerator, hilbert_series, macaulay_growth,
-                    multiplicity)
-from lexlab.gotzmann import lex_ideal
-from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, poly_eval,
+                    hilbert_function, hilbert_numerator, hilbert_series, multiplicity)
+from lexlab.gotzmann import _count_after, _lex_segments, lex_ideal
+from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, hilbert_values, poly_eval,
                             values_from_numerator)
+from lexlab.ring import enumerate_monomials
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -151,12 +151,12 @@ def _all_macaulay_reps(a, d, kmax=40):
 def test_macaulay_rep_examples():
     rep = macaulay_rep(3, 2)
     assert rep.binomials == ((3, 2),)
-    assert macaulay_growth(3, 2) == 4
+    assert rep.growth() == 4
     rep = macaulay_rep(5, 2)
     assert rep.binomials == ((3, 2), (2, 1))
-    assert macaulay_growth(5, 2) == 7
+    assert rep.growth() == 7
     assert macaulay_rep(0, 3).binomials == ()
-    assert macaulay_growth(0, 3) == 0
+    assert macaulay_rep(0, 3).growth() == 0
 
 
 def test_macaulay_rep_unique_and_greedy():
@@ -167,17 +167,47 @@ def test_macaulay_rep_unique_and_greedy():
             assert macaulay_rep(a, d).binomials == reps[0]
 
 
-def test_macaulay_growth_matches_the_representation():
-    # degrees 50 and 300 with a <= d + 60 cross into the tail where a <= i
-    pairs = [(a, d) for d in range(1, 10) for a in range(400)]
-    pairs += [(a, d) for d in (50, 300) for a in range(d + 61)]
-    for a, d in pairs:
-        rep = macaulay_rep(a, d)
-        assert rep.value() == a
-        assert macaulay_growth(a, d) == rep.growth(), (a, d)
-    for a, d in ((1, 0), (-1, 3)):
-        with pytest.raises(ValueError):
-            macaulay_growth(a, d)
+def _walk_bounds(n, num, top):
+    """(d, H(d - 1), bound) for each degree d >= 2 of the lex walk over the
+    values of num, up to its stop: the first degree above top that adds no
+    generator.  The walk yields bound - H(d) generators in degree d."""
+    values = []
+
+    def recorded():
+        for value in hilbert_values(num, n):
+            values.append(value)
+            yield value
+
+    for d, new in enumerate(_lex_segments(n, recorded())):
+        if d >= 2:
+            yield d, values[d - 1], len(new) + values[d]
+        if d > top and not new:
+            return
+
+
+def test_walk_bound_matches_the_representation():
+    for n in range(1, 6):
+        for d in range(7):
+            monomials = enumerate_monomials(n, d)
+            for rank, u in enumerate(monomials):
+                assert _count_after(u) == len(monomials) - 1 - rank, u
+    walks = {}
+    for n, top in ((3, 5), (4, 4), (5, 3)):
+        for I in all_strongly_stable(RingSpec(n), top):
+            if not I.is_zero:
+                key = n, hilbert_numerator(I)
+                walks[key] = max(walks.get(key, 0), I.max_generator_degree())
+    # walks past degree 300 cross into the tail where H(d - 1) <= d - 1
+    long_walks = [MonomialIdeal(RingSpec(2), ((160, 0), (0, 160))),
+                  MonomialIdeal(RingSpec(3), ((18, 0, 0), (0, 18, 0)))]
+    for I in long_walks:
+        walks[I.ring.n, hilbert_numerator(I)] = I.max_generator_degree()
+    tail = 0
+    for (n, num), top in walks.items():
+        for d, previous, bound in _walk_bounds(n, num, top):
+            assert bound == macaulay_rep(previous, d - 1).growth(), (n, num, d)
+            tail += d > 300 and previous <= d - 1
+    assert tail > 0
 
 
 def test_growth_bound_and_ideal_growth():
@@ -189,7 +219,7 @@ def test_growth_bound_and_ideal_growth():
         for d in range(1, 7):
             h = brute_quotient_dim(I, d)
             if h:
-                assert brute_quotient_dim(I, d + 1) <= macaulay_growth(h, d)
+                assert brute_quotient_dim(I, d + 1) <= macaulay_rep(h, d).growth()
             # the ideal's graded piece never shrinks under multiplication by m
             assert brute_ideal_dim(I, d + 1) >= len({
                 tuple(e + (1 if t == i else 0) for t, e in enumerate(u))
