@@ -89,11 +89,11 @@ def _monomial_ideal(args, ring) -> MonomialIdeal:
     return parsed
 
 
-def _emit(args, payload: dict, table: str) -> None:
+def _emit(args, make_payload, make_table) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(make_payload(), indent=2, sort_keys=True))
     else:
-        print(table)
+        print(make_table())
 
 
 def _values(text: str, option: str) -> tuple[int, ...]:
@@ -127,13 +127,12 @@ def _dispatch(args) -> int:
         data = hilbert_series(ideal, w.hi if w else None)
         poly = " + ".join(f"{c}*X^{k}" if k else str(c)
                           for k, c in enumerate(data.polynomial)) or "0"
-        table = "\n".join([
+        _emit(args, data.to_json, lambda: "\n".join([
             f"values 0..{len(data.values) - 1}: {' '.join(map(str, data.values))}",
             f"numerator:  {list(data.numerator)}",
             f"polynomial: {poly}",
             f"d0:         {data.d0}",
-        ])
-        _emit(args, data.to_json(), table)
+        ]))
         return 0
 
     if args.command == "lex":
@@ -143,51 +142,54 @@ def _dispatch(args) -> int:
             result = lex_ideal_from_values(ring, _values(args.values, "--values"))
         else:
             result = lex_ideal(_monomial_ideal(args, ring))
-        _emit(args, ideal_to_json(result), str(result))
+        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
         return 0
 
     if args.command == "sat":
         result = saturate(_monomial_ideal(args, ring))
-        _emit(args, ideal_to_json(result), str(result))
+        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
         return 0
 
     if args.command == "gin":
         result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
                      seed=args.seed, bound=args.bound)
-        _emit(args, ideal_to_json(result), str(result))
+        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
         return 0
 
     if args.command == "lc":
         ideal = _monomial_ideal(args, ring)
         table = local_cohomology_table(ideal, _window(args))
-        _emit(args, table.to_json(), table.table_str())
+        _emit(args, table.to_json, table.table_str)
         return 0
 
     if args.command == "verify-main":
         ideal = _monomial_ideal(args, ring)
         report = verify_main(ideal, include_gin=args.with_gin, trials=args.trials,
                              seed=args.seed)
-        _emit(args, report.to_json(), "\n".join(report.summary_lines()))
+        _emit(args, report.to_json, lambda: "\n".join(report.summary_lines()))
         return 4 if report.verdict == VERDICT_VIOLATION else 0
 
     if args.command == "enumerate":
         spec = _family_spec(args, ring)
         members = list(enumerate_strongly_stable(spec))
         members.sort(key=lambda m: m.gens)
-        payload = {"count": len(members), "members": [ideal_to_json(m) for m in members]}
-        _emit(args, payload, "\n".join(str(m) for m in members) or "(empty family)")
+        _emit(args, lambda: {"count": len(members),
+                             "members": [ideal_to_json(m) for m in members]},
+              lambda: "\n".join(str(m) for m in members) or "(empty family)")
         return 0
 
     if args.command == "probe-rigidity":
         spec = _family_spec(args, ring)
         report = probe_rigidity(spec)
-        lines = [f"members: {len(report.members)}"]
-        for m in report.members:
-            flags = "".join("=" if f else "!" for f in m.equal_rows)
-            lines.append(f"{'CANDIDATE ' if m.candidate else '          '}{flags}  {m.ideal}")
-        lines.append("candidates: " +
-                     (", ".join(str(m.ideal) for m in report.candidates) or "none found"))
-        _emit(args, report.to_json(), "\n".join(lines))
+        def table() -> str:
+            lines = [f"members: {len(report.members)}"]
+            for m in report.members:
+                flags = "".join("=" if f else "!" for f in m.equal_rows)
+                lines.append(f"{'CANDIDATE ' if m.candidate else '          '}{flags}  {m.ideal}")
+            lines.append("candidates: " +
+                         (", ".join(str(m.ideal) for m in report.candidates) or "none found"))
+            return "\n".join(lines)
+        _emit(args, report.to_json, table)
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

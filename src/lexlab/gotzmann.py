@@ -5,25 +5,23 @@ same dimensions as I, so it depends only on the series numerator N of R/I.
 One walk over the Hilbert function values builds it, bounding each degree's
 value by the number of monomials lex-after the shadow of the segment before
 (Macaulay), and stops by Gotzmann persistence; it is also the library's one
-check of Macaulay's theorem.  The walk is memoised by
-(ring, N), with N from the Eliahou-Kervaire formula for strongly stable
-input and from the pivot otherwise.  The saturation is controlled by the
-canonical binomial representation of the Hilbert polynomial, from which the
-generators and the vanishing pattern of local cohomology can be read off
-directly.
+check of Macaulay's theorem.  The walk is memoised by (ring, N), with N
+from the Eliahou-Kervaire formula for strongly stable input and from the
+pivot otherwise.  The saturation is controlled by the canonical binomial
+representation of the Hilbert polynomial, computed from N in integers, from
+which the generators and the vanishing pattern of local cohomology are read
+off directly; no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
 from .errors import MacaulayViolation
-from .hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, hilbert_values,
-                      poly_sub, poly_trim)
+from .hilbert import eliahou_kervaire, hilbert_numerator, hilbert_values
 from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, RingSpec
 
@@ -54,33 +52,36 @@ class GotzmannData:
         return sum(self.v)
 
 
-def gotzmann_representation(p, n: int) -> GotzmannData:
-    """Canonical decomposition of a Hilbert polynomial, given by its
-    coefficients from the constant term up, into shifted binomials
-    C(X + a_j - j + 1, a_j), j = 1..l.
+def _binom(m: int, r: int) -> int:
+    """C(m, r) = m (m - 1) ... (m - r + 1) / r! for any integer m."""
+    return comb(m, r) if m >= 0 else (-1) ** r * comb(r - m - 1, r)
 
-    The c summands of exponent a, c = a! times the leading coefficient left,
-    start at some index s and sum to C(X + a + 2 - s, a + 1) minus
-    C(X + a + 2 - s - c, a + 1) (hockey stick): one subtraction per run.
+
+def gotzmann_representation(num, n: int) -> GotzmannData:
+    """Canonical decomposition of the Hilbert polynomial P of the series
+    numerator num into shifted binomials C(X + a_j - j + 1, a_j), j = 1..l.
+
+    P(X) = sum_k N_k C(X - k + n - 1, n - 1) has degree < n, so its forward
+    differences D^k P(0), k < n, fix it, and D^k C(X + m, r) = C(X + m, r - k)
+    gives them in integers.  The next run's exponent a is the last k with
+    D^k P(0) != 0 and its count c is D^a P(0); its c summands after `shift`
+    others sum to C(X + a + 1 - shift, a + 1) - C(X + a + 1 - shift - c, a + 1)
+    (hockey stick), so each run is one subtraction.
 
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
     """
-    remainder = poly_trim(tuple(Fraction(c) for c in p))
-    if len(remainder) - 1 > n - 2:
-        raise MacaulayViolation(
-            f"polynomial degree {len(remainder) - 1} too large for {n} variables")
+    diffs = [sum(c * _binom(n - 1 - j, n - 1 - k) for j, c in enumerate(num)) for k in range(n)]
     v = [0] * max(n - 1, 0)
-    shift = 0   # summands before this run, s - 1
-    while remainder:
-        a = len(remainder) - 1
-        lead = remainder[-1] * factorial(a)
-        if lead.denominator != 1 or lead <= 0:
+    shift = 0   # summands before this run
+    while any(diffs):
+        a, c = max((k, d) for k, d in enumerate(diffs) if d)
+        if a > n - 2:
+            raise MacaulayViolation(f"polynomial degree {a} too large for {n} variables")
+        if c <= 0:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
-        c = int(lead)
-        run = poly_sub(binomial_in_x(a + 1, shift), binomial_in_x(a + 1, shift + c))
-        # the run leads with c/a! X^a, as the remainder does, so the degree drops
-        remainder = poly_sub(remainder, run)
+        for k in range(a + 1):   # clears D^a, so the degree drops
+            diffs[k] -= _binom(a + 1 - shift, a + 1 - k) - _binom(a + 1 - shift - c, a + 1 - k)
         v[n - a - 2] = c   # slot n - a - 1, stored 0-based
         shift += c
     return GotzmannData(n, tuple(v))

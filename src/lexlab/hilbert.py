@@ -69,7 +69,9 @@ def poly_eval(p, x) -> Fraction:
 
 
 def binomial_in_x(a: int, shift: int) -> tuple[Fraction, ...]:
-    """Coefficients of binom(X + a - shift, a) as a polynomial in X."""
+    """Coefficients of binom(X + a - shift, a) as a polynomial in X, in
+    Fractions.  Only the rational Hilbert polynomial that `hf` displays and
+    the test oracles use it; the Gotzmann data is read from N in integers."""
     coeffs: tuple = (Fraction(1),)
     for t in range(1, a + 1):
         coeffs = poly_mul(coeffs, (Fraction(t - shift), Fraction(1)))
@@ -267,11 +269,6 @@ def _strip_one_minus_t(num) -> tuple[tuple[int, ...], int]:
     current = poly_trim(num)
     count = 0
     while current and sum(current) == 0:
-        q = []
-        acc = 0
-        for c in current[:-1]:
-            acc += c
-            q.append(acc)
-        current = poly_trim(q)
+        current = poly_trim(values_from_numerator(current, 1, len(current) - 2))
         count += 1
     return current, count

@@ -16,9 +16,12 @@ Hilbert polynomial; it counts the Gotzmann number with
 reaches degrees where the set-based builder cannot.
 
 ``gotzmann_by_summands`` checks ``lexlab.gotzmann.gotzmann_representation``,
-which subtracts one run of equal exponents at a time.  It subtracts one
-binomial per summand and returns the exponent sequence itself, so its cost
-is the Gotzmann number.
+which reads one run of equal exponents at a time from the forward
+differences of the Hilbert polynomial, all in integers from the series
+numerator N.  The oracle takes the rational Hilbert polynomial instead,
+which ``hilbert_polynomial_of`` builds from N with ``binomial_in_x``, the
+route of the ``hf`` display.  It subtracts one binomial per summand and
+returns the exponent sequence itself, so its cost is the Gotzmann number.
 
 ``exchange_by_colon`` checks ``lexlab.gotzmann.exchange_property``, which
 saturates strongly stable input by projection and shares lex ideals by
@@ -28,6 +31,7 @@ walk over the pivot numerator, stopped past that ideal's top degree.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from ideals_oracle import _saturate_by_powers
@@ -35,8 +39,8 @@ from ideals_oracle import _saturate_by_powers
 from lexlab import MonomialIdeal, RingSpec, hilbert_series, lex_ideal_from_values
 from lexlab.errors import InternalInconsistency, MacaulayViolation
 from lexlab.gotzmann import _lex_segments
-from lexlab.hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, poly_sub,
-                            poly_trim, values_from_numerator)
+from lexlab.hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, poly_add,
+                            poly_sub, poly_trim, values_from_numerator)
 from lexlab.ring import Exp, enumerate_monomials, monomial_mul
 
 
@@ -65,6 +69,19 @@ def _segments_to_ideal(ring: RingSpec, ideal_dims: list[int]) -> MonomialIdeal:
         gens.extend(sorted(seg - shadow))
         prev = seg
     return MonomialIdeal(ring, tuple(gens))
+
+
+_binomial_in_x = lru_cache(maxsize=256)(binomial_in_x)
+
+
+def hilbert_polynomial_of(num, n: int) -> tuple[Fraction, ...]:
+    """P = sum_k N_k C(X - k + n - 1, n - 1) in Fractions, from the series
+    numerator N of a quotient of the n-variable ring."""
+    p: tuple = ()
+    for k, c in enumerate(num):
+        if c:
+            p = poly_add(p, tuple(c * b for b in _binomial_in_x(n - 1, k)))
+    return p
 
 
 def gotzmann_by_summands(p, n: int, cap: int | None = None) -> tuple[int, ...] | None:

@@ -152,16 +152,22 @@ def test_criterion_7_gotzmann_and_roundtrip():
                 ok = False
                 break
     ok = ok and found >= 5
-    targets = [((1,), 3, (0, 1)), ((2, 2), 4, (0, 2, 1)), ((1, 3), 4, (0, 3, 1))]
-    for coeffs, n, v in targets:
-        g = gotzmann_representation(coeffs, n)
+    # quotients with the Hilbert polynomials 1, 2X + 2 and 3X + 1: a point
+    # in P^2, two skew lines and a double line in P^3
+    targets = [(((1, 0, 0), (0, 1, 0)), (1,), (0, 1)),
+               (((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)), (2, 2), (0, 2, 1)),
+               (((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)), (1, 3), (0, 3, 1))]
+    for gens, coeffs, v in targets:
+        n = len(gens[0])
+        target = MonomialIdeal(RingSpec(n), gens)
+        g = gotzmann_representation(hilbert_numerator(target), n)
         if g.v != v:
             ok = False
             break
         built = saturated_lex_generators(g)
         data = hilbert_series(built, built.max_generator_degree() + n + 3)
-        from fractions import Fraction
-        if data.polynomial != tuple(Fraction(c) for c in coeffs):
+        if not (data.polynomial == hilbert_series(target).polynomial
+                == tuple(Fraction(c) for c in coeffs)):
             ok = False
             break
     report(7, ok, time.time() - t0,

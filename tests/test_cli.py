@@ -511,6 +511,24 @@ def test_cli_readme_tables_print_the_recorded_text(capsys, argv, recorded):
     assert out == (Path(__file__).parent / recorded).read_text()
 
 
+@pytest.mark.parametrize("fmt, recorded, unused", [
+    ("table", "verify_main_with_gin.txt", "to_json"),
+    ("json", "verify_main_with_gin.json", "summary_lines"),
+])
+def test_cli_verify_main_renders_only_the_format_asked(capsys, monkeypatch, fmt, recorded,
+                                                       unused):
+    # the other format would spell out every generator of the ideal, the lex
+    # ideal and both exchange sides once more, only to throw them away
+    calls = []
+    original = getattr(reports.VerificationReport, unused)
+    monkeypatch.setattr(reports.VerificationReport, unused,
+                        lambda self: calls.append(self) or original(self))
+    code, out, _ = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
+                       "--format", fmt, EXAMPLE_TEXT)
+    assert (code, calls) == (0, [])
+    assert out == (Path(__file__).parent / recorded).read_text()
+
+
 def _count_report_calls(monkeypatch, *names):
     """Calls that `reports` makes to each named function, by name."""
     calls = dict.fromkeys(names, 0)

@@ -13,7 +13,8 @@ from helpers import (all_exponents, brute_ideal_dim, brute_quotient_dim,
 from hilbert_oracle import validate_hilbert_values
 from ideals_oracle import _saturate_by_powers
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
-from lex_oracle import exchange_by_colon, gotzmann_by_summands, lex_ideal_gotzmann_bound
+from lex_oracle import (exchange_by_colon, gotzmann_by_summands, hilbert_polynomial_of,
+                        lex_ideal_gotzmann_bound)
 from window_oracle import lcm_window
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
@@ -35,6 +36,12 @@ EXAMPLE = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 2), (0, 1, 
 EXAMPLE_LEX = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0),
                                  (0, 2, 1), (0, 1, 2)))
 TWO_PLANES = MonomialIdeal(R4, ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))
+# quotients with the Hilbert polynomials of the Gotzmann examples
+POINT = MonomialIdeal(R3, ((1, 0, 0), (0, 1, 0)))                            # P = 1
+FIVE_POINTS = MonomialIdeal(R3, ((1, 0, 0), (0, 5, 0)))                      # P = 5
+LINE_AND_POINTS = MonomialIdeal(R3, ((2, 0, 0), (1, 2, 0)))                  # P = X + 3
+DOUBLE_LINE = MonomialIdeal(R4, ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)))  # P = 3X + 1
+# TWO_PLANES, the two skew lines xz = xw = yz = yw = 0 in P^3, has P = 2X + 2
 
 
 # -- lex ideals -----------------------------------------------------------------
@@ -343,21 +350,27 @@ def test_lex_ideal_is_memoised_by_value():
 # -- Gotzmann representation ------------------------------------------------------
 
 
+def _num(ideal):
+    return hilbert_numerator(ideal), ideal.ring.n
+
+
 def test_gotzmann_representation_examples():
-    g = gotzmann_representation((1,), 3)
+    g = gotzmann_representation(*_num(POINT))                    # P = 1
     assert (g.a, g.v, g.h, g.l) == ((0,), (0, 1), 2, 1)
-    g = gotzmann_representation((Fraction(2), Fraction(2)), 4)   # 2X + 2
+    g = gotzmann_representation(*_num(TWO_PLANES))               # 2X + 2
     assert (g.a, g.v, g.l) == ((1, 1, 0), (0, 2, 1), 3)
-    with pytest.raises(MacaulayViolation):
-        gotzmann_representation((0, 2), 4)                       # 2X
-    with pytest.raises(MacaulayViolation):
-        gotzmann_representation((1, 1), 2)                       # degree too large
+    two_x = (0, 2, -4, 2)                                        # 2t (1 - t)^2
+    assert hilbert_polynomial_of(two_x, 4) == (0, 2)
+    with pytest.raises(MacaulayViolation, match="not a Gotzmann-representable"):
+        gotzmann_representation(two_x, 4)                        # 2X
+    assert hilbert_polynomial_of((1,), 2) == (1, 1)
+    with pytest.raises(MacaulayViolation, match="degree 1 too large for 2 variables"):
+        gotzmann_representation((1,), 2)                         # the zero ideal: X + 1
 
 
 def _brute_representation_exists(p_coeffs, length):
     """Search all non-increasing a-sequences up to `length` reproducing p."""
-    from lexlab.gotzmann import binomial_in_x
-    from lexlab.hilbert import poly_add, poly_trim
+    from lexlab.hilbert import poly_trim
 
     target = poly_trim(tuple(Fraction(c) for c in p_coeffs))
     maxdeg = max((i for i, c in enumerate(target) if c), default=0)
@@ -379,52 +392,60 @@ def test_gotzmann_representation_against_search():
     assert not _brute_representation_exists((0, 2), 6)   # 2X has none at all
 
 
-def _family_polynomials():
-    """The distinct Hilbert polynomials of R3 d <= 5, R4 d <= 4 and R5 d <= 3,
-    each as sum_k N_k C(X + n - 1 - k, n - 1) over its numerator N."""
-    polys = set()
-    for n, d in ((3, 5), (4, 4), (5, 3)):
-        for num in {eliahou_kervaire(I.gens)
-                    for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero}:
-            poly = ()
-            for k, c in enumerate(num):
-                poly = poly_add(poly, tuple(c * b for b in binomial_in_x(n - 1, k)))
-            polys.add((n, poly))
-    return polys
+def _family_numerators():
+    """The distinct series numerators of R3 d <= 5, R4 d <= 4 and R5 d <= 3."""
+    return {(n, eliahou_kervaire(I.gens)) for n, d in ((3, 5), (4, 4), (5, 3))
+            for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero}
+
+
+def _times_one_minus_t(m, e):
+    """The coefficients of m(t) (1 - t)^e."""
+    out = [0] * (len(m) + e)
+    for i, c in enumerate(m):
+        for j in range(e + 1):
+            out[i + j] += c * (-1) ** j * comb(e, j)
+    return tuple(out)
 
 
 def _outcome(route, *args):
     try:
         return route(*args)
-    except MacaulayViolation:
-        return "rejected"
+    except MacaulayViolation as exc:
+        return f"rejected: {exc}"
 
 
 def test_gotzmann_runs_match_summand_loop():
-    # one subtraction per run against one per summand: the same exponents,
-    # their v-vector (slot n - a - 1), count and h (the slot of the smallest)
-    polys = _family_polynomials()
-    assert len(polys) == 394
-    for n, p in polys:
-        a, g = gotzmann_by_summands(p, n), gotzmann_representation(p, n)
-        assert g.a == a and g.l == len(a), (n, p)
-        assert g.v == tuple(a.count(n - i - 1) for i in range(1, n)), (n, p)
-        assert g.h == (n - 1 - a[-1] if a else 0), (n, p)
-    # seeded random rational polynomials: accepted and rejected alike
+    # one subtraction per run, in integers from the numerator, against one
+    # per summand on the rational polynomial: the same exponents, their
+    # v-vector (slot n - a - 1), count and h (the slot of the smallest)
+    nums = _family_numerators()
+    assert len(nums) == 4196
+    by_polynomial = {}
+    for n, num in nums:
+        p = hilbert_polynomial_of(num, n)
+        if (n, p) not in by_polynomial:
+            by_polynomial[n, p] = gotzmann_by_summands(p, n)
+        a, g = by_polynomial[n, p], gotzmann_representation(num, n)
+        assert g.a == a and g.l == len(a), (n, num)
+        assert g.v == tuple(a.count(n - i - 1) for i in range(1, n)), (n, num)
+        assert g.h == (n - 1 - a[-1] if a else 0), (n, num)
+    assert len(by_polynomial) == 394
+    # seeded random numerators M(t) (1 - t)^(n - 1 - d): P has degree at most
+    # d, up to n - 1, and leads with M(1)/d!; accepted and rejected alike
     rng = random.Random(24)
     outcomes = {"accepted": 0, "rejected": 0, "skipped": 0}
     for _ in range(4000):
         n = rng.randint(2, 6)
-        d = rng.randint(0, n - 2)
-        p = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 6, factorial(d))))
-             for _ in range(d)] + [Fraction(rng.randint(0, 4), factorial(d))]
-        a = _outcome(gotzmann_by_summands, p, n, 2000)   # None past 2000 summands
-        if a is None:
+        d = rng.randint(0, n - 1)
+        num = _times_one_minus_t([rng.randint(-3, 4) for _ in range(rng.randint(1, 4))],
+                                 n - 1 - d)
+        a = _outcome(gotzmann_by_summands, hilbert_polynomial_of(num, n), n, 2000)
+        if a is None:   # past 2000 summands
             outcomes["skipped"] += 1
             continue
-        g = _outcome(gotzmann_representation, p, n)
-        assert (g if g == "rejected" else g.a) == a, (n, p)
-        outcomes["rejected" if a == "rejected" else "accepted"] += 1
+        g = _outcome(gotzmann_representation, num, n)
+        assert (g if isinstance(g, str) else g.a) == a, (n, num)   # the same message
+        outcomes["rejected" if isinstance(a, str) else "accepted"] += 1
     assert outcomes["accepted"] > 1000 and outcomes["rejected"] > 1000, outcomes
 
 
@@ -434,37 +455,62 @@ FOUR_SQUARES_R8 = MonomialIdeal(RingSpec(8), tuple(
 
 def test_gotzmann_representation_of_four_squares_in_r8():
     # Gotzmann number 11,356,522: one subtraction per summand cannot meet the bound
-    p = hilbert_series(FOUR_SQUARES_R8).polynomial
+    num = hilbert_numerator(FOUR_SQUARES_R8)
+    assert num == (1, 0, -4, 0, 6, 0, -4, 0, 1)
     t0 = time.perf_counter()
-    g = gotzmann_representation(p, 8)
+    g = gotzmann_representation(num, 8)
     elapsed = time.perf_counter() - t0
     assert g.v == (0, 0, 0, 16, 88, 4700, 11351718)
     assert g.l == 11_356_522 and g.h == 7
     assert elapsed < 1.0, elapsed
 
 
+def test_gotzmann_representation_builds_no_fraction(monkeypatch):
+    # the Gotzmann data comes from the numerator in integers, as criterion
+    # 13 requires of verify_main
+    nums = [*_family_numerators(), (8, hilbert_numerator(FOUR_SQUARES_R8))]
+    made = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    data = [gotzmann_representation(num, n) for n, num in nums]
+    monkeypatch.undo()
+    assert (len(data), data[-1].l, made[0]) == (4197, 11_356_522, 0)
+
+
 def test_gotzmann_representation_subtracts_once_per_run(monkeypatch):
+    # n binomials per numerator term give D^k P(0), k < n; then a run of
+    # exponent a subtracts two binomials from each of D^0..D^a, once
     calls = []
+    binom = gotzmann._binom
 
-    def counted(a, shift):
-        calls.append((a, shift))
-        return binomial_in_x(a, shift)
+    def counted(m, r):
+        calls.append((m, r))
+        return binom(m, r)
 
-    monkeypatch.setattr(gotzmann, "binomial_in_x", counted)
-    for n, p in ((3, (5,)), (4, (2, 2)), (8, hilbert_series(FOUR_SQUARES_R8).polynomial)):
+    monkeypatch.setattr(gotzmann, "_binom", counted)
+    for ideal in (FIVE_POINTS, TWO_PLANES, FOUR_SQUARES_R8):
+        num, n = _num(ideal)
         calls.clear()
-        g = gotzmann_representation(p, n)
-        assert len(calls) == 2 * sum(1 for count in g.v if count) <= 2 * (n - 1), (n, calls)
+        g = gotzmann_representation(num, n)
+        runs = [n - i for i, count in enumerate(g.v, 1) if count]   # a + 1 per run
+        assert len(runs) <= n - 1
+        assert len(calls) == n * len(num) + 2 * sum(runs), (n, calls)
 
 
 def test_gotzmann_representation_empty():
-    g = gotzmann_representation((), 3)
+    g = gotzmann_representation((), 3)   # the unit ideal's numerator
     assert (g.a, g.h, g.l) == ((), 0, 0)
     assert saturated_lex_generators(g).is_unit
+    artinian = MonomialIdeal(R3, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))   # P = 0, N != 0
+    assert gotzmann_representation(*_num(artinian)) == g
 
 
 def test_binomial_in_x_is_exact():
-    from lexlab.gotzmann import binomial_in_x
     coeffs = binomial_in_x(2, 1)   # binom(X + 1, 2) = X/2 + X^2/2
     assert coeffs == (0, Fraction(1, 2), Fraction(1, 2))
     assert all(type(c) is Fraction for c in coeffs)
@@ -477,7 +523,6 @@ def _exact(values) -> bool:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(a=st.integers(0, 6), shift=st.integers(-4, 8), x=st.integers(0, 12))
 def test_binomial_in_x_has_no_float(a, shift, x):
-    from lexlab.gotzmann import binomial_in_x
     from lexlab.hilbert import poly_eval
     coeffs = binomial_in_x(a, shift)
     assert _exact(coeffs)
@@ -488,13 +533,14 @@ def test_binomial_in_x_has_no_float(a, shift, x):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(2, 5), data=st.data())
 def test_gotzmann_representation_has_no_float(n, data):
-    from lexlab.gotzmann import binomial_in_x
-    from lexlab.hilbert import poly_add
+    # the summand C(X + a - i, a) is the polynomial of t^i (1 - t)^(n - 1 - a)
     a = sorted(data.draw(st.lists(st.integers(0, n - 2), max_size=6)), reverse=True)
-    p = ()
+    num, p = (), ()
     for i, ai in enumerate(a):
+        num = poly_add(num, _times_one_minus_t((0,) * i + (1,), n - 1 - ai))
         p = poly_add(p, binomial_in_x(ai, i))
-    g = gotzmann_representation(p, n)
+    assert hilbert_polynomial_of(num, n) == p
+    g = gotzmann_representation(num, n)
     assert g.a == tuple(a)
     assert _exact(g.a) and _exact(g.v) and _exact((g.h, g.l))
 
@@ -513,28 +559,31 @@ def test_lex_of_float_leak_regression():
 
 
 def test_saturated_lex_generators_examples():
-    g = gotzmann_representation((1,), 3)
-    assert saturated_lex_generators(g) == MonomialIdeal(R3, ((1, 0, 0), (0, 1, 0)))
-    g = gotzmann_representation((2, 2), 4)
+    g = gotzmann_representation(*_num(POINT))
+    assert saturated_lex_generators(g) == POINT
+    g = gotzmann_representation(*_num(TWO_PLANES))
     expected = MonomialIdeal(R4, ((1, 0, 0, 0), (0, 3, 0, 0), (0, 2, 1, 0)))
     assert saturated_lex_generators(g) == expected
     assert saturate(lex_ideal(TWO_PLANES)) == expected
-    g = gotzmann_representation((1, 3), 4)               # 3X + 1
+    g = gotzmann_representation(*_num(DOUBLE_LINE))      # 3X + 1
     built = saturated_lex_generators(g)
     assert built == MonomialIdeal(R4, ((1, 0, 0, 0), (0, 4, 0, 0), (0, 3, 1, 0)))
     assert hilbert_series(built, 10).polynomial == (Fraction(1), Fraction(3))
 
 
 def test_roundtrip_hilbert_polynomial():
-    for coeffs, n in (((1,), 3), ((2, 2), 4), ((1, 3), 4), ((5,), 3), ((3, 1), 3)):
-        g = gotzmann_representation(coeffs, n)
+    for ideal, coeffs in ((POINT, (1,)), (TWO_PLANES, (2, 2)), (DOUBLE_LINE, (1, 3)),
+                          (FIVE_POINTS, (5,)), (LINE_AND_POINTS, (3, 1))):
+        assert hilbert_series(ideal).polynomial == tuple(Fraction(c) for c in coeffs)
+        n = ideal.ring.n
+        g = gotzmann_representation(*_num(ideal))
         built = saturated_lex_generators(g)
         data = hilbert_series(built, built.max_generator_degree() + n + 3)
         assert data.polynomial == tuple(Fraction(c) for c in coeffs)
 
 
 def test_predict_lc_vanishing():
-    g = gotzmann_representation((1,), 3)          # v = (0, 1)
+    g = gotzmann_representation(*_num(POINT))     # v = (0, 1)
     vanish = predict_lc_vanishing(g)
     assert 2 in vanish and 1 not in vanish and 0 in vanish
     # engine cross-check on R/(x, y) over 3 variables
@@ -544,7 +593,7 @@ def test_predict_lc_vanishing():
     for i in range(3):
         assert (i in vanish) == (i not in rows)
 
-    g = gotzmann_representation((2, 2), 4)        # v = (0, 2, 1)
+    g = gotzmann_representation(*_num(TWO_PLANES))   # v = (0, 2, 1)
     vanish = predict_lc_vanishing(g)
     assert vanish == frozenset({0, 3})
     sat = saturated_lex_generators(g)
@@ -555,7 +604,7 @@ def test_predict_lc_vanishing():
 
 
 def test_predict_all_entries_nonzero():
-    g = gotzmann_representation((2, 2), 4)
+    g = gotzmann_representation(*_num(TWO_PLANES))
     assert all(i not in predict_lc_vanishing(g)
                for i in range(4 - g.h, 4) if g.v[4 - i - 1])
 

@@ -1,8 +1,8 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
 has a user, no unused definitions or imports, exercised oracles, no threads,
-the strong-stability attribute kept to one module, no floating point, ASCII
-source, and the benchmark's answer checks and traced names working on the
-library."""
+the strong-stability attribute kept to one module, no floating point,
+rational arithmetic kept to four modules, ASCII source, and the benchmark's
+answer checks and traced names working on the library."""
 
 import ast
 import re
@@ -67,6 +67,20 @@ def test_library_is_float_free():
                 found += [f"{where} math.{alias.name}" for alias in node.names
                           if alias.name not in EXACT_MATH]
     assert not found, found
+
+
+def test_fraction_is_confined():
+    # Fractions serve polynomial coefficients, their parsing, Groebner bases
+    # over Q and the Hilbert polynomial that `hf` displays; lex ideals, the
+    # Gotzmann data and local cohomology are computed in integers
+    importers = set()
+    for f in Path(lexlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if (isinstance(node, ast.Import) and any(alias.name == "fractions"
+                                                     for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                importers.add(f.stem)
+    assert importers == {"ring", "parsing", "groebner", "hilbert"}, importers
 
 
 def test_library_and_tests_are_ascii():
