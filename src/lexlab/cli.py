@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / consistent, 2 parse error, 3 engine error (unlucky
-coordinates, inadmissible data), 4 theorem violation.
+coordinates, inadmissible data, out of memory), 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"lexlab: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("lexlab: out of memory", file=sys.stderr)
         return 3
 
 

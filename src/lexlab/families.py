@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterator, Union
 
 from .errors import InvalidArgument, MacaulayViolation
-from .gotzmann import lex_ideal, lex_ideal_from_values
-from .hilbert import hilbert_numerator, values_from_numerator
+from .gotzmann import lex_ideal_from_values, lex_top_degree
+from .hilbert import eliahou_kervaire, hilbert_numerator, values_from_numerator
 from .ideals import MonomialIdeal
 from .ring import Exp, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
 
@@ -66,32 +67,28 @@ def _shadow(ring: RingSpec, layer: frozenset[Exp]) -> frozenset[Exp]:
 
 
 def _strongly_stable(ring: RingSpec, max_degree: int,
-                     required: list[int] | None = None) -> Iterator[MonomialIdeal]:
+                     values: list[int] | None = None) -> Iterator[MonomialIdeal]:
     """Every strongly stable ideal with minimal generators in degrees <= max_degree;
-    with `required`, only those with dim I_d = required[d] for every listed d.
+    with `values`, only those with dim (R/I)_d = values[d] for every d <= max_degree.
 
     Depth first, degree by degree: stack[d] yields the choices of the
     degree-d layer, so no call nests per degree.  A layer minus the shadow
     of the layer below is that degree's minimal generators, and the layers
     are Borel-closed, so each member is built as known strongly stable."""
     n = ring.n
-    top = max_degree if required is None else len(required) - 1
 
     def layers(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]
                ) -> Iterator[tuple[frozenset[Exp], tuple[Exp, ...]]]:
         shadow = _shadow(ring, prev)
-        size = None if required is None else required[d]
-        if d > max_degree:
-            if len(shadow) == size:
-                yield shadow, gens
-        elif size is None or size >= len(shadow):
+        size = None if values is None else comb(d + n - 1, n - 1) - values[d]
+        if size is None or size >= len(shadow):
             for layer in borel_filters(n, d, shadow, size):
                 yield layer, gens + tuple(sorted(layer - shadow))
 
     stack = [iter([(frozenset(), ())])]   # degree 0: no monomial
     while stack:
         for layer, gens in stack[-1]:
-            if len(stack) > top:
+            if len(stack) > max_degree:
                 yield MonomialIdeal._strongly_stable(ring, gens)
             else:
                 stack.append(layers(len(stack), layer, gens))
@@ -104,25 +101,27 @@ def enumerate_strongly_stable(spec: FamilySpec) -> Iterator[MonomialIdeal]:
     """Every strongly stable ideal with the target's Hilbert function (on the
     values' window, for a value target) and generators in degrees <= max_degree.
 
-    No member has a generator above T, the top generator degree of the
-    target's lex ideal, as the lex segment has the smallest shadow (Macaulay);
-    so the layers stop at min(max_degree, T).  An ideal target is compared up
-    to T + 1: a member generated in degrees <= T that matches there grows
-    maximally from T on (Gotzmann persistence), as the target does."""
+    No member has a generator above T, the lex ideal's top degree (Macaulay),
+    so the layers stop at min(max_degree, T).  An ideal target reads T from
+    its numerator N (`lex_top_degree`) and keeps the members with numerator
+    N; a value target reads T from its lex ideal, its Macaulay check."""
     ring, target = spec.ring, spec.target
     n = ring.n
     if isinstance(target, MonomialIdeal):
         if target.is_unit:
             raise MacaulayViolation("target leaves no room for a proper ideal")
-        top = lex_ideal(target).max_generator_degree()
-        values = values_from_numerator(hilbert_numerator(target), n, top + 1)
+        want = hilbert_numerator(target)
+        top = min(spec.max_degree, lex_top_degree(want, n))
+        values = values_from_numerator(want, n, top)
+        key = tuple   # the member's numerator as it is
     else:
-        values = list(target)
+        want = values = list(target)
         if len(values) <= spec.max_degree:
             raise MacaulayViolation("target values must cover degrees up to max_degree")
-        top = lex_ideal_from_values(ring, values).max_generator_degree()
-    required = [comb(d + n - 1, n - 1) - values[d] for d in range(len(values))]
-    yield from _strongly_stable(ring, min(spec.max_degree, top), required)
+        top = min(spec.max_degree, lex_ideal_from_values(ring, values).max_generator_degree())
+        key = partial(values_from_numerator, n=n, upto=len(values) - 1)
+    members = _strongly_stable(ring, top, values)
+    yield from (m for m in members if key(eliahou_kervaire(m.gens)) == want)
 
 
 def all_strongly_stable(ring: RingSpec, max_degree: int) -> Iterator[MonomialIdeal]:

@@ -87,6 +87,17 @@ def gotzmann_representation(num, n: int) -> GotzmannData:
     return GotzmannData(n, tuple(v))
 
 
+def lex_top_degree(num, n: int) -> int:
+    """T, the top generator degree of the lex ideal of the quotients with
+    series numerator num: 0 for the zero ideal (N = 1), else max(l, deg N -
+    n + 1), l the Gotzmann number.  From there on H = P grows maximally
+    (Gotzmann); the stable lex ideal's Betti shifts give T >= deg N - n + 1,
+    and its saturation L_P has a generator in degree l."""
+    if num == (1,):
+        return 0
+    return max(gotzmann_representation(num, n).l, len(num) - n)
+
+
 def saturated_lex_generators(data: GotzmannData, ring: RingSpec | None = None) -> MonomialIdeal:
     """The saturated lex ideal whose quotient has the represented polynomial."""
     ring = ring or RingSpec(data.n)

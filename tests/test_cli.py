@@ -3,8 +3,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from lexlab import (DegreeWindow, InvalidArgument, MonomialIdeal, ParseError, Po
                     UnluckyCoordinates, exchange_property, gin, lex_ideal,
                     local_cohomology_table, parse_ideal, parse_monomial, parse_polynomial,
                     parse_ring)
+import lexlab
 from lexlab.cli import main
 from lexlab import reports
 from lexlab.cohomology import LCTable, default_window
@@ -311,6 +316,24 @@ def test_cli_malformed_numbers_exit_2(capsys):
     assert code == 2 and "parse error" in err
 
 
+def _limit_address_space():
+    limit = 256 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["lex", "verify-main"])
+def test_cli_out_of_memory_is_one_line_and_exit_3(command):
+    # the lex ideal of four squares in R8 (Gotzmann number 11,356,522) does
+    # not fit in 256 MB of address space
+    src = Path(lexlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexlab.cli", command, "--ring", "x1,x2,x3,x4,x5,x6,x7,x8",
+         "x1^2, x2^2, x3^2, x4^2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "lexlab: out of memory\n")
+
+
 # -- the exit-code contract under fuzzed input ----------------------------------
 
 
@@ -434,6 +457,17 @@ def test_cli_family_walk_stops_at_the_lex_top_degree(capsys):
     assert code == 0 and out.splitlines()[0] == "members: 1"
     assert "(x^2, x*y, y^3)" in out
     assert elapsed < 2, elapsed
+
+
+def test_cli_family_capped_far_below_the_lex_top_degree(capsys):
+    # T is the Gotzmann number 11,356,522 here; the layers stop at the cap of
+    # 3 and no lex ideal is built
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "--ring", "x1,x2,x3,x4,x5,x6,x7,x8",
+                       "--from-ideal", "x1^2, x2^2, x3^2, x4^2", "--max-degree", "3")
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and out.strip() == "(empty family)"
+    assert elapsed < 5, elapsed
 
 
 def test_cli_probe_rigidity(capsys):

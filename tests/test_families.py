@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import time
 from math import comb
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     all_strongly_stable, borel_filters, enumerate_strongly_stable,
-                    is_strongly_stable, lex_ideal, lex_ideal_from_values,
+                    gotzmann, is_strongly_stable, lex_ideal, lex_ideal_from_values,
                     strong_stability_witness)
+from lexlab.gotzmann import lex_top_degree
 from lexlab.hilbert import hilbert_numerator, values_from_numerator
 from lexlab.ring import adjacent_moves, enumerate_monomials
 
@@ -218,6 +220,37 @@ def _oracle_targets():
         if not ideal.is_unit:
             targets.append(ideal)
     return targets
+
+
+X3Y3_R4 = MonomialIdeal(RingSpec(4), ((3, 0, 0, 0), (0, 3, 0, 0)))
+
+
+def test_families_build_no_lex_ideal(monkeypatch):
+    # T comes from the target's numerator and a member is kept by its own,
+    # so an ideal target walks no lex ideal; the cache clear makes a walk of
+    # (x^3, y^3) run here if the enumerator asks for one
+    def refuse(walk):
+        raise AssertionError(f"the family walked the lex ideal of {walk.num}")
+
+    monkeypatch.setattr(gotzmann, "_lex_by_numerator", refuse)
+    lex_ideal.cache_clear()
+    members = list(enumerate_strongly_stable(FamilySpec(X3Y3_R4.ring, X3Y3_R4, 6)))
+    assert len(members) == 9
+    num = hilbert_numerator(X3Y3_R4)
+    assert all(hilbert_numerator(m) == num for m in members)
+
+
+def test_family_capped_far_below_its_top_degree_is_fast():
+    # T is 27 here, and the layers stop at the cap of 9 instead of stepping
+    # shadows up to T + 1
+    assert lex_top_degree(hilbert_numerator(X3Y3_R4), 4) == 27
+    t0 = time.perf_counter()
+    members = list(enumerate_strongly_stable(FamilySpec(X3Y3_R4.ring, X3Y3_R4, 9)))
+    elapsed = time.perf_counter() - t0
+    assert len(members) == len(set(members)) == 750
+    num = hilbert_numerator(X3Y3_R4)
+    assert all(hilbert_numerator(m) == num for m in members)
+    assert elapsed < 15, elapsed
 
 
 def test_families_equal_the_brute_force_filter():

@@ -25,6 +25,7 @@ from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     predict_lc_vanishing, saturate, saturated_lex_generators,
                     strong_stability_witness, verify_main)
 from lexlab.families import all_strongly_stable
+from lexlab.gotzmann import lex_top_degree
 from lexlab.hilbert import (binomial_in_x, eliahou_kervaire, hilbert_numerator, poly_add,
                             values_from_numerator)
 from lexlab.reports import VERDICT_CONSISTENT
@@ -462,6 +463,54 @@ def test_gotzmann_representation_of_four_squares_in_r8():
     elapsed = time.perf_counter() - t0
     assert g.v == (0, 0, 0, 16, 88, 4700, 11351718)
     assert g.l == 11_356_522 and g.h == 7
+    assert elapsed < 1.0, elapsed
+
+
+def _family_ideals_by_numerator():
+    """One member for each distinct numerator of R3 d <= 5, R4 d <= 4 and R5 d <= 3."""
+    return {(n, eliahou_kervaire(I.gens)): I for n, d in ((3, 5), (4, 4), (5, 3))
+            for I in all_strongly_stable(RingSpec(n), d) if not I.is_zero}
+
+
+def test_lex_top_degree_is_the_top_degree_of_the_walk():
+    # T = max(l, deg N - n + 1) against the walk, which stops by persistence
+    # and reads no Gotzmann data
+    ideals = _family_ideals_by_numerator()
+    assert len(ideals) == 4196
+    for (n, num), I in ideals.items():
+        assert lex_top_degree(num, n) == lex_ideal(I).max_generator_degree(), I
+    for I in non_stable_ideals():   # criterion 12's 300
+        assert (lex_top_degree(hilbert_numerator(I), I.ring.n)
+                == lex_ideal(I).max_generator_degree()), I
+
+
+def test_lex_top_degree_at_both_ends_of_the_bound():
+    # artinian: l = 0 and deg N - n + 1 decides
+    squares = MonomialIdeal(R3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    num = hilbert_numerator(squares)
+    assert gotzmann_representation(num, 3).l == 0
+    assert lex_top_degree(num, 3) == lex_ideal(squares).max_generator_degree() == 4
+    # hypersurfaces of degree d < n: deg N - n + 1 <= 0 and l = d decides
+    for n in range(2, 7):
+        for d in range(1, n):
+            I = MonomialIdeal(RingSpec(n), (tuple(1 if i < d else 0 for i in range(n)),))
+            num = hilbert_numerator(I)
+            assert len(num) - n <= 0
+            assert lex_top_degree(num, n) == lex_ideal(I).max_generator_degree() == d, I
+    assert lex_top_degree((1,), 3) == 0   # the zero ideal
+    assert lex_top_degree(hilbert_numerator(MonomialIdeal(RingSpec(1), ((5,),))), 1) == 5
+
+
+def test_lex_top_degree_of_four_squares_in_r8_walks_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lex_top_degree walked the lex ideal")
+
+    monkeypatch.setattr(gotzmann, "_lex_by_numerator", refuse)
+    monkeypatch.setattr(gotzmann, "_lex_segments", refuse)
+    t0 = time.perf_counter()
+    T = lex_top_degree(hilbert_numerator(FOUR_SQUARES_R8), 8)
+    elapsed = time.perf_counter() - t0
+    assert T == 11_356_522
     assert elapsed < 1.0, elapsed
 
 
