@@ -38,7 +38,6 @@ exact, by fraction-free elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
@@ -48,16 +47,18 @@ from .errors import InternalInconsistency, InvalidArgument
 from .hilbert import _expand_tally, _tally, dimension, hilbert_values
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
+from .ring import Frozen
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
-    lo: int
-    hi: int
+class DegreeWindow(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise InvalidArgument(f"empty degree window: lo {self.lo} exceeds hi {self.hi}")
+    def __init__(self, lo: int, hi: int) -> None:
+        if lo > hi:
+            raise InvalidArgument(f"empty degree window: lo {lo} exceeds hi {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_values", (lo, hi))
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -193,13 +194,17 @@ def _times_binomial(terms: dict[int, int], lo: int, hi: int) -> dict[int, int]:
 # -- local cohomology tables --------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class LCTable:
-    """Graded dimensions h^i(R/I)_j on a finite degree window (zeros omitted)."""
+class LCTable(Frozen):
+    """Graded dimensions h^i(R/I)_j on a finite degree window (zeros omitted).
+    Equal by value; the entries are a dict, so a table has no hash."""
 
-    nvars: int
-    window: DegreeWindow
-    entries: dict  # (i, j) -> positive dimension
+    __slots__ = ("nvars", "window", "entries")
+
+    def __init__(self, nvars: int, window: DegreeWindow, entries: dict) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "entries", entries)  # (i, j) -> positive dimension
+        object.__setattr__(self, "_values", (nvars, window, entries))
 
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)

@@ -2,30 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import partial
 from math import comb
-from typing import Iterator, Union
 
 from .errors import InvalidArgument, MacaulayViolation
 from .gotzmann import lex_ideal_from_values, lex_top_degree
 from .hilbert import eliahou_kervaire, hilbert_numerator, values_from_numerator
 from .ideals import MonomialIdeal
-from .ring import Exp, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
+from .ring import Exp, Frozen, RingSpec, adjacent_moves, enumerate_monomials, monomial_mul
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A family target: Hilbert function values (window) or a source ideal,
     plus the largest degree where generators may appear."""
 
-    ring: RingSpec
-    target: Union[tuple[int, ...], MonomialIdeal]
-    max_degree: int
+    __slots__ = ("ring", "target", "max_degree")
 
-    def __post_init__(self) -> None:
-        if self.max_degree < 0:
-            raise InvalidArgument(f"max_degree must be at least 0, got {self.max_degree}")
+    def __init__(self, ring: RingSpec, target: tuple[int, ...] | MonomialIdeal,
+                 max_degree: int) -> None:
+        if max_degree < 0:
+            raise InvalidArgument(f"max_degree must be at least 0, got {max_degree}")
+        super().__init__(ring, target, max_degree)
 
 
 def borel_filters(n: int, d: int, forced: frozenset[Exp],

@@ -15,29 +15,26 @@ off directly; no rational arithmetic is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
-from typing import Iterator
 
 from .errors import MacaulayViolation
 from .hilbert import eliahou_kervaire, hilbert_numerator, hilbert_values
 from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
-from .ring import Exp, RingSpec
+from .ring import Exp, Frozen, RingSpec
 
 
 # -- Gotzmann representation of a Hilbert polynomial --------------------------
 
 
-@dataclass(frozen=True)
-class GotzmannData:
+class GotzmannData(Frozen):
     """The v-vector of the binomial representation of a Hilbert polynomial:
     v[i-1] counts the summands with exponent n - i - 1, i = 1..n-1.  The
     exponents a_1 >= ... >= a_l, their number l (the Gotzmann number) and h,
     the largest index with v_h != 0 (0 when empty), follow from it."""
 
-    n: int
-    v: tuple[int, ...]
+    __slots__ = ("n", "v")
 
     @property
     def a(self) -> tuple[int, ...]:
@@ -192,14 +189,24 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
         yield gens
 
 
-@dataclass(frozen=True)
-class _Walk:
+class _Walk(Frozen):
     """Key of the lex walk: ring and series numerator, which fix the lex
     ideal.  top, the largest generator degree of the ideal asked, only sets
     where the walk may stop, so eq and hash leave it out."""
-    ring: RingSpec
-    num: tuple[int, ...]
-    top: int = field(compare=False)
+    __slots__ = ("ring", "num", "top")
+
+    def __init__(self, ring: RingSpec, num: tuple[int, ...], top: int) -> None:
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "top", top)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ring, self.num) == (other.ring, other.num)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.num))
 
 
 @lru_cache(maxsize=1024)
@@ -264,11 +271,14 @@ def is_gotzmann(ideal: MonomialIdeal) -> bool:
 # -- the exchange property -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
-    holds: bool
-    left: MonomialIdeal    # lex of the saturation
-    right: MonomialIdeal   # saturation of the lex ideal
+class ExchangeReport(Frozen):
+    __slots__ = ("holds", "left", "right")
+
+    def __init__(self, holds: bool, left: MonomialIdeal, right: MonomialIdeal) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "left", left)    # lex of the saturation
+        object.__setattr__(self, "right", right)  # saturation of the lex ideal
+        object.__setattr__(self, "_values", (holds, left, right))
 
 
 def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:

@@ -19,7 +19,6 @@ route is the oracle in the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, sub
@@ -27,7 +26,7 @@ from operator import add, le, sub
 from .errors import InternalInconsistency, InvalidArgument, UnluckyCoordinates
 from .ideals import MonomialIdeal, is_strongly_stable, minimal_generators
 from .linalg import fraction_free_rank
-from .ring import (DEGREVLEX, Exp, Poly, RingSpec, TermOrder, enumerate_monomials,
+from .ring import (DEGREVLEX, Exp, Frozen, Poly, RingSpec, TermOrder, enumerate_monomials,
                    monomial_divides, monomial_lcm, monomial_mul, total_degree)
 
 IntPoly = dict[Exp, int]
@@ -138,13 +137,10 @@ def normal_form(f: Poly, basis, order: TermOrder) -> Poly:
     return _as_poly(f.n, r, scale * den)
 
 
-@dataclass(frozen=True)
-class GBasis:
+class GBasis(Frozen):
     """A reduced Groebner basis: monic, inter-reduced, pairwise non-divisible leads."""
 
-    ring: RingSpec
-    order: TermOrder
-    elements: tuple[Poly, ...]
+    __slots__ = ("ring", "order", "elements")  # elements: tuple[Poly, ...]
 
     def leading_monomials(self) -> tuple[Exp, ...]:
         return tuple(g.leading(self.order)[0] for g in self.elements)
@@ -235,12 +231,10 @@ def initial_ideal(basis: GBasis) -> MonomialIdeal:
 # -- generic initial ideals -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoordinateChange:
+class CoordinateChange(Frozen):
     """An invertible integer matrix acting on the variables, with its seed."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    seed: str
+    __slots__ = ("matrix", "seed")  # matrix: tuple[tuple[int, ...], ...]
 
 
 def random_coordinate_change(ring: RingSpec, seed: str, bound: int = 1000) -> CoordinateChange:

@@ -11,16 +11,15 @@ depend on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
-from typing import Iterator
 
 from .errors import InternalInconsistency
 from .ideals import MonomialIdeal, minimal_generators
-from .ring import Exp, total_degree
+from .ring import Exp, Frozen, total_degree
 
 # -- small dense integer/rational polynomial helpers (coefficient lists) -----
 
@@ -199,14 +198,13 @@ def hilbert_function(ideal: MonomialIdeal, d: int) -> int:
 # -- Hilbert series data ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Frozen):
     """Window of Hilbert function values plus the exact rational-series data."""
 
-    values: tuple[int, ...]              # dim (R/I)_d for d = 0..D
-    numerator: tuple[int, ...]           # N(t) coefficients
-    polynomial: tuple[Fraction, ...]     # P with P(d) = values[d] for d >= d0
-    d0: int
+    __slots__ = ("values",       # dim (R/I)_d for d = 0..D
+                 "numerator",    # N(t) coefficients
+                 "polynomial",   # P with P(d) = values[d] for d >= d0
+                 "d0")
 
     def poly_value(self, d) -> Fraction:
         return poly_eval(self.polynomial, Fraction(d))

@@ -12,12 +12,11 @@ on them; this module is the only one that names that attribute."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import or_
 
-from .ring import (Exp, RingSpec, adjacent_moves, monomial_colon, monomial_lcm,
+from .ring import (Exp, Frozen, RingSpec, adjacent_moves, monomial_colon, monomial_lcm,
                    monomial_mul, total_degree)
 
 
@@ -72,24 +71,30 @@ def minimal_generators(gens) -> tuple[Exp, ...]:
     return tuple(u for k, u in enumerate(unique) if _divisors(index, u) == 1 << k)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """A monomial ideal, canonically stored by its minimal generators.
 
     The empty generating set is the zero ideal; {1} is the unit ideal.
-    Construction validates and minimalizes, so equality is plain field
-    equality; only `_strongly_stable` skips both, for generators already
-    minimal, and it alone pre-sets the ideal strongly stable.
+    Construction validates and minimalizes, so equality is plain equality
+    of (ring, gens); only `_strongly_stable` skips both, for generators
+    already minimal, and it alone pre-sets the ideal strongly stable.  The
+    fields live in the instance dict, next to the cached properties.
     """
 
-    ring: RingSpec
-    gens: tuple[Exp, ...] = ()
+    def __init__(self, ring: RingSpec, gens: tuple[Exp, ...] = ()) -> None:
+        for u in gens:
+            if len(u) != ring.n or any(e < 0 for e in u):
+                raise ValueError(f"bad exponent vector {u!r} for n={ring.n}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", minimal_generators(gens))
 
-    def __post_init__(self) -> None:
-        for u in self.gens:
-            if len(u) != self.ring.n or any(e < 0 for e in u):
-                raise ValueError(f"bad exponent vector {u!r} for n={self.ring.n}")
-        object.__setattr__(self, "gens", minimal_generators(self.gens))
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.ring, self.gens) == (other.ring, other.gens)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.gens))
 
     @classmethod
     def _strongly_stable(cls, ring: RingSpec, gens) -> MonomialIdeal:
@@ -113,13 +118,13 @@ class MonomialIdeal:
 
     @cached_property
     def _member(self):
-        # kept out of the fields, so eq and hash ignore it; only `contains`
-        # builds it, so memoised ideals that are never queried keep no index
+        # kept outside eq and hash; only `contains` builds it, so memoised
+        # ideals that are never queried keep no index
         return _membership(self.gens)
 
     @cached_property
     def _stable(self) -> bool:
-        # outside the fields, like `_member`: one witness run per instance
+        # outside eq and hash, like `_member`: one witness run per instance
         return strong_stability_witness(self) is None
 
     def contains(self, u: Exp) -> bool:
@@ -127,6 +132,9 @@ class MonomialIdeal:
 
     def max_generator_degree(self) -> int:
         return max((total_degree(g) for g in self.gens), default=0)
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal({self.ring!r}, {self.gens!r})"
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
@@ -28,7 +27,6 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
     return MonomialIdeal(ring, tuple(parse_monomial(g, ring) for g in data["gens"]))
 
 
-@dataclass
 class VerificationReport:
     """The verdict compares `condition_i`, read from row 0 of the tables,
     with `condition_ii_on_window`, from every row; `gin`, `seq_cm` and
@@ -37,16 +35,21 @@ class VerificationReport:
     `lex_then_sat` only display the check, so they are built on first
     access, when the report is printed or serialized."""
 
-    ideal: MonomialIdeal
-    lex: MonomialIdeal
-    condition_i: bool
-    condition_ii_on_window: bool      # exact: the tables agree in every degree
-    first_mismatch: tuple[int, int] | None
-    gin: MonomialIdeal | None
-    seq_cm: str | None
-    condition_iii: bool | None
-    verdict: str
     conclusive = True                 # tables are compared in every degree
+
+    def __init__(self, ideal: MonomialIdeal, lex: MonomialIdeal, condition_i: bool,
+                 condition_ii_on_window: bool, first_mismatch: tuple[int, int] | None,
+                 gin: MonomialIdeal | None, seq_cm: str | None,
+                 condition_iii: bool | None, verdict: str) -> None:
+        self.ideal = ideal
+        self.lex = lex
+        self.condition_i = condition_i
+        self.condition_ii_on_window = condition_ii_on_window  # exact: in every degree
+        self.first_mismatch = first_mismatch
+        self.gin = gin
+        self.seq_cm = seq_cm
+        self.condition_iii = condition_iii
+        self.verdict = verdict
 
     @cached_property
     def _exchange(self) -> ExchangeReport:
@@ -165,11 +168,12 @@ def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3
         verdict=verdict)
 
 
-@dataclass
 class RigidityMemberReport:
-    ideal: MonomialIdeal
-    equal_rows: tuple[bool, ...]      # per cohomological index 0..n
-    candidate: bool
+    def __init__(self, ideal: MonomialIdeal, equal_rows: tuple[bool, ...],
+                 candidate: bool) -> None:
+        self.ideal = ideal
+        self.equal_rows = equal_rows      # per cohomological index 0..n
+        self.candidate = candidate
 
     def to_json(self) -> dict:
         return {"ideal": ideal_to_json(self.ideal),
@@ -177,9 +181,9 @@ class RigidityMemberReport:
                 "candidate": self.candidate}
 
 
-@dataclass
 class RigidityReport:
-    members: list[RigidityMemberReport]
+    def __init__(self, members: list[RigidityMemberReport]) -> None:
+        self.members = members
 
     @property
     def candidates(self) -> list[RigidityMemberReport]:

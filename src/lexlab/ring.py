@@ -6,7 +6,6 @@ The variable priority is X_1 > X_2 > ... > X_n everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
@@ -23,20 +22,55 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Frozen:
+    """Base of the immutable value types.  A subclass names its fields in
+    `__slots__`, in constructor order.  The constructor keeps the tuple of
+    its arguments, and eq and hash compare that tuple, with no tuple to
+    build per call: the values are cache keys.  No attribute can be
+    assigned or deleted after construction.  A type built once per
+    operation writes its slots (and `_values`, if it keeps this eq and
+    hash) in its own `__init__`: the generic loop takes twice as long."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} arguments")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class RingSpec(Frozen):
     """The ring Q[X_1, ..., X_n] with its standard grading."""
 
-    n: int
-    names: tuple[str, ...] = ()
+    __slots__ = ("n", "names")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, names: tuple[str, ...] = ()) -> None:
+        if n < 1:
             raise ValueError("a polynomial ring needs at least one variable")
-        names = tuple(self.names) or default_names(self.n)
-        if len(names) != self.n or len(set(names)) != self.n:
-            raise ValueError(f"expected {self.n} distinct variable names, got {names!r}")
-        object.__setattr__(self, "names", names)
+        names = tuple(names) or default_names(n)
+        if len(names) != n or len(set(names)) != n:
+            raise ValueError(f"expected {n} distinct variable names, got {names!r}")
+        super().__init__(n, names)
 
     def unit_monomial(self) -> Exp:
         return (0,) * self.n
@@ -100,15 +134,15 @@ def adjacent_moves(u: Exp) -> list[tuple[int, Exp]]:
     return [(j, borel_move(u, j - 1, j)) for j in range(len(u) - 1, 0, -1) if u[j]]
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Frozen):
     """Total multiplicative monomial order; 'lex' or 'degrevlex'."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("lex", "degrevlex"):
-            raise ValueError(f"unknown term order {self.kind!r}")
+    def __init__(self, kind: str) -> None:
+        if kind not in ("lex", "degrevlex"):
+            raise ValueError(f"unknown term order {kind!r}")
+        super().__init__(kind)
 
     def key(self, u: Exp):
         if self.kind == "lex":

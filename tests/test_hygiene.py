@@ -6,11 +6,24 @@ answer checks and traced names working on the library."""
 
 import ast
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
 
 import lexlab
+
+
+def test_import_loads_no_introspection_modules():
+    # importing lexlab pays for every stdlib module it pulls in; -S keeps a
+    # site .pth file from loading any of them first
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lexlab; "
+            "print(lexlab.__file__); "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    src = Path(lexlab.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == [lexlab.__file__, "[]"], out
 
 
 def test_every_cache_is_bounded():

@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import all_exponents, degrevlex_greater, lex_greater, random_monomial
 
-from lexlab import (DEGREVLEX, LEX, Poly, RingSpec, borel_move, compare,
+from lexlab import (DEGREVLEX, LEX, DegreeWindow, FamilySpec, GotzmannData, InvalidArgument,
+                    LCTable, MonomialIdeal, Poly, RingSpec, TermOrder, borel_move, compare,
                     enumerate_monomials, total_degree)
+from lexlab.gotzmann import ExchangeReport, _Walk
+from lexlab.groebner import CoordinateChange, GBasis
+from lexlab.hilbert import HilbertData
 
 
 def test_ring_spec_defaults():
@@ -125,3 +130,67 @@ def test_poly_leading_and_primitive():
     p = f.primitive()
     assert p.terms == {(2, 0): 1, (1, 1): 2}
     assert f.monic(LEX).terms[(2, 0)] == 1
+
+
+R3 = RingSpec(3)
+X, Y = MonomialIdeal(R3, ((1, 0, 0),)), MonomialIdeal(R3, ((0, 1, 0),))
+WINDOW = DegreeWindow(-2, 1)
+
+# per value type: constructor arguments, and the same with one field changed
+VALUES = [
+    (RingSpec, (3, ("x", "y", "z")), (3, ("a", "b", "c"))),
+    (TermOrder, ("lex",), ("degrevlex",)),
+    (DegreeWindow, (-2, 1), (-2, 2)),
+    (FamilySpec, (R3, (1, 3, 5), 2), (R3, (1, 3, 5), 3)),
+    (FamilySpec, (R3, X, 2), (R3, Y, 2)),
+    (GotzmannData, (3, (1, 0)), (3, (2, 0))),
+    (GBasis, (R3, LEX, (Poly.monomial((1, 0, 0)),)),
+     (R3, DEGREVLEX, (Poly.monomial((1, 0, 0)),))),
+    (CoordinateChange, (((1, 0), (0, 1)), "0"), (((1, 0), (0, 1)), "1")),
+    (ExchangeReport, (True, X, X), (True, X, Y)),
+    (HilbertData, ((1, 3), (1, -1), (Fraction(1),), 0), ((1, 3), (1, -1), (Fraction(1),), 1)),
+    (MonomialIdeal, (R3, ((2, 0, 0), (1, 1, 0))), (R3, ((2, 0, 0), (0, 1, 0)))),
+    (_Walk, (R3, (1, -1), 1), (R3, (1, -2), 1)),
+    (LCTable, (3, WINDOW, {(0, 0): 1}), (3, WINDOW, {(0, 0): 2})),
+]
+
+
+@pytest.mark.parametrize("cls, args, changed", VALUES,
+                         ids=[f"{cls.__name__}-{k}" for k, (cls, _, _) in enumerate(VALUES)])
+def test_value_types_compare_by_value_and_are_immutable(cls, args, changed):
+    a, b, c = cls(*args), cls(*args), cls(*changed)
+    assert a == b and not a != b and a is not b
+    assert a != c and not a == c and a != args
+    if cls in (GBasis, LCTable):  # a tuple of Polys, a dict of entries: no hash
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b, c}) == 2
+    name = "ring" if cls is MonomialIdeal else cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, name, getattr(c, name))
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_walk_key_leaves_out_the_top_degree():
+    low, high = _Walk(R3, (1, -1), 1), _Walk(R3, (1, -1), 7)
+    assert low == high and hash(low) == hash(high) and len({low, high}) == 1
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: RingSpec(0), ValueError, "a polynomial ring needs at least one variable"),
+    (lambda: RingSpec(2, ("x", "x")), ValueError,
+     "expected 2 distinct variable names, got ('x', 'x')"),
+    (lambda: TermOrder("grlex"), ValueError, "unknown term order 'grlex'"),
+    (lambda: DegreeWindow(2, 1), InvalidArgument, "empty degree window: lo 2 exceeds hi 1"),
+    (lambda: FamilySpec(R3, (1, 3), -1), InvalidArgument,
+     "max_degree must be at least 0, got -1"),
+])
+def test_value_type_validation_keeps_its_errors(build, error, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
