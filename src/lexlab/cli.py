@@ -34,6 +34,13 @@ def build_parser() -> argparse.ArgumentParser:
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--window",
                         help="degree window lo:hi (use --window=-8:5 for negative lo)")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=3)
+    trials.add_argument("--seed", type=int, default=0)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--target", help="values, e.g. 1,3,3,1,1")
+    family.add_argument("--from-ideal", dest="from_ideal", help="take the target from an ideal")
+    family.add_argument("--max-degree", type=int, required=True)
 
     p = sub.add_parser("hf", parents=[common, window], help="Hilbert function and series data")
     p.add_argument("ideal")
@@ -45,33 +52,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", parents=[common], help="saturation")
     p.add_argument("ideal")
 
-    p = sub.add_parser("gin", parents=[common], help="generic initial ideal (revlex)")
+    p = sub.add_parser("gin", parents=[common, trials], help="generic initial ideal (revlex)")
     p.add_argument("ideal")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=1000)
 
     p = sub.add_parser("lc", parents=[common, window], help="local cohomology table")
     p.add_argument("ideal")
 
-    p = sub.add_parser("verify-main", parents=[common],
+    p = sub.add_parser("verify-main", parents=[common, trials],
                        help="check the exchange/cohomology equivalence")
     p.add_argument("ideal")
     p.add_argument("--with-gin", action="store_true")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="strongly stable ideals with a target Hilbert function")
-    p.add_argument("--target", help="values, e.g. 1,3,3,1,1")
-    p.add_argument("--from-ideal", dest="from_ideal", help="take the target from an ideal")
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = sub.add_parser("probe-rigidity", parents=[common],
-                       help="search a family for one-sided row equalities")
-    p.add_argument("--target")
-    p.add_argument("--from-ideal", dest="from_ideal")
-    p.add_argument("--max-degree", type=int, required=True)
+    sub.add_parser("enumerate", parents=[common, family],
+                   help="strongly stable ideals with a target Hilbert function")
+    sub.add_parser("probe-rigidity", parents=[common, family],
+                   help="search a family for one-sided row equalities")
 
     return parser
 
@@ -82,10 +78,10 @@ def _window(args) -> DegreeWindow | None:
     return DegreeWindow(*parse_window(args.window))
 
 
-def _monomial_ideal(args, ring) -> MonomialIdeal:
-    parsed = parse_ideal(args.ideal, ring)
+def _monomial_ideal(text: str, ring, what: str = "this command") -> MonomialIdeal:
+    parsed = parse_ideal(text, ring)
     if not isinstance(parsed, MonomialIdeal):
-        raise ParseError("this command needs a monomial ideal")
+        raise ParseError(f"{what} needs a monomial ideal")
     return parsed
 
 
@@ -109,10 +105,7 @@ def _family_spec(args, ring) -> FamilySpec:
     if args.target is not None:
         target = _values(args.target, "--target")
     else:
-        parsed = parse_ideal(args.from_ideal, ring)
-        if not isinstance(parsed, MonomialIdeal):
-            raise ParseError("--from-ideal needs a monomial ideal")
-        target = parsed
+        target = _monomial_ideal(args.from_ideal, ring, "--from-ideal")
     return FamilySpec(ring, target, args.max_degree)
 
 
@@ -120,7 +113,7 @@ def _dispatch(args) -> int:
     ring = parse_ring(args.ring)
 
     if args.command == "hf":
-        ideal = _monomial_ideal(args, ring)
+        ideal = _monomial_ideal(args.ideal, ring)
         w = _window(args)
         if w and w.lo != 0:
             raise ParseError("hf shows degrees from 0: --window must start at 0")
@@ -135,52 +128,27 @@ def _dispatch(args) -> int:
         ]))
         return 0
 
-    if args.command == "lex":
-        if (args.ideal is None) == (args.values is None):
-            raise ParseError("give an ideal or --values, not both")
-        if args.values is not None:
-            result = lex_ideal_from_values(ring, _values(args.values, "--values"))
-        else:
-            result = lex_ideal(_monomial_ideal(args, ring))
-        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
-        return 0
-
-    if args.command == "sat":
-        result = saturate(_monomial_ideal(args, ring))
-        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
-        return 0
-
-    if args.command == "gin":
-        result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
-                     seed=args.seed, bound=args.bound)
-        _emit(args, lambda: ideal_to_json(result), lambda: str(result))
-        return 0
-
     if args.command == "lc":
-        ideal = _monomial_ideal(args, ring)
-        table = local_cohomology_table(ideal, _window(args))
+        table = local_cohomology_table(_monomial_ideal(args.ideal, ring), _window(args))
         _emit(args, table.to_json, table.table_str)
         return 0
 
     if args.command == "verify-main":
-        ideal = _monomial_ideal(args, ring)
-        report = verify_main(ideal, include_gin=args.with_gin, trials=args.trials,
-                             seed=args.seed)
+        report = verify_main(_monomial_ideal(args.ideal, ring), include_gin=args.with_gin,
+                             trials=args.trials, seed=args.seed)
         _emit(args, report.to_json, lambda: "\n".join(report.summary_lines()))
         return 4 if report.verdict == VERDICT_VIOLATION else 0
 
     if args.command == "enumerate":
-        spec = _family_spec(args, ring)
-        members = list(enumerate_strongly_stable(spec))
-        members.sort(key=lambda m: m.gens)
+        members = sorted(enumerate_strongly_stable(_family_spec(args, ring)),
+                         key=lambda m: m.gens)
         _emit(args, lambda: {"count": len(members),
                              "members": [ideal_to_json(m) for m in members]},
               lambda: "\n".join(str(m) for m in members) or "(empty family)")
         return 0
 
     if args.command == "probe-rigidity":
-        spec = _family_spec(args, ring)
-        report = probe_rigidity(spec)
+        report = probe_rigidity(_family_spec(args, ring))
         def table() -> str:
             lines = [f"members: {len(report.members)}"]
             for m in report.members:
@@ -192,7 +160,21 @@ def _dispatch(args) -> int:
         _emit(args, report.to_json, table)
         return 0
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    # lex, sat and gin each print one ideal
+    if args.command == "lex":
+        if (args.ideal is None) == (args.values is None):
+            raise ParseError("give an ideal or --values, not both")
+        if args.values is not None:
+            result = lex_ideal_from_values(ring, _values(args.values, "--values"))
+        else:
+            result = lex_ideal(_monomial_ideal(args.ideal, ring))
+    elif args.command == "sat":
+        result = saturate(_monomial_ideal(args.ideal, ring))
+    else:
+        result = gin(parse_ideal(args.ideal, ring), ring=ring, trials=args.trials,
+                     seed=args.seed, bound=args.bound)
+    _emit(args, lambda: ideal_to_json(result), lambda: str(result))
+    return 0
 
 
 def main(argv=None) -> int:
@@ -202,10 +184,7 @@ def main(argv=None) -> int:
     except (ParseError, InvalidArgument) as exc:
         print(f"lexlab: parse error: {exc}", file=sys.stderr)
         return 2
-    except LexlabError as exc:
-        print(f"lexlab: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (LexlabError, ValueError) as exc:
         print(f"lexlab: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -82,8 +82,9 @@ class MonomialIdeal(Frozen):
     """
 
     def __init__(self, ring: RingSpec, gens: tuple[Exp, ...] = ()) -> None:
+        gens = tuple(gens)  # any iterable, read once
         for u in gens:
-            if len(u) != ring.n or any(e < 0 for e in u):
+            if len(u) != ring.n or any(type(e) is not int or e < 0 for e in u):
                 raise ValueError(f"bad exponent vector {u!r} for n={ring.n}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", minimal_generators(gens))

@@ -36,69 +36,49 @@ def parse_polynomial(text: str, ring: RingSpec) -> Poly:
     """Grammar: ['-'] term (('+'|'-') term)*, term = factor ('*' factor)*,
     factor = number | name ['^' exponent]."""
     toks = list(_tokens(text))
-    pos = 0
-
-    def peek():
-        return toks[pos]
-
-    def advance():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        return tok
-
     var_index = {name: i for i, name in enumerate(ring.names)}
-
-    def parse_factor() -> tuple[Exp, Fraction]:
-        kind, value, at = advance()
-        if kind == "num":
-            try:
-                return ring.unit_monomial(), Fraction("".join(value.split()))
-            except ZeroDivisionError:
-                raise ParseError("coefficient with a zero denominator", at) from None
-        if kind != "name":
-            raise ParseError("expected a coefficient or variable", at)
-        if value not in var_index:
-            raise ParseError(f"unknown variable {value!r}", at)
-        exp = 1
-        if peek()[0] == "op" and peek()[1] == "^":
-            advance()
-            kind2, value2, at2 = advance()
-            if kind2 != "num" or "/" in value2:
-                raise ParseError("exponent must be a non-negative integer", at2)
-            exp = int(value2)
-        e = [0] * ring.n
-        e[var_index[value]] = exp
-        return tuple(e), Fraction(1)
-
-    def parse_term() -> tuple[Exp, Fraction]:
-        mono, coeff = parse_factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            advance()
-            m2, c2 = parse_factor()
-            mono = tuple(a + b for a, b in zip(mono, m2))
-            coeff *= c2
-        return mono, coeff
-
     terms: dict[Exp, Fraction] = {}
-    sign = Fraction(1)
-    kind, value, at = peek()
+    kind, value, at = toks[0]
+    pos = 0
+    coeff = Fraction(1)
     if kind == "op" and value == "-":
-        advance()
-        sign = Fraction(-1)
+        pos = 1
+        coeff = Fraction(-1)
     elif kind == "op":
         raise ParseError(f"term cannot start with {value!r}", at)
-    while True:
-        mono, coeff = parse_term()
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * coeff
-        kind, value, at = peek()
+    mono = [0] * ring.n
+    while True:  # one factor and the token after it per pass
+        kind, value, at = toks[pos]
+        pos += 1
+        if kind == "num":
+            try:
+                coeff *= Fraction("".join(value.split()))
+            except ZeroDivisionError:
+                raise ParseError("coefficient with a zero denominator", at) from None
+        elif kind != "name":
+            raise ParseError("expected a coefficient or variable", at)
+        elif value not in var_index:
+            raise ParseError(f"unknown variable {value!r}", at)
+        elif toks[pos][1] == "^":
+            kind, exponent, at = toks[pos + 1]
+            if kind != "num" or "/" in exponent:
+                raise ParseError("exponent must be a non-negative integer", at)
+            mono[var_index[value]] += int(exponent)
+            pos += 2
+        else:
+            mono[var_index[value]] += 1
+        kind, value, at = toks[pos]
+        pos += 1
+        if value == "*":
+            continue
+        key = tuple(mono)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
         if kind == "end":
-            break
+            return Poly(ring.n, terms)
         if kind != "op" or value not in "+-":
             raise ParseError(f"expected '+' or '-', got {value!r}", at)
-        advance()
-        sign = Fraction(1) if value == "+" else Fraction(-1)
-    return Poly(ring.n, terms)
+        coeff = Fraction(1) if value == "+" else Fraction(-1)
+        mono = [0] * ring.n
 
 
 def parse_monomial(text: str, ring: RingSpec) -> Exp:

@@ -73,6 +73,28 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 4
     with pytest.raises(ParseError):
         parse_polynomial("x^(2)", R3)
+    for text in ("x^y", "x^1/2", "x^"):
+        with pytest.raises(ParseError, match="exponent must be a non-negative integer") as err:
+            parse_polynomial(text, R3)
+        assert err.value.position == 2, text
+
+
+POLYNOMIAL_TEXT = st.text(alphabet=st.sampled_from("xyzq0123456789/^*+- ") | st.characters(),
+                          max_size=30) | st.lists(st.sampled_from(
+    ["x", "y^2", "z^13", "3/2", "1/0", "1 / 4", "*", "+", "-", " ", "^", "q", "2"])).map("".join)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(POLYNOMIAL_TEXT)
+@example("x^")
+def test_parse_polynomial_returns_a_poly_or_a_positioned_parse_error(text):
+    # any exception other than ParseError fails the test
+    try:
+        poly = parse_polynomial(text, R3)
+    except ParseError as err:
+        assert err.position is not None and 0 <= err.position <= len(text), text
+    else:
+        assert isinstance(poly, Poly)
 
 
 def test_parse_zero_denominator():
@@ -226,6 +248,8 @@ def test_cli_verify_negative_control(capsys):
     data = json.loads(out)
     assert not data["condition_i"] and not data["condition_ii_on_window"]
     assert data["first_mismatch"] == [0, 1]
+    code, out, _ = run(capsys, "verify-main", "--ring", "x,y,z,w", "x*z, x*w, y*z, y*w")
+    assert code == 0 and "\nfirst mismatch:   (i, j) = (0, 1)\n" in out
 
 
 def test_cli_exit_codes(capsys):
@@ -292,6 +316,19 @@ def test_cli_exit_codes(capsys):
     code, _, err = run(capsys, "verify-main", "--ring", "x,y,z", "--with-gin",
                        "--trials", "1", EXAMPLE_TEXT)
     assert code == 2 and "parse error" in err
+    # polynomial input where a monomial ideal is needed
+    for command in ("hf", "lex", "sat", "lc", "verify-main"):
+        code, _, err = run(capsys, command, "--ring", "x,y", "x^2 - y^2, x*y")
+        assert (code, err) == (2, "lexlab: parse error: this command needs a monomial ideal\n")
+    # a family takes exactly one target, and --from-ideal a monomial one
+    for command in ("enumerate", "probe-rigidity"):
+        for target in ([], ["--target", "1,2,1", "--from-ideal", "x^2"]):
+            code, _, err = run(capsys, command, "--ring", "x,y", *target, "--max-degree", "2")
+            assert (code, err) == (
+                2, "lexlab: parse error: give exactly one of --target or --from-ideal\n")
+        code, _, err = run(capsys, command, "--ring", "x,y", "--from-ideal", "x^2 - y^2",
+                           "--max-degree", "2")
+        assert (code, err) == (2, "lexlab: parse error: --from-ideal needs a monomial ideal\n")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -389,6 +426,27 @@ def test_cli_fuzz_exit_codes(ideal, values, window, large):
                  ["sat", "--ring", "x,y", "--", large],
                  ["lc", "--ring", "x,y", "--window=-2:2", "--", large]):
         assert _exit_code(argv) in (0, 2, 3), argv
+
+
+FAMILY_OPTIONS = ["--target", "--from-ideal", "--max-degree"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("hf", ["--window"]),
+    ("lex", ["--values"]),
+    ("sat", []),
+    ("gin", ["--trials", "--seed", "--bound"]),
+    ("lc", ["--window"]),
+    ("verify-main", ["--trials", "--seed", "--with-gin"]),
+    ("enumerate", FAMILY_OPTIONS),
+    ("probe-rigidity", FAMILY_OPTIONS),
+])
+def test_cli_help_lists_each_commands_options(capsys, command, options):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    listed = re.findall(r"^  (--?[a-z-]+)", capsys.readouterr().out, re.M)
+    assert sorted(listed) == sorted(["-h", "--ring", "--format", *options])
 
 
 def test_cli_violation_exit_code(capsys, monkeypatch):

@@ -134,6 +134,11 @@ def test_gin_principal():
         assert G == MonomialIdeal(ring, (expected,))
 
 
+def test_zero_rows_have_rank_0_and_zero_generators_gin_0():
+    assert fraction_free_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert gin([Poly(3, {}), Poly(3, {})], ring=R3) == MonomialIdeal(R3)
+
+
 def test_gin_of_strongly_stable_is_identity():
     assert gin(EXAMPLE, trials=3, seed=0) == EXAMPLE
     assert _gin_trials(EXAMPLE, trials=3, seed=0) == EXAMPLE

@@ -88,6 +88,15 @@ def test_unit_and_zero():
         MonomialIdeal(R3, ((1, 0),))
 
 
+def test_constructor_reads_gens_once_and_takes_only_int_exponents():
+    gens = [(1, 0, 0), (0, 1, 0)]
+    assert MonomialIdeal(R3, (g for g in gens)) == MonomialIdeal(R3, tuple(gens))
+    assert MonomialIdeal(R3, iter(gens)).gens == ((1, 0, 0), (0, 1, 0))
+    for bad in (((1.5, 0, 0), (0, 1, 0)), ((2.0, 0, 0),), ((True, 0, 0),), (("1", 0, 0),)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MonomialIdeal(R3, bad)
+
+
 def test_contains_examples():
     assert not EXAMPLE.contains((1, 0, 1))          # xz
     assert EXAMPLE.contains((1, 1, 1))              # xyz, divisible by xy
@@ -366,6 +375,8 @@ def test_intersect_is_symmetric_and_contained():
         assert ab == intersect(b, a)
         for g in ab.gens:
             assert a.contains(g) and b.contains(g)
+    zero = MonomialIdeal(R3)
+    assert intersect(EXAMPLE, zero) == intersect(zero, EXAMPLE) == zero
 
 
 # -- ideals known strongly stable by construction --------------------------------

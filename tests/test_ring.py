@@ -5,8 +5,10 @@ import pytest
 from helpers import all_exponents, degrevlex_greater, lex_greater, random_monomial
 
 from lexlab import (DEGREVLEX, LEX, DegreeWindow, FamilySpec, GotzmannData, InvalidArgument,
-                    LCTable, MonomialIdeal, Poly, RingSpec, TermOrder, borel_move, compare,
-                    enumerate_monomials, total_degree)
+                    LCTable, MonomialIdeal, Poly, RingSpec, TermOrder, borel_move, buchberger,
+                    colon, compare, enumerate_monomials, exchange_property, gin,
+                    hilbert_function, is_gotzmann, multiplicity, saturated_lex_generators,
+                    sequentially_cm_verdict, total_degree)
 from lexlab.gotzmann import ExchangeReport, _Walk
 from lexlab.groebner import CoordinateChange, GBasis
 from lexlab.hilbert import HilbertData
@@ -193,4 +195,31 @@ def test_walk_key_leaves_out_the_top_degree():
 def test_value_type_validation_keeps_its_errors(build, error, message):
     with pytest.raises(ValueError) as caught:
         build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+UNIT = MonomialIdeal(R3, ((0, 0, 0),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sequentially_cm_verdict(UNIT), ValueError, "verdict needs a proper ideal"),
+    (lambda: multiplicity(UNIT), ValueError, "the zero ring has no multiplicity here"),
+    (lambda: is_gotzmann(UNIT), ValueError, "Gotzmann test needs a proper ideal"),
+    (lambda: exchange_property(UNIT), ValueError, "exchange property needs a proper ideal"),
+    (lambda: hilbert_function(MonomialIdeal(R3), -1), ValueError,
+     "degree must be non-negative"),
+    (lambda: enumerate_monomials(3, -1), ValueError, "degree must be non-negative"),
+    (lambda: colon(MonomialIdeal(R3, ((1, 0, 0),)), MonomialIdeal(RingSpec(2), ((1, 0),))),
+     ValueError, "colon of ideals over different rings"),
+    (lambda: Poly(3, {}).leading(LEX), ValueError, "zero polynomial has no leading term"),
+    (lambda: buchberger([], DEGREVLEX), ValueError,
+     "cannot infer the ring from an empty generator list"),
+    (lambda: gin([]), ValueError, "need a ring for an empty generator list"),
+    (lambda: saturated_lex_generators(GotzmannData(3, (1, 0)), RingSpec(2)), ValueError,
+     "ring size does not match the representation"),
+], ids=["seq-cm", "multiplicity", "is-gotzmann", "exchange", "hilbert-function",
+        "enumerate-monomials", "colon", "leading", "buchberger", "gin", "saturated-lex"])
+def test_library_rejections_keep_their_errors(call, error, message):
+    with pytest.raises(Exception) as caught:
+        call()
     assert type(caught.value) is error and str(caught.value) == message
