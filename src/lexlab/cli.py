@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / consistent, 2 parse error, 3 engine error (unlucky
-coordinates, inadmissible data, out of memory), 4 theorem violation.
+coordinates, inadmissible data, out of memory, a number too large for the
+machine), 4 theorem violation.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("lexlab: out of memory", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("lexlab: a number is too large for this machine", file=sys.stderr)
         return 3
 
 

@@ -272,13 +272,13 @@ def is_gotzmann(ideal: MonomialIdeal) -> bool:
 
 
 class ExchangeReport(Frozen):
-    __slots__ = ("holds", "left", "right")
+    __slots__ = ("left", "right", "holds")
 
-    def __init__(self, holds: bool, left: MonomialIdeal, right: MonomialIdeal) -> None:
-        object.__setattr__(self, "holds", holds)
+    def __init__(self, left: MonomialIdeal, right: MonomialIdeal) -> None:
         object.__setattr__(self, "left", left)    # lex of the saturation
         object.__setattr__(self, "right", right)  # saturation of the lex ideal
-        object.__setattr__(self, "_values", (holds, left, right))
+        object.__setattr__(self, "holds", left == right)
+        object.__setattr__(self, "_values", (left, right))
 
 
 def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
@@ -293,4 +293,4 @@ def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
         left = sat  # artinian quotient: both sides are the unit ideal
     else:
         left = lex_ideal(sat)
-    return ExchangeReport(left == right, left, right)
+    return ExchangeReport(left, right)

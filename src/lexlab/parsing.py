@@ -3,23 +3,35 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
 from .ideals import MonomialIdeal
 from .ring import Exp, Poly, RingSpec
 
-_TOKEN = re.compile(r"(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+\-])|(?P<ws>\s+)|(?P<bad>.)")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>{_NAME})|(?P<op>[\^*+\-])|(?P<ws>\s+)|(?P<bad>.)")
 
 
 def parse_ring(names: str) -> RingSpec:
     parts = [p.strip() for p in names.split(",") if p.strip()]
     if not parts:
         raise ParseError("no variable names given")
+    for part in parts:
+        if not re.fullmatch(_NAME, part):
+            raise ParseError(f"bad variable name {part!r} (letters, digits, _, no leading digit)")
     try:
         return RingSpec(len(parts), tuple(parts))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _int(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the digits are checked, so only the length can fail
+        raise ParseError(f"number of more than {sys.get_int_max_str_digits()} digits", at) from None
 
 
 def _tokens(text: str):
@@ -51,8 +63,9 @@ def parse_polynomial(text: str, ring: RingSpec) -> Poly:
         kind, value, at = toks[pos]
         pos += 1
         if kind == "num":
+            num, _, den = value.partition("/")
             try:
-                coeff *= Fraction("".join(value.split()))
+                coeff *= Fraction(_int(num, at), _int(den, at) if den else 1)
             except ZeroDivisionError:
                 raise ParseError("coefficient with a zero denominator", at) from None
         elif kind != "name":
@@ -63,7 +76,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Poly:
             kind, exponent, at = toks[pos + 1]
             if kind != "num" or "/" in exponent:
                 raise ParseError("exponent must be a non-negative integer", at)
-            mono[var_index[value]] += int(exponent)
+            mono[var_index[value]] += _int(exponent, at)
             pos += 2
         else:
             mono[var_index[value]] += 1
@@ -108,4 +121,4 @@ def parse_window(text: str):
     m = re.fullmatch(r"\s*(-?\d+)\s*:\s*(-?\d+)\s*", text)
     if not m:
         raise ParseError(f"window must look like lo:hi, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    return _int(m.group(1), m.start(1)), _int(m.group(2), m.start(2))

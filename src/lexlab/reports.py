@@ -28,28 +28,40 @@ def ideal_from_json(data: dict) -> MonomialIdeal:
 
 
 class VerificationReport:
-    """The verdict compares `condition_i`, read from row 0 of the tables,
-    with `condition_ii_on_window`, from every row; `gin`, `seq_cm` and
-    `condition_iii` are filled in when gin was asked for.  `window`,
+    """The evidence is `first_mismatch`, the lowest row (i, j) in which the
+    tables of R/I and R/I^lex differ, or None, and with gin asked for, `gin`
+    and its sequentially-CM verdict `seq_cm`.  The conditions and the
+    verdict are read from it here, and nowhere else.  `window`,
     `table_ideal`, `table_lex` and the exchange sides `sat_then_lex` and
     `lex_then_sat` only display the check, so they are built on first
     access, when the report is printed or serialized."""
 
     conclusive = True                 # tables are compared in every degree
 
-    def __init__(self, ideal: MonomialIdeal, lex: MonomialIdeal, condition_i: bool,
-                 condition_ii_on_window: bool, first_mismatch: tuple[int, int] | None,
-                 gin: MonomialIdeal | None, seq_cm: str | None,
-                 condition_iii: bool | None, verdict: str) -> None:
+    def __init__(self, ideal: MonomialIdeal, lex: MonomialIdeal,
+                 first_mismatch: tuple[int, int] | None, gin: MonomialIdeal | None = None,
+                 seq_cm: str | None = None) -> None:
         self.ideal = ideal
         self.lex = lex
-        self.condition_i = condition_i
-        self.condition_ii_on_window = condition_ii_on_window  # exact: in every degree
         self.first_mismatch = first_mismatch
         self.gin = gin
         self.seq_cm = seq_cm
-        self.condition_iii = condition_iii
-        self.verdict = verdict
+        self.condition_ii_on_window = first_mismatch is None  # exact: in every degree
+        # Row 0 decides (i).  H^0_m(R/I) = I^sat/I, so h^0(R/I)_j is
+        # HF(R/I, j) - HF(R/I^sat, j), and I and I^lex share their Hilbert
+        # function: row 0 of the two tables agrees exactly when I^sat and
+        # (I^lex)^sat have the same Hilbert function.  (I^sat)^lex has the
+        # Hilbert function of I^sat, and (I^lex)^sat is lex, since
+        # saturating a lex ideal gives a lex ideal.  Two lex ideals are equal
+        # exactly when their Hilbert functions are, so row 0 agrees exactly
+        # when (I^sat)^lex = (I^lex)^sat: (i) holds when no row differs or
+        # the lowest that does is above row 0.  The exchange sides are built
+        # only when the report is shown, and then they must give the same (i).
+        self.condition_i = self.condition_ii_on_window or first_mismatch[0] > 0
+        self.verdict = (VERDICT_CONSISTENT if self.condition_i == self.condition_ii_on_window
+                        else VERDICT_VIOLATION)
+        self.condition_iii = None if gin is None else (
+            seq_cm == SequentialCMVerdict.CONSISTENT.value and gin == lex)
 
     @cached_property
     def _exchange(self) -> ExchangeReport:
@@ -128,52 +140,29 @@ def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3
     disagreement is flagged as a violation (which would indicate a bug, not
     new mathematics).
 
-    Row 0 decides (i).  H^0_m(R/I) = I^sat/I, so h^0(R/I)_j is
-    HF(R/I, j) - HF(R/I^sat, j), and I and I^lex share their Hilbert
-    function: row 0 of the two tables agrees exactly when I^sat and
-    (I^lex)^sat have the same Hilbert function.  (I^sat)^lex has the
-    Hilbert function of I^sat, and (I^lex)^sat is lex, since saturating a
-    lex ideal gives a lex ideal.  Two lex ideals are equal exactly when
-    their Hilbert functions are, so row 0 agrees exactly when
-    (I^sat)^lex = (I^lex)^sat.  `tables_agree` returns the lowest row that
-    differs, so (i) holds when no row differs or the first one that does is
-    above row 0.  The exchange sides are built only when the report is
-    shown, and then they must give the same (i).
-
     With gin asked for, gin runs first, so a bad `trials` is rejected before
     any other work.  The report builds its tables only when they are shown,
     on a window that holds the first mismatch when there is one."""
     if ideal.is_unit:
         raise ValueError("verification needs a proper ideal")
-    gin_ideal = None
+    gin_ideal = seq_cm = None
     if include_gin:
         from .groebner import gin
         gin_ideal = gin(ideal, trials=trials, seed=seed)
     lex = lex_ideal(ideal)
     mismatch = tables_agree(ideal, lex)
-    condition_ii = mismatch is None
-    condition_i = condition_ii or mismatch[0] > 0
-    verdict = VERDICT_VIOLATION if condition_i != condition_ii else VERDICT_CONSISTENT
-    seq_cm = None
-    condition_iii = None
     if include_gin:
-        seq_verdict = sequentially_cm_verdict(ideal, gin_ideal=gin_ideal)
-        seq_cm = seq_verdict.value
-        condition_iii = (seq_verdict is SequentialCMVerdict.CONSISTENT
-                         and gin_ideal == lex)
-    return VerificationReport(
-        ideal=ideal, lex=lex, condition_i=condition_i,
-        condition_ii_on_window=condition_ii, first_mismatch=mismatch,
-        gin=gin_ideal, seq_cm=seq_cm, condition_iii=condition_iii,
-        verdict=verdict)
+        seq_cm = sequentially_cm_verdict(ideal, gin_ideal=gin_ideal).value
+    return VerificationReport(ideal, lex, mismatch, gin_ideal, seq_cm)
 
 
 class RigidityMemberReport:
-    def __init__(self, ideal: MonomialIdeal, equal_rows: tuple[bool, ...],
-                 candidate: bool) -> None:
+    def __init__(self, ideal: MonomialIdeal, equal_rows: tuple[bool, ...]) -> None:
         self.ideal = ideal
         self.equal_rows = equal_rows      # per cohomological index 0..n
-        self.candidate = candidate
+        # a row equal to the lex ideal's below one that is not
+        self.candidate = any(equal_rows[i] and not all(equal_rows[i:])
+                             for i in range(len(equal_rows)))
 
     def to_json(self) -> dict:
         return {"ideal": ideal_to_json(self.ideal),
@@ -196,9 +185,7 @@ class RigidityReport:
 
 
 def _rigidity_member(ideal: MonomialIdeal) -> RigidityMemberReport:
-    flags = equal_rows(ideal, lex_ideal(ideal))
-    candidate = any(flags[i] and not all(flags[i:]) for i in range(len(flags)))
-    return RigidityMemberReport(ideal, flags, candidate)
+    return RigidityMemberReport(ideal, equal_rows(ideal, lex_ideal(ideal)))
 
 
 def probe_rigidity(spec: FamilySpec) -> RigidityReport:

@@ -77,11 +77,18 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError, match="exponent must be a non-negative integer") as err:
             parse_polynomial(text, R3)
         assert err.value.position == 2, text
+    # past Python's limit for converting digits to an integer
+    big = "1" * 5000
+    for text, position in ((big + "*x", 0), ("x^" + big, 2), ("y + 1/" + big + "*x", 4)):
+        with pytest.raises(ParseError, match="number of more than") as err:
+            parse_polynomial(text, R3)
+        assert err.value.position == position, position
 
 
 POLYNOMIAL_TEXT = st.text(alphabet=st.sampled_from("xyzq0123456789/^*+- ") | st.characters(),
                           max_size=30) | st.lists(st.sampled_from(
-    ["x", "y^2", "z^13", "3/2", "1/0", "1 / 4", "*", "+", "-", " ", "^", "q", "2"])).map("".join)
+    ["x", "y^2", "z^13", "3/2", "1/0", "1 / 4", "*", "+", "-", " ", "^", "q", "2",
+     "7" * 4301])).map("".join)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -95,6 +102,25 @@ def test_parse_polynomial_returns_a_poly_or_a_positioned_parse_error(text):
         assert err.position is not None and 0 <= err.position <= len(text), text
     else:
         assert isinstance(poly, Poly)
+
+
+RING_TEXT = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z_0-9]*", fullmatch=True)
+                     | st.text(max_size=4), min_size=1, max_size=5).map(",".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(RING_TEXT)
+@example("1,2")
+@example("a b,c")
+@example("x^2,y")
+def test_ring_names_parse_back_as_their_variables(text):
+    try:
+        ring = parse_ring(text)
+    except ParseError:
+        return
+    for i, name in enumerate(ring.names):
+        variable = tuple(int(k == i) for k in range(ring.n))
+        assert parse_polynomial(name, ring).terms == {variable: 1}, (text, name)
 
 
 def test_parse_zero_denominator():
@@ -329,6 +355,22 @@ def test_cli_exit_codes(capsys):
         code, _, err = run(capsys, command, "--ring", "x,y", "--from-ideal", "x^2 - y^2",
                            "--max-degree", "2")
         assert (code, err) == (2, "lexlab: parse error: --from-ideal needs a monomial ideal\n")
+    # a ring name the polynomial grammar cannot read back as that name
+    for command, ring, text in (("hf", "1,2", "2"), ("hf", "a b,c", "c"), ("hf", "x^2,y", "y"),
+                                ("lex", "1,2", "2*1")):
+        code, out, err = run(capsys, command, "--ring", ring, text)
+        assert (code, out) == (2, "") and "parse error: bad variable name" in err, ring
+    # numbers past Python's limit for converting digits to an integer
+    big = "1" * 5000
+    for argv in (["hf", "--ring", "x,y", big + "*x"], ["hf", "--ring", "x,y", "x^" + big],
+                 ["hf", "--ring", "x,y", "1/" + big + "*x"],
+                 ["lc", "--ring", "x,y", "--window=0:" + big, "x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "parse error: number of more than" in err, argv[-1][:9]
+    # an exponent too large to size a list of exponents by
+    for command in ("hf", "lex", "verify-main"):
+        code, out, err = run(capsys, command, "--ring", "x,y", "x^99999999999999999999")
+        assert (code, out, err) == (3, "", "lexlab: a number is too large for this machine\n")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -661,10 +703,11 @@ def test_verify_main_builds_tables_only_for_display(monkeypatch):
 
 def _flipped(report):
     """A fresh report from `report`'s constructor arguments with condition
-    (i) flipped, so it carries none of the original's cached display data."""
+    (i) flipped, so it carries none of the original's cached display data:
+    the first mismatch moves between None and row 0."""
     args = {name: getattr(report, name)
             for name in inspect.signature(reports.VerificationReport).parameters}
-    args["condition_i"] = not report.condition_i
+    args["first_mismatch"] = (0, 0) if report.condition_i else None
     return reports.VerificationReport(**args)
 
 

@@ -149,7 +149,7 @@ VALUES = [
     (GBasis, (R3, LEX, (Poly.monomial((1, 0, 0)),)),
      (R3, DEGREVLEX, (Poly.monomial((1, 0, 0)),))),
     (CoordinateChange, (((1, 0), (0, 1)), "0"), (((1, 0), (0, 1)), "1")),
-    (ExchangeReport, (True, X, X), (True, X, Y)),
+    (ExchangeReport, (X, X), (X, Y)),
     (HilbertData, ((1, 3), (1, -1), (Fraction(1),), 0), ((1, 3), (1, -1), (Fraction(1),), 1)),
     (MonomialIdeal, (R3, ((2, 0, 0), (1, 1, 0))), (R3, ((2, 0, 0), (0, 1, 0)))),
     (_Walk, (R3, (1, -1), 1), (R3, (1, -2), 1)),
