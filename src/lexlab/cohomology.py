@@ -242,7 +242,8 @@ class LCTable(Frozen):
 
 def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = None) -> LCTable:
     """h^i(R/I)_j for 0 <= i <= n and j in the window: `hilbert_values`
-    expands each row's reflected numerator, from the row's top down."""
+    expands each row's reflected numerator, from the row's top down.  The
+    row is sized before it is filled, so a span no list holds fails at once."""
     window = window or default_window(ideal)
     n = ideal.ring.n
     entries: dict[tuple[int, int], int] = {}
@@ -250,7 +251,9 @@ def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = N
         if not numerator:
             continue
         last = max(numerator)
-        reflected = [numerator.get(k, 0) for k in range(last, min(numerator) - 1, -1)]
+        reflected = [0] * (last - min(numerator) + 1)
+        for k, c in numerator.items():
+            reflected[last - k] = c
         for j, value in zip(range(last - n, window.lo - 1, -1), hilbert_values(reflected, n)):
             if value and j <= window.hi:
                 entries[(i, j)] = value

@@ -192,21 +192,15 @@ def _lex_segments(n: int, values) -> Iterator[list[Exp]]:
 class _Walk(Frozen):
     """Key of the lex walk: ring and series numerator, which fix the lex
     ideal.  top, the largest generator degree of the ideal asked, only sets
-    where the walk may stop, so eq and hash leave it out."""
+    where the walk may stop, so the `_values` that eq and hash compare
+    leave it out."""
     __slots__ = ("ring", "num", "top")
 
     def __init__(self, ring: RingSpec, num: tuple[int, ...], top: int) -> None:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "top", top)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ring, self.num) == (other.ring, other.num)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.num))
+        object.__setattr__(self, "_values", (ring, num))
 
 
 @lru_cache(maxsize=1024)
@@ -282,15 +276,17 @@ class ExchangeReport(Frozen):
 
 
 def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
-    """Compare lex-then-saturate against saturate-then-lex, exactly.  A lex
-    ideal is built strongly stable, so `saturate` projects it with no
-    strong-stability witness."""
+    """Compare (I^sat)^lex against (I^lex)^sat, exactly, from J = I^sat alone.
+
+    J/I = H^0_m(R/I) has finite length, so I and J have the same Hilbert
+    polynomial P.  Saturating a lex ideal gives a lex ideal with the same
+    polynomial, and a saturated lex ideal is fixed by its polynomial (it is
+    L_P; Reeves-Stillman, J. Algebraic Geom. 6, 1997), so (I^lex)^sat =
+    L_P = (J^lex)^sat.  One lex ideal, J^lex, gives both sides, and (i)
+    reads "J^lex is saturated".  A lex ideal is built strongly stable, so
+    `saturate` projects it with no strong-stability witness."""
     if ideal.is_unit:
         raise ValueError("exchange property needs a proper ideal")
     sat = saturate(ideal)
-    right = saturate(lex_ideal(ideal))
-    if sat.is_unit:
-        left = sat  # artinian quotient: both sides are the unit ideal
-    else:
-        left = lex_ideal(sat)
-    return ExchangeReport(left, right)
+    left = sat if sat.is_unit else lex_ideal(sat)  # artinian: both sides are the unit ideal
+    return ExchangeReport(left, saturate(left))

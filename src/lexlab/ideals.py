@@ -75,10 +75,11 @@ class MonomialIdeal(Frozen):
     """A monomial ideal, canonically stored by its minimal generators.
 
     The empty generating set is the zero ideal; {1} is the unit ideal.
-    Construction validates and minimalizes, so equality is plain equality
-    of (ring, gens); only `_strongly_stable` skips both, for generators
-    already minimal, and it alone pre-sets the ideal strongly stable.  The
-    fields live in the instance dict, next to the cached properties.
+    Construction validates and minimalizes, so eq and hash compare the
+    `_values` (ring, gens); only `_strongly_stable` skips both, for
+    generators already minimal, and it alone pre-sets the ideal strongly
+    stable.  The fields live in the instance dict, next to the cached
+    properties.
     """
 
     def __init__(self, ring: RingSpec, gens: tuple[Exp, ...] = ()) -> None:
@@ -88,14 +89,7 @@ class MonomialIdeal(Frozen):
                 raise ValueError(f"bad exponent vector {u!r} for n={ring.n}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", minimal_generators(gens))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.ring, self.gens) == (other.ring, other.gens)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.gens))
+        object.__setattr__(self, "_values", (ring, self.gens))
 
     @classmethod
     def _strongly_stable(cls, ring: RingSpec, gens) -> MonomialIdeal:
@@ -106,6 +100,7 @@ class MonomialIdeal(Frozen):
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "ring", ring)
         object.__setattr__(ideal, "gens", tuple(sorted(gens, reverse=True)))
+        object.__setattr__(ideal, "_values", (ring, ideal.gens))
         object.__setattr__(ideal, "_stable", True)
         return ideal
 

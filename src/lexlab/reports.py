@@ -66,7 +66,9 @@ class VerificationReport:
     @cached_property
     def _exchange(self) -> ExchangeReport:
         """The explicit exchange sides, which must agree with the row-0
-        decision of `condition_i`."""
+        decision of `condition_i`.  That decision walks I^lex and the sides
+        walk J^lex, J = I^sat, so unless I is saturated the two share no
+        lex walk."""
         exchange = exchange_property(self.ideal)
         if exchange.holds != self.condition_i:
             raise InternalInconsistency(

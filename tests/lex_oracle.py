@@ -24,10 +24,13 @@ route of the ``hf`` display.  It subtracts one binomial per summand and
 returns the exponent sequence itself, so its cost is the Gotzmann number.
 
 ``exchange_by_colon`` checks ``lexlab.gotzmann.exchange_property``, which
-saturates strongly stable input by projection and shares lex ideals by
-series numerator.  It takes the explicit route the library replaced: every
+saturates strongly stable input by projection, shares lex ideals by series
+numerator and reads both sides from J = I^sat alone, the right one as
+(J^lex)^sat.  It takes the explicit route the library replaced: every
 saturation one colon by the variable powers, and each lex ideal its own
-walk over the pivot numerator, stopped past that ideal's top degree.
+walk over the pivot numerator, stopped past that ideal's top degree; its
+right side is (I^lex)^sat, from I's own walk, so the comparison also
+checks (I^lex)^sat = (J^lex)^sat.
 """
 
 from fractions import Fraction

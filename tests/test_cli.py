@@ -371,6 +371,14 @@ def test_cli_exit_codes(capsys):
     for command in ("hf", "lex", "verify-main"):
         code, out, err = run(capsys, command, "--ring", "x,y", "x^99999999999999999999")
         assert (code, out, err) == (3, "", "lexlab: a number is too large for this machine\n")
+    # a local cohomology row spanning more degrees than a list can hold
+    # fails when it is sized, before any degree of it is built
+    too_large, out_of_memory = "a number is too large for this machine", "out of memory"
+    for argv, message in ((["x^99999999999999999999"], too_large),
+                          (["--window=0:3", "x^99999999999999999999"], too_large),
+                          (["x^1000000000000000"], out_of_memory)):
+        code, out, err = run(capsys, "lc", "--ring", "x,y", *argv)
+        assert (code, out, err) == (3, "", f"lexlab: {message}\n"), argv
 
 
 @pytest.mark.parametrize("call, message", [

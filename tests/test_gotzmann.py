@@ -685,14 +685,34 @@ def _assert_row_zero_decides_like_oracle(I, oracle):
     assert report.verdict == VERDICT_CONSISTENT, I
 
 
+def _assert_exchange_reads_the_saturation(I):
+    # both sides are functions of J = I^sat: the unit ideal when J is, else
+    # the exchange of J itself
+    sat = saturate(I)
+    rep = exchange_property(I)
+    if sat.is_unit:
+        assert rep.holds and rep.left == rep.right == sat, I
+    else:
+        assert rep == exchange_property(sat), I
+
+
+def _saturated_lex_of_the_polynomial(I):
+    # L_P, read from the Gotzmann representation of P with no walk
+    return saturated_lex_generators(
+        gotzmann_representation(hilbert_numerator(I), I.ring.n), I.ring)
+
+
 @pytest.mark.parametrize("n, max_degree", [(3, 5), (4, 4), (5, 3)])
 def test_exchange_matches_colon_oracle_on_families(n, max_degree):
     # the projection saturates I and its lex ideal; the oracle takes colons
+    # and walks I^lex, where the library walks J^lex for J = I^sat
     for I in all_strongly_stable(RingSpec(n), max_degree):
         if not I.is_zero:
             oracle = exchange_by_colon(I)
             rep = exchange_property(I)
             assert (rep.holds, rep.left, rep.right) == oracle, I
+            assert rep.right == _saturated_lex_of_the_polynomial(I), I
+            _assert_exchange_reads_the_saturation(I)
             assert saturate(I) == _saturate_by_powers(I), I
             _assert_row_zero_decides_like_oracle(I, oracle)
 
@@ -702,7 +722,31 @@ def test_exchange_matches_colon_oracle_on_non_stable_ideals():
         oracle = exchange_by_colon(I)
         rep = exchange_property(I)
         assert (rep.holds, rep.left, rep.right) == oracle, I
+        assert rep.right == _saturated_lex_of_the_polynomial(I), I
+        _assert_exchange_reads_the_saturation(I)
         _assert_row_zero_decides_like_oracle(I, oracle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(proper_monomial_ideals())
+def test_exchange_depends_on_the_saturation_alone(ideal):
+    _assert_exchange_reads_the_saturation(ideal)
+
+
+def test_exchange_walks_only_the_lex_ideal_of_the_saturation(monkeypatch):
+    # one walk, J^lex, for a non-saturated ideal; none for an artinian one
+    calls = []
+    walk = gotzmann._lex_by_numerator
+    monkeypatch.setattr(gotzmann, "_lex_by_numerator", lambda key: calls.append(key) or walk(key))
+    non_saturated = MonomialIdeal(R4, ((4, 0, 0, 1), (0, 5, 0, 0), (0, 0, 3, 2), (1, 1, 1, 3)))
+    artinian = MonomialIdeal(R3, ((3, 0, 0), (0, 3, 0), (0, 0, 3)))
+    assert saturate(non_saturated) != non_saturated and saturate(artinian).is_unit
+    for I, walks in ((non_saturated, 1), (artinian, 0)):
+        lex_ideal.cache_clear()
+        walk.cache_clear()
+        calls.clear()
+        exchange_property(I)
+        assert len(calls) == walks, I
 
 
 def test_exchange_artinian():

@@ -1,10 +1,12 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
 has a user, no unused definitions or imports, exercised oracles, no threads,
-the strong-stability attribute kept to one module, no floating point,
-rational arithmetic kept to four modules, ASCII source, and the benchmark's
-answer checks and traced names working on the library."""
+the strong-stability attribute kept to one module, one eq and hash for every
+value type, no floating point, rational arithmetic kept to four modules,
+ASCII source, and the benchmark's answer checks and traced names working on
+the library."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -12,6 +14,8 @@ import types
 from pathlib import Path
 
 import lexlab
+from lexlab import MonomialIdeal, RingSpec, gotzmann
+from lexlab.ring import Frozen
 
 
 def test_import_loads_no_introspection_modules():
@@ -55,6 +59,20 @@ def test_only_ideals_marks_an_ideal_strongly_stable():
                     or isinstance(node, ast.Constant) and node.value == "_stable"):
                 writers.add(f.name)
     assert writers == {"ideals.py"}, writers
+
+
+def test_value_types_take_eq_and_hash_from_frozen():
+    # one protocol: a value type keeps what it is compared by in `_values`
+    # and defines no eq or hash of its own
+    src = Path(lexlab.__file__).parent
+    modules = [importlib.import_module(f"lexlab.{f.stem}")
+               for f in sorted(src.glob("*.py")) if f.stem != "__init__"]
+    value_types = {value for module in modules for value in vars(module).values()
+                   if isinstance(value, type) and issubclass(value, Frozen) and value is not Frozen}
+    assert {MonomialIdeal, RingSpec, gotzmann._Walk} <= value_types
+    overriding = sorted(f"{cls.__module__}.{cls.__name__}.{name}" for cls in value_types
+                        for name in ("__eq__", "__hash__") if name in vars(cls))
+    assert not overriding, overriding
 
 
 EXACT_MATH = {"comb", "factorial", "gcd", "lcm"}
