@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import partial
-from math import comb
+from functools import partial, reduce
+from itertools import compress
+from operator import or_
 
 from .errors import InvalidArgument, MacaulayViolation
 from .gotzmann import lex_ideal_from_values, lex_top_degree
@@ -26,42 +27,61 @@ class FamilySpec(Frozen):
         super().__init__(ring, target, max_degree)
 
 
+def _filter_masks(succ: list[int], forced: int, size: int | None) -> Iterator[int]:
+    """The Borel-closed subsets of one degree as bitmasks over its lex-descending
+    monomials: bit k may be set only when every bit of succ[k] (its adjacent
+    Borel successors, all below k) is.  A depth-first walk that takes each
+    monomial before leaving it out: `chosen` holds the choices below `idx`,
+    and a backtrack returns to the highest taken bit outside `forced`."""
+    m, idx, chosen, count = len(succ), 0, 0, 0
+    while True:
+        if size is None or count <= size <= count + m - idx:
+            if idx == m:
+                yield chosen
+            elif not succ[idx] & ~chosen:
+                chosen |= 1 << idx
+                idx, count = idx + 1, count + 1
+                continue
+            elif not forced >> idx & 1:
+                idx += 1
+                continue
+        free = chosen & ~forced
+        if not free:
+            return
+        k = free.bit_length() - 1   # leave monos[k] out, drop the choices above it
+        chosen &= (1 << k) - 1
+        idx, count = k + 1, chosen.bit_count()
+
+
+def _at_bits(items, mask: int) -> list:
+    """items[k] for every set bit k of mask, k ascending; a list, as tuple() of
+    an iterator unbalances the tuple free lists, megabytes over a long walk."""
+    return list(compress(items, map("1".__eq__, bin(mask)[:1:-1])))
+
+
+def _degree_table(ring: RingSpec, d: int) -> tuple[tuple[Exp, ...], list[int], list[int]]:
+    """The degree-d monomials, lex-descending, with bit k for the k-th; the
+    mask of each one's adjacent Borel successors; and up[k], the mask of
+    the n multiples of the k-th monomial of degree d - 1."""
+    monos = enumerate_monomials(ring.n, d)
+    bit = {u: 1 << k for k, u in enumerate(monos)}
+    lower = enumerate_monomials(ring.n, d - 1) if d else ()
+    return (monos, [sum(bit[v] for _, v in adjacent_moves(u)) for u in monos],
+            [sum(bit[monomial_mul(u, x)] for x in ring.variables()) for u in lower])
+
+
 def borel_filters(n: int, d: int, forced: frozenset[Exp],
                   size: int | None = None) -> Iterator[frozenset[Exp]]:
     """All Borel-closed subsets of the degree-d monomials containing `forced`
-    (and of the exact cardinality, when given), each exactly once.
-
-    A depth-first walk over the monomials, taking each one before leaving it
-    out; `taken` is its stack of choices, so no call nests per monomial."""
-    monos = enumerate_monomials(n, d)  # lex-descending: successors come first
-    succ = {u: [v for _, v in adjacent_moves(u)] for u in monos}
-    chosen: set[Exp] = set()
-    taken: list[bool] = []   # taken[k]: whether monos[k] is in `chosen`
-    while True:
-        idx = len(taken)
-        if size is None or len(chosen) <= size <= len(chosen) + len(monos) - idx:
-            if idx == len(monos):
-                yield frozenset(chosen)
-            elif all(s in chosen for s in succ[monos[idx]]):
-                chosen.add(monos[idx])
-                taken.append(True)
-                continue
-            elif monos[idx] not in forced:
-                taken.append(False)
-                continue
-        # backtrack to the last monomial taken that may still be left out
-        while taken and not (taken[-1] and monos[len(taken) - 1] not in forced):
-            if taken.pop():
-                chosen.discard(monos[len(taken)])
-        if not taken:
-            return
-        chosen.discard(monos[len(taken) - 1])
-        taken[-1] = False
-
-
-def _shadow(ring: RingSpec, layer: frozenset[Exp]) -> frozenset[Exp]:
-    variables = ring.variables()
-    return frozenset(monomial_mul(u, v) for u in layer for v in variables)
+    (and of the exact cardinality, when given), each exactly once, in the
+    order of a walk that takes each monomial before leaving it out.  A forced
+    monomial that is not of degree d in n variables is an InvalidArgument."""
+    monos, succ, _ = _degree_table(RingSpec(n), d)
+    stray = sorted(forced.difference(monos))
+    if stray:
+        raise InvalidArgument(f"forced monomials {stray} are not of degree {d} in {n} variables")
+    for mask in _filter_masks(succ, sum(1 << k for k, u in enumerate(monos) if u in forced), size):
+        yield frozenset(_at_bits(monos, mask))
 
 
 def _strongly_stable(ring: RingSpec, max_degree: int,
@@ -70,20 +90,21 @@ def _strongly_stable(ring: RingSpec, max_degree: int,
     with `values`, only those with dim (R/I)_d = values[d] for every d <= max_degree.
 
     Depth first, degree by degree: stack[d] yields the choices of the
-    degree-d layer, so no call nests per degree.  A layer minus the shadow
-    of the layer below is that degree's minimal generators, and the layers
-    are Borel-closed, so each member is built as known strongly stable."""
-    n = ring.n
+    degree-d layer as a bitmask, so no call nests per degree.  The shadow
+    of the layer below is the OR of its monomials' multiples; the layer
+    minus it is that degree's minimal generators, and the layers are
+    Borel-closed, so each member is built as known strongly stable."""
+    tables = [_degree_table(ring, d) for d in range(max_degree + 1)]
 
-    def layers(d: int, prev: frozenset[Exp], gens: tuple[Exp, ...]
-               ) -> Iterator[tuple[frozenset[Exp], tuple[Exp, ...]]]:
-        shadow = _shadow(ring, prev)
-        size = None if values is None else comb(d + n - 1, n - 1) - values[d]
-        if size is None or size >= len(shadow):
-            for layer in borel_filters(n, d, shadow, size):
-                yield layer, gens + tuple(sorted(layer - shadow))
+    def layers(d: int, prev: int, gens: list[Exp]) -> Iterator[tuple[int, list[Exp]]]:
+        monos, succ, up = tables[d]
+        shadow = reduce(or_, _at_bits(up, prev), 0)
+        size = None if values is None else len(monos) - values[d]
+        if size is None or size >= shadow.bit_count():
+            for layer in _filter_masks(succ, shadow, size):
+                yield layer, gens + _at_bits(monos, layer & ~shadow)
 
-    stack = [iter([(frozenset(), ())])]   # degree 0: no monomial
+    stack = [iter([(0, [])])]   # degree 0: no monomial
     while stack:
         for layer, gens in stack[-1]:
             if len(stack) > max_degree:
