@@ -9,9 +9,8 @@ from .errors import (InvalidArgument, LexlabError, MacaulayViolation, ParseError
                      UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable
 from .gotzmann import (GotzmannData, exchange_property, gotzmann_representation,
-                       is_gotzmann, lex_ideal, lex_ideal_from_values, predict_lc_vanishing,
-                       saturated_lex_generators)
-from .groebner import buchberger, gin, initial_ideal, normal_form, spoly
+                       is_gotzmann, lex_ideal, lex_ideal_from_values, saturated_lex_generators)
+from .groebner import buchberger, gin, initial_ideal, normal_form
 from .hilbert import (dimension, hilbert_function, hilbert_numerator, hilbert_series,
                       multiplicity)
 from .ideals import (MonomialIdeal, colon, graded_generator_counts, intersect,

@@ -44,6 +44,7 @@ from itertools import product
 from operator import or_
 
 from .errors import InternalInconsistency, InvalidArgument
+from .groebner import gin
 from .hilbert import _expand_tally, _tally, dimension, hilbert_values
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
@@ -113,8 +114,8 @@ def _reduced_homology(free: int, nonfaces: tuple[int, ...]) -> tuple[int, ...]:
     """dim H~_(k-1)(Delta; Q) for k = 0..|free|, where Delta is the simplicial
     complex on the vertex bit mask `free` with the given minimal non-faces."""
     layers: list[dict[int, int]] = [{} for _ in range(free.bit_count() + 1)]
-    for face in range(free + 1):
-        if face & free == face and not any(face & m == m for m in nonfaces):
+    for face in _submasks(free):
+        if not any(face & m == m for m in nonfaces):
             layer = layers[face.bit_count()]
             layer[face] = len(layer)
     ranks = [0] * (len(layers) + 1)  # ranks[k]: boundary map on the k-vertex faces
@@ -157,9 +158,12 @@ def _takayama_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     above = [[[1 << j if u[j] > c else 0 for u in gens] for c in cuts[j]] for j in range(n)]
     zeros = [0] * len(gens)
     rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for negative in range(1 << n):
-        free = [j for j in range(n) if not negative >> j & 1]
-        free_mask = (1 << n) - 1 - negative
+    # a free x_j dividing no generator has a single cut, hence no cell: the
+    # free variables are those that divide a generator less a negative subset
+    present = sum(1 << j for j in range(n) if len(cuts[j]) > 1)
+    for negative in _submasks(present):
+        free_mask = present ^ negative
+        free = [j for j in range(n) if free_mask >> j & 1]
         g = n - len(free)
         for cell in product(*(range(len(cuts[j]) - 1) for j in free)):
             columns = [above[j][t] for j, t in zip(free, cell)]
@@ -180,6 +184,16 @@ def _takayama_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
                     for s, c in terms.items():
                         row[s] = row.get(s, 0) + h * c
     return tuple({k: c for k, c in sorted(row.items()) if c} for row in rows)
+
+
+def _submasks(mask: int):
+    """The submasks of `mask`, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def _times_binomial(terms: dict[int, int], lo: int, hi: int) -> dict[int, int]:
@@ -320,7 +334,6 @@ def sequentially_cm_verdict(ideal: MonomialIdeal,
     if ideal.is_unit:
         raise ValueError("verdict needs a proper ideal")
     if gin_ideal is None:
-        from .groebner import gin
         gin_ideal = gin(ideal)
     if tables_agree(ideal, gin_ideal) is None:
         return SequentialCMVerdict.CONSISTENT

@@ -9,8 +9,7 @@ check of Macaulay's theorem.  The walk is memoised by (ring, N), with N
 from the Eliahou-Kervaire formula for strongly stable input and from the
 pivot otherwise.  The saturation is controlled by the canonical binomial
 representation of the Hilbert polynomial, computed from N in integers, from
-which the generators and the vanishing pattern of local cohomology are read
-off directly; no rational arithmetic is needed.
+which the generators are read off directly; no rational arithmetic is needed.
 """
 
 from __future__ import annotations
@@ -111,17 +110,6 @@ def saturated_lex_generators(data: GotzmannData, ring: RingSpec | None = None) -
     if data.h == 0:
         gens.append(ring.unit_monomial())  # empty representation: unit ideal
     return MonomialIdeal(ring, tuple(gens))
-
-
-def predict_lc_vanishing(data: GotzmannData) -> frozenset[int]:
-    """Cohomological indices i in 0..n-1 with vanishing local cohomology of the
-    saturated lex quotient; read off zero entries of the v-vector."""
-    vanishing = {0}
-    for i in range(1, data.n):
-        slot = data.n - i
-        if slot > data.h or data.v[slot - 1] == 0:
-            vanishing.add(i)
-    return frozenset(vanishing)
 
 
 # -- lex ideals ----------------------------------------------------------------

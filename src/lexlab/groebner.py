@@ -9,11 +9,12 @@ is for ranks): to cancel a term with coefficient c against a basis element
 with leading coefficient lcg, the work polynomial is scaled by lcg/t and c/t
 times the element is subtracted, t = gcd(c, lcg).  S-polynomials are formed
 by the same cross-multiplication, and each monomial's term-order key is
-computed once per call.  `Fraction` appears only at the public API: the
-elements of a `GBasis` are monic `Poly`s, and `normal_form`, `spoly` and
-`apply_change` return exact rational results, while the gin trials run on
-the integer core and build no `Fraction`.  The `Fraction`-based reference
-route is the oracle in the test suite.
+computed once per call.  This core is the library's only polynomial
+arithmetic: a `Poly` is a value, and `Fraction` appears only where one is
+built at the public API.  The elements of a `GBasis` are monic `Poly`s,
+`normal_form` and `apply_change` return exact rational results, and the gin
+trials build no `Fraction`.  The `Fraction`-based reference route is the
+oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -119,14 +120,6 @@ def _reduce(f: IntPoly, basis: list[Entry], keys: _OrderKeys) -> tuple[IntPoly, 
 def _as_poly(n: int, f: IntPoly, den: int) -> Poly:
     """The exact polynomial f / den."""
     return Poly(n, f if den == 1 else {u: Fraction(c, den) for u, c in f.items()})
-
-
-def spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    """x^(L-lf) f / lcf - x^(L-lg) g / lcg, exactly."""
-    keys = _OrderKeys(order)
-    ef, eg = _entry(_integral(f)[0], keys), _entry(_integral(g)[0], keys)
-    t = gcd(ef[1], eg[1])
-    return _as_poly(f.n, {u: c * t for u, c in _spoly(ef, eg).items()}, ef[1] * eg[1])
 
 
 def normal_form(f: Poly, basis, order: TermOrder) -> Poly:

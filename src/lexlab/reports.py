@@ -10,6 +10,7 @@ from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_win
 from .errors import InternalInconsistency
 from .families import FamilySpec, enumerate_strongly_stable
 from .gotzmann import ExchangeReport, exchange_property, lex_ideal
+from .groebner import gin
 from .ideals import MonomialIdeal
 from .parsing import parse_monomial, parse_ring
 
@@ -149,7 +150,6 @@ def verify_main(ideal: MonomialIdeal, include_gin: bool = False, trials: int = 3
         raise ValueError("verification needs a proper ideal")
     gin_ideal = seq_cm = None
     if include_gin:
-        from .groebner import gin
         gin_ideal = gin(ideal, trials=trials, seed=seed)
     lex = lex_ideal(ideal)
     mismatch = tables_agree(ideal, lex)

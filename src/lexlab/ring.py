@@ -7,8 +7,7 @@ The variable priority is X_1 > X_2 > ... > X_n everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd
+from functools import lru_cache
 
 Exp = tuple[int, ...]
 
@@ -182,7 +181,10 @@ def enumerate_monomials(n: int, d: int, order: TermOrder = LEX) -> tuple[Exp, ..
 
 
 class Poly:
-    """Sparse polynomial over Q; maps exponent tuples to nonzero coefficients."""
+    """Sparse polynomial over Q; maps exponent tuples to nonzero coefficients.
+
+    A value: what the parser returns and the Groebner API takes and gives
+    back.  Its arithmetic is the integer core's in `groebner`."""
 
     __slots__ = ("n", "terms")
 
@@ -190,22 +192,14 @@ class Poly:
         self.n = n
         clean: dict[Exp, Fraction] = {}
         for u, c in (terms or {}).items():
-            c = Fraction(c)
+            if not (type(u) is tuple and len(u) == n
+                    and all(type(e) is int and e >= 0 for e in u)):
+                raise ValueError(f"bad exponent vector {u!r} for n={n}")
+            if type(c) not in (int, Fraction):
+                raise ValueError(f"bad coefficient {c!r}: need an int or a Fraction")
             if c:
-                clean[tuple(u)] = c
+                clean[u] = Fraction(c)
         self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "Poly":
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def monomial(cls, u: Exp, c=1) -> "Poly":
-        return cls(len(u), {tuple(u): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -220,56 +214,11 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
 
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for u, c in other.terms.items():
-            terms[u] = terms.get(u, 0) + c
-        return Poly(self.n, terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n, {u: -c for u, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        terms: dict[Exp, Fraction] = {}
-        for u, c in self.terms.items():
-            for v, d in other.terms.items():
-                w = monomial_mul(u, v)
-                terms[w] = terms.get(w, 0) + c * d
-        return Poly(self.n, terms)
-
-    def scaled(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.n, {u: cc * c for u, cc in self.terms.items()})
-
-    def term_multiplied(self, u: Exp, c=1) -> "Poly":
-        """Multiply by the term c * x^u."""
-        c = Fraction(c)
-        return Poly(self.n, {monomial_mul(v, u): cc * c for v, cc in self.terms.items()})
-
     def leading(self, order: TermOrder) -> tuple[Exp, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         u = max(self.terms, key=order.key)
         return u, self.terms[u]
-
-    def monic(self, order: TermOrder) -> "Poly":
-        _, c = self.leading(order)
-        return self.scaled(Fraction(c.denominator, c.numerator))
-
-    def primitive(self) -> "Poly":
-        """Scale to coprime integer coefficients, positive on the largest monomial."""
-        if not self.terms:
-            return self
-        den = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
-                     self.terms.values(), 1)
-        num = reduce(gcd, (abs(c.numerator * den // c.denominator) for c in self.terms.values()))
-        scale = Fraction(den, num)
-        if self.terms[max(self.terms)] < 0:
-            scale = -scale
-        return self.scaled(scale)
 
     def __repr__(self) -> str:
         return f"Poly({self.n}, {self.terms!r})"

@@ -1,20 +1,25 @@
 """Buchberger completion over Q with `Fraction` coefficients, kept as the
 oracle for the library's fraction-free integer core (``lexlab.groebner``).
 
-Every polynomial here is a `Poly` and every reduction step divides by a
-leading coefficient, so it shares no arithmetic with the integer core.  It
-makes the same choices (pair selection, coprime and chain criteria,
-inter-reduction, the final input-reduces-to-zero check), so its reduced
-bases and generic initial ideals must equal the library's exactly.
+A polynomial here is a dict from exponent tuples to nonzero `Fraction`s;
+`Poly` is only what the public functions take and give back.  Every
+reduction step divides by a leading coefficient, so the oracle shares no
+arithmetic with the integer core.  It makes the same choices (pair
+selection, coprime and chain criteria, inter-reduction, the final
+input-reduces-to-zero check), so its reduced bases and generic initial
+ideals must equal the library's exactly.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from lexlab import DEGREVLEX, MonomialIdeal, Poly, RingSpec, TermOrder
 from lexlab.errors import InternalInconsistency, UnluckyCoordinates
-from lexlab.groebner import CoordinateChange, GBasis, initial_ideal, random_coordinate_change
+from lexlab.groebner import CoordinateChange, GBasis, random_coordinate_change
 from lexlab.ideals import is_strongly_stable
 from lexlab.ring import Exp, monomial_divides, monomial_lcm, monomial_mul, total_degree
+
+Terms = dict[Exp, Fraction]
 
 
 def monomial_quotient(u: Exp, v: Exp) -> Exp:
@@ -24,85 +29,128 @@ def monomial_quotient(u: Exp, v: Exp) -> Exp:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def subtract(f: Terms, c, q: Exp, g: Terms) -> Terms:
+    """f - c * x^q * g, as a new dict."""
+    out = dict(f)
+    for u, d in g.items():
+        w = monomial_mul(u, q)
+        out[w] = out.get(w, 0) - c * d
+        if not out[w]:
+            del out[w]
+    return out
+
+
+def multiply(f: Terms, g: Terms) -> Terms:
+    out: Terms = {}
+    for u, c in f.items():
+        out = subtract(out, -c, u, g)
+    return out
+
+
+def primitive(f: Terms) -> Terms:
+    """f over its content: coprime integer coefficients, positive on the
+    lex-largest monomial."""
+    if not f:
+        return f
+    content = Fraction(gcd(*(c.numerator for c in f.values())),
+                       lcm(*(c.denominator for c in f.values())))
+    if f[max(f)] < 0:
+        content = -content
+    return {u: c / content for u, c in f.items()}
+
+
+def monic(f: Terms, order: TermOrder) -> Terms:
+    lc = f[_leading(f, order)]
+    return {u: c / lc for u, c in f.items()}
+
+
+def _leading(f: Terms, order: TermOrder) -> Exp:
+    return max(f, key=order.key)
+
+
+def _spoly(f: Terms, g: Terms, order: TermOrder) -> Terms:
+    lf, lg = _leading(f, order), _leading(g, order)
+    lead = monomial_lcm(lf, lg)
+    scaled_f = subtract({}, -1 / f[lf], monomial_quotient(lead, lf), f)
+    return subtract(scaled_f, 1 / g[lg], monomial_quotient(lead, lg), g)
+
+
 def spoly(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    lmf, lcf = f.leading(order)
-    lmg, lcg = g.leading(order)
-    lcm = monomial_lcm(lmf, lmg)
-    return (f.term_multiplied(monomial_quotient(lcm, lmf), Fraction(1) / lcf)
-            - g.term_multiplied(monomial_quotient(lcm, lmg), Fraction(1) / lcg))
+    """x^(L-lf) f / lcf - x^(L-lg) g / lcg."""
+    return Poly(f.n, _spoly(f.terms, g.terms, order))
+
+
+def _remainder(f: Terms, basis: list[Terms], order: TermOrder) -> Terms:
+    leads = [(_leading(g, order), g) for g in basis]
+    remainder: Terms = {}
+    while f:
+        lm = _leading(f, order)
+        lc = f[lm]
+        for lmg, g in leads:
+            if monomial_divides(lmg, lm):
+                f = subtract(f, lc / g[lmg], monomial_quotient(lm, lmg), g)
+                break
+        else:
+            remainder[lm] = lc
+            f = {u: c for u, c in f.items() if u != lm}
+    return remainder
 
 
 def normal_form(f: Poly, basis, order: TermOrder) -> Poly:
     """Full remainder of f on division by the basis (head and tail reduced)."""
-    leads = [(g.leading(order)[0], g) for g in basis]
-    remainder: dict[Exp, Fraction] = {}
-    work = Poly(f.n, dict(f.terms))
-    while not work.is_zero():
-        lm, lc = work.leading(order)
-        for lmg, g in leads:
-            if monomial_divides(lmg, lm):
-                lcg = g.terms[lmg]
-                work = work - g.term_multiplied(monomial_quotient(lm, lmg), lc / lcg)
-                break
-        else:
-            remainder[lm] = lc
-            work = Poly(work.n, {u: c for u, c in work.terms.items() if u != lm})
-    return Poly(f.n, remainder)
+    return Poly(f.n, _remainder(f.terms, [g.terms for g in basis], order))
 
 
 def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
-    polys = [p.primitive() for p in gens if not p.is_zero()]
+    gens = [p for p in gens if not p.is_zero()]
     if ring is None:
-        if not polys:
+        if not gens:
             raise ValueError("cannot infer the ring from an empty generator list")
-        ring = RingSpec(polys[0].n)
-    basis: list[Poly] = []
+        ring = RingSpec(gens[0].n)
+    reduced = _groebner([p.terms for p in gens], order)
+    return GBasis(ring, order, tuple(Poly(ring.n, g) for g in reduced))
+
+
+def _groebner(polys: list[Terms], order: TermOrder) -> list[Terms]:
+    """Reduced monic basis of the ideal generated by nonzero polys."""
+    polys = [primitive(p) for p in polys]
+    basis: list[Terms] = []
     for p in polys:
-        r = normal_form(p, basis, order) if basis else p
-        if not r.is_zero():
-            basis.append(r.primitive())
+        r = _remainder(p, basis, order)
+        if r:
+            basis.append(primitive(r))
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     processed: set[tuple[int, int]] = set()
     while pairs:
-        lead = [g.leading(order)[0] for g in basis]
+        lead = [_leading(g, order) for g in basis]
 
         def pair_key(p):
-            lcm = monomial_lcm(lead[p[0]], lead[p[1]])
-            return (total_degree(lcm), order.key(lcm))
+            lcm_ij = monomial_lcm(lead[p[0]], lead[p[1]])
+            return (total_degree(lcm_ij), order.key(lcm_ij))
 
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         processed.add((i, j))
-        lcm = monomial_lcm(lead[i], lead[j])
-        if lcm == monomial_mul(lead[i], lead[j]):
+        lcm_ij = monomial_lcm(lead[i], lead[j])
+        if lcm_ij == monomial_mul(lead[i], lead[j]):
             continue  # coprime leading terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lead[k], lcm):
-                continue
-            a, b = tuple(sorted((i, k))), tuple(sorted((k, j)))
-            if a in processed and b in processed:
-                chained = True
-                break
-        if chained:
-            continue
-        r = normal_form(spoly(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
-            continue
-        basis.append(r.primitive())
-        new = len(basis) - 1
-        pairs.update((t, new) for t in range(new))
+        if any(k not in (i, j) and monomial_divides(lead[k], lcm_ij)
+               and tuple(sorted((i, k))) in processed and tuple(sorted((k, j))) in processed
+               for k in range(len(basis))):
+            continue  # chain criterion
+        r = _remainder(_spoly(basis[i], basis[j], order), basis, order)
+        if r:
+            basis.append(primitive(r))
+            pairs.update((t, len(basis) - 1) for t in range(len(basis) - 1))
     reduced = _reduce_basis(basis, order)
-    final = GBasis(ring, order, tuple(reduced))
-    for p in polys:
-        if not normal_form(p, final.elements, order).is_zero():
-            raise InternalInconsistency("an input generator does not reduce to zero")
-    return final
+    if any(_remainder(p, reduced, order) for p in polys):
+        raise InternalInconsistency("an input generator does not reduce to zero")
+    return reduced
 
 
-def _reduce_basis(basis, order: TermOrder) -> list[Poly]:
-    lead = [g.leading(order)[0] for g in basis]
+def _reduce_basis(basis: list[Terms], order: TermOrder) -> list[Terms]:
+    lead = [_leading(g, order) for g in basis]
     minimal = [g for i, g in enumerate(basis)
                if not any(j != i and monomial_divides(lead[j], lead[i])
                           and (lead[j] != lead[i] or j < i)
@@ -111,43 +159,36 @@ def _reduce_basis(basis, order: TermOrder) -> list[Poly]:
     while changed:
         changed = False
         for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            r = normal_form(minimal[i], others, order)
-            if r.is_zero():
+            r = _remainder(minimal[i], minimal[:i] + minimal[i + 1:], order)
+            if not r:
                 minimal.pop(i)
                 changed = True
                 break
             if r != minimal[i]:
-                minimal[i] = r.primitive()
+                minimal[i] = primitive(r)
                 changed = True
-    out = [g.monic(order) for g in minimal]
-    out.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    out = [monic(g, order) for g in minimal]
+    out.sort(key=lambda g: order.key(_leading(g, order)), reverse=True)
+    return out
+
+
+def _substitute(f: Terms, change: CoordinateChange) -> Terms:
+    n = len(change.matrix)
+    forms = [{tuple(int(t == j) for t in range(n)): Fraction(m) for j, m in enumerate(row) if m}
+             for row in change.matrix]
+    out: Terms = {}
+    for u, c in f.items():
+        term = {(0,) * n: c}
+        for i, e in enumerate(u):
+            for _ in range(e):
+                term = multiply(term, forms[i])
+        out = subtract(out, -1, (0,) * n, term)
     return out
 
 
 def apply_change(p: Poly, change: CoordinateChange) -> Poly:
     """Substitute X_i -> sum_j M[i][j] X_j."""
-    n = p.n
-    rows = [Poly(n, {tuple(1 if t == j else 0 for t in range(n)): change.matrix[i][j]
-                     for j in range(n) if change.matrix[i][j]})
-            for i in range(n)]
-    powers: dict[tuple[int, int], Poly] = {}
-
-    def power(i: int, e: int) -> Poly:
-        got = powers.get((i, e))
-        if got is None:
-            got = Poly.constant(n, 1) if e == 0 else power(i, e - 1) * rows[i]
-            powers[(i, e)] = got
-        return got
-
-    result = Poly.zero(n)
-    for u, c in p.terms.items():
-        term = Poly.constant(n, c)
-        for i, e in enumerate(u):
-            if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+    return Poly(p.n, _substitute(p.terms, change))
 
 
 def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3, seed: int = 0,
@@ -157,17 +198,17 @@ def gin(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3, seed: int
     ring and must be homogeneous."""
     if isinstance(ideal_or_polys, MonomialIdeal):
         ring = ideal_or_polys.ring
-        polys = [Poly.monomial(g) for g in ideal_or_polys.gens]
+        polys = [{g: Fraction(1)} for g in ideal_or_polys.gens]
     else:
-        polys = [p for p in ideal_or_polys if not p.is_zero()]
+        polys = [p.terms for p in ideal_or_polys if not p.is_zero()]
     if not polys:
         return MonomialIdeal(ring)
     results = []
     trial_seeds = [f"{seed}:{t}" for t in range(trials)]
     for ts in trial_seeds:
         change = random_coordinate_change(ring, ts, bound)
-        moved = [apply_change(p, change) for p in polys]
-        results.append(initial_ideal(buchberger(moved, DEGREVLEX, ring)))
+        basis = _groebner([_substitute(p, change) for p in polys], DEGREVLEX)
+        results.append(MonomialIdeal(ring, tuple(_leading(g, DEGREVLEX) for g in basis)))
     if any(r != results[0] for r in results[1:]):
         raise UnluckyCoordinates("coordinate trials disagree", tuple(trial_seeds))
     out = results[0]

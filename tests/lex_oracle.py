@@ -23,6 +23,11 @@ which ``hilbert_polynomial_of`` builds from N with ``binomial_in_x``, the
 route of the ``hf`` display.  It subtracts one binomial per summand and
 returns the exponent sequence itself, so its cost is the Gotzmann number.
 
+``predict_lc_vanishing`` checks the rows of R/L_P that
+``lexlab.cohomology`` computes for the saturated lex ideal L_P of
+``saturated_lex_generators``.  It reads the vanishing rows off the zero
+entries of the Gotzmann v-vector, with no cohomology at all.
+
 ``exchange_by_colon`` checks ``lexlab.gotzmann.exchange_property``, which
 saturates strongly stable input by projection, shares lex ideals by series
 numerator and reads both sides from J = I^sat alone, the right one as
@@ -39,7 +44,7 @@ from math import factorial
 
 from ideals_oracle import _saturate_by_powers
 
-from lexlab import MonomialIdeal, RingSpec, hilbert_series, lex_ideal_from_values
+from lexlab import GotzmannData, MonomialIdeal, RingSpec, hilbert_series, lex_ideal_from_values
 from lexlab.errors import InternalInconsistency, MacaulayViolation
 from lexlab.gotzmann import _lex_segments
 from lexlab.hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, poly_add,
@@ -109,6 +114,17 @@ def gotzmann_by_summands(p, n: int, cap: int | None = None) -> tuple[int, ...] |
         if remainder and len(remainder) - 1 >= a:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
     return tuple(exponents)
+
+
+def predict_lc_vanishing(data: GotzmannData) -> frozenset[int]:
+    """Cohomological indices i in 0..n-1 with vanishing local cohomology of the
+    saturated lex quotient; read off zero entries of the v-vector."""
+    vanishing = {0}
+    for i in range(1, data.n):
+        slot = data.n - i
+        if slot > data.h or data.v[slot - 1] == 0:
+            vanishing.add(i)
+    return frozenset(vanishing)
 
 
 def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:

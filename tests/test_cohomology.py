@@ -512,6 +512,35 @@ def test_adjoin_variable_window_validation():
         adjoin_variable(t, DegreeWindow(t.window.lo - 2, 0))
 
 
+def _spread(gens, front: int, n: int) -> MonomialIdeal:
+    """The ideal of gens on the first `front` and the last k - front of n
+    variables, k the length of each generator."""
+    k = len(gens[0])
+    places = [*range(front), *range(n - k + front, n)]
+    exps = []
+    for g in gens:
+        u = [0] * n
+        for place, e in zip(places, g):
+            u[place] = e
+        exps.append(tuple(u))
+    return MonomialIdeal(RingSpec(n), tuple(exps))
+
+
+@pytest.mark.parametrize("gens, front", [(((1, 1),), 2), (((1, 1),), 0),
+                                         (((2, 0, 0, 1), (0, 1, 3, 0)), 2),
+                                         (((2, 0), (1, 1)), 1)],
+                         ids=["x1*x2", "xn-1*xn", "x1^2*xn,x2*xn-1^3", "x1^2,x1*xn"])
+def test_variables_dividing_no_generator_adjoin_their_tail_sums(gens, front):
+    # Takayama's route walks only the sign patterns of the variables in use;
+    # each variable in no generator must still add its tail sums
+    window = lcm_window(_spread(gens, front, 8))
+    table = local_cohomology_table(_spread(gens, front, len(gens[0])), window)
+    for n in range(len(gens[0]) + 1, 9):
+        direct = local_cohomology_table(_spread(gens, front, n), window)
+        table = adjoin_variable(table, window)
+        assert direct == table, n
+
+
 def test_adjoin_variable_matches_direct_on_samples():
     rng = random.Random(97)
     for _ in range(6):

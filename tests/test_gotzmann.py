@@ -14,15 +14,14 @@ from hilbert_oracle import validate_hilbert_values
 from ideals_oracle import _saturate_by_powers
 from lex_oracle import _segments_to_ideal as oracle_segments_to_ideal
 from lex_oracle import (exchange_by_colon, gotzmann_by_summands, hilbert_polynomial_of,
-                        lex_ideal_gotzmann_bound)
+                        lex_ideal_gotzmann_bound, predict_lc_vanishing)
 from window_oracle import lcm_window
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     enumerate_strongly_stable, exchange_property, gotzmann,
                     gotzmann_representation, graded_generator_counts, hilbert_series,
                     is_gotzmann, lex_ideal, lex_ideal_from_values,
-                    local_cohomology_table, multiplicity,
-                    predict_lc_vanishing, saturate, saturated_lex_generators,
+                    local_cohomology_table, multiplicity, saturate, saturated_lex_generators,
                     strong_stability_witness, verify_main)
 from lexlab.families import all_strongly_stable
 from lexlab.gotzmann import lex_top_degree
@@ -650,6 +649,16 @@ def test_predict_lc_vanishing():
     rows = set(table.nonzero_rows())
     for i in range(4):
         assert (i in vanish) == (i not in rows)
+
+    # every Hilbert polynomial of the R3 d <= 4 and R4 d <= 3 families
+    targets = {gotzmann_representation(*_num(I))
+               for n, d in ((3, 4), (4, 3)) for I in all_strongly_stable(RingSpec(n), d)
+               if not I.is_zero and not I.is_unit}
+    assert len(targets) == 76
+    for g in targets:
+        sat = saturated_lex_generators(g)
+        rows = set(local_cohomology_table(sat, lcm_window(sat)).nonzero_rows())
+        assert predict_lc_vanishing(g) == frozenset(range(g.n)) - rows, g
 
 
 def test_predict_all_entries_nonzero():

@@ -1,5 +1,6 @@
 """Library-wide hygiene: bounded caches, a clean public API whose every export
-has a user, no unused definitions or imports, exercised oracles, no threads,
+has a user, no unused definitions or imports, imports at module level only,
+a `Poly` without arithmetic, exercised oracles, no threads,
 the strong-stability attribute kept to one module, one eq and hash for every
 value type, no floating point, rational arithmetic kept to four modules,
 ASCII source, and the benchmark's answer checks and traced names working on
@@ -165,6 +166,25 @@ def test_every_oracle_is_imported_by_a_test():
     oracles = {f.stem for f in tests.glob("*_oracle.py")}
     assert {"groebner_oracle", "hilbert_oracle", "ideals_oracle", "lex_oracle"} <= oracles
     assert oracles <= imported, sorted(oracles - imported)
+
+
+def test_poly_is_a_value_without_arithmetic():
+    # the library's polynomial arithmetic is the integer core in groebner;
+    # the Fraction arithmetic is the oracle's
+    defined = {"__add__", "__sub__", "__mul__", "__neg__"} & set(vars(lexlab.Poly))
+    assert not defined, defined
+
+
+def test_library_imports_only_at_module_level():
+    # an import inside a function hides a dependency from the module's head,
+    # and the benchmark's tracer patches only module attributes
+    found = []
+    for f in sorted(Path(lexlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{f.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, found
 
 
 def test_no_threads_in_library():

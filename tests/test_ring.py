@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import groebner_oracle as oracle
 import pytest
 from helpers import all_exponents, degrevlex_greater, lex_greater, random_monomial
 
@@ -113,25 +114,26 @@ def test_borel_move_preserves_degree():
 
 
 def test_poly_arithmetic():
+    # a Poly is a value; the arithmetic is the Groebner oracle's, on term dicts
     f = Poly(2, {(2, 0): 1, (0, 2): -1})
     g = Poly(2, {(1, 1): 1})
-    assert (f + g).terms == {(2, 0): 1, (0, 2): -1, (1, 1): 1}
-    assert (f - f).is_zero()
-    prod = f * g
-    assert prod.terms == {(3, 1): 1, (1, 3): -1}
-    assert f.degree() == 2
+    assert f.degree() == 2 and Poly(2).degree() == -1
     assert f.is_homogeneous()
-    assert not (f + Poly.constant(2, 1)).is_homogeneous()
+    assert not Poly(2, {**f.terms, (0, 0): 1}).is_homogeneous()
+    assert oracle.subtract(f.terms, -1, (0, 0), g.terms) == {(2, 0): 1, (0, 2): -1, (1, 1): 1}
+    assert oracle.subtract(f.terms, 1, (0, 0), f.terms) == {}
+    assert oracle.subtract(f.terms, 2, (1, 0), g.terms) == {(2, 0): 1, (0, 2): -1, (2, 1): -2}
+    assert oracle.multiply(f.terms, g.terms) == {(3, 1): 1, (1, 3): -1}
 
 
 def test_poly_leading_and_primitive():
-    from fractions import Fraction
     f = Poly(2, {(2, 0): Fraction(2, 3), (1, 1): Fraction(4, 3)})
     lm, lc = f.leading(LEX)
     assert lm == (2, 0) and lc == Fraction(2, 3)
-    p = f.primitive()
-    assert p.terms == {(2, 0): 1, (1, 1): 2}
-    assert f.monic(LEX).terms[(2, 0)] == 1
+    assert oracle.primitive(f.terms) == {(2, 0): 1, (1, 1): 2}
+    assert oracle.primitive({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 3)}) == {
+        (1, 0): 3, (0, 1): -2}
+    assert oracle.monic(f.terms, LEX) == {(2, 0): 1, (1, 1): 2}
 
 
 R3 = RingSpec(3)
@@ -146,8 +148,8 @@ VALUES = [
     (FamilySpec, (R3, (1, 3, 5), 2), (R3, (1, 3, 5), 3)),
     (FamilySpec, (R3, X, 2), (R3, Y, 2)),
     (GotzmannData, (3, (1, 0)), (3, (2, 0))),
-    (GBasis, (R3, LEX, (Poly.monomial((1, 0, 0)),)),
-     (R3, DEGREVLEX, (Poly.monomial((1, 0, 0)),))),
+    (GBasis, (R3, LEX, (Poly(3, {(1, 0, 0): 1}),)),
+     (R3, DEGREVLEX, (Poly(3, {(1, 0, 0): 1}),))),
     (CoordinateChange, (((1, 0), (0, 1)), "0"), (((1, 0), (0, 1)), "1")),
     (ExchangeReport, (X, X), (X, Y)),
     (HilbertData, ((1, 3), (1, -1), (Fraction(1),), 0), ((1, 3), (1, -1), (Fraction(1),), 1)),
@@ -215,10 +217,25 @@ UNIT = MonomialIdeal(R3, ((0, 0, 0),))
     (lambda: buchberger([], DEGREVLEX), ValueError,
      "cannot infer the ring from an empty generator list"),
     (lambda: gin([]), ValueError, "need a ring for an empty generator list"),
+    (lambda: Poly(2, {(1, 0): 0.1}), ValueError,
+     "bad coefficient 0.1: need an int or a Fraction"),
+    (lambda: Poly(2, {(1, 0): "1/2"}), ValueError,
+     "bad coefficient '1/2': need an int or a Fraction"),
+    (lambda: Poly(2, {(1, 0): True}), ValueError,
+     "bad coefficient True: need an int or a Fraction"),
+    (lambda: Poly(2, {(1.0, 0): 1}), ValueError, "bad exponent vector (1.0, 0) for n=2"),
+    (lambda: Poly(2, {(1, 1, 0): 1}), ValueError, "bad exponent vector (1, 1, 0) for n=2"),
+    (lambda: Poly(2, {5: 1}), ValueError, "bad exponent vector 5 for n=2"),
+    (lambda: gin([Poly(2, {(1,): 1})], ring=RingSpec(2)), ValueError,
+     "bad exponent vector (1,) for n=2"),
+    (lambda: gin([Poly(2, {(-1, 3): 1, (0, 2): 1})], ring=RingSpec(2)), ValueError,
+     "bad exponent vector (-1, 3) for n=2"),
     (lambda: saturated_lex_generators(GotzmannData(3, (1, 0)), RingSpec(2)), ValueError,
      "ring size does not match the representation"),
 ], ids=["seq-cm", "multiplicity", "is-gotzmann", "exchange", "hilbert-function",
-        "enumerate-monomials", "colon", "leading", "buchberger", "gin", "saturated-lex"])
+        "enumerate-monomials", "colon", "leading", "buchberger", "gin", "float-coefficient",
+        "string-coefficient", "bool-coefficient", "float-exponent", "long-exponent",
+        "int-exponent", "short-exponent-gin", "negative-exponent-gin", "saturated-lex"])
 def test_library_rejections_keep_their_errors(call, error, message):
     with pytest.raises(Exception) as caught:
         call()
