@@ -10,6 +10,8 @@ from the Eliahou-Kervaire formula for strongly stable input and from the
 pivot otherwise.  The saturation is controlled by the canonical binomial
 representation of the Hilbert polynomial, computed from N in integers, from
 which the generators are read off directly; no rational arithmetic is needed.
+Both sides of the exchange property depend on I^sat alone, so its report is
+memoised by the saturation.
 """
 
 from __future__ import annotations
@@ -116,9 +118,16 @@ def saturated_lex_generators(data: GotzmannData, ring: RingSpec | None = None) -
 
 
 def _lex_next(u: Exp) -> Exp:
-    """The monomial right after u in the lex order of its degree."""
-    i = max(k for k in range(len(u) - 1) if u[k])   # last nonzero exponent before x_n
-    return (*u[:i], u[i] - 1, sum(u[i + 1:]) + 1, *(0,) * (len(u) - i - 2))
+    """The monomial right after u in the lex order of its degree: with u_i
+    the last nonzero exponent before x_n, x_i gives one to x_{i+1}, which
+    also takes x_n's exponent (the entries between are zero).  Raises
+    ValueError when u is the last monomial, x_n^d, or n = 1."""
+    i = len(u) - 2
+    while not u[i]:   # stops at i = -1 on x_n^d at the latest, u[-1] = d
+        i -= 1
+    if i < 0:
+        raise ValueError(f"no monomial of degree {sum(u)} follows {u} in lex order")
+    return (*u[:i], u[i] - 1, u[-1] + 1, *(0,) * (len(u) - i - 2))
 
 
 def _count_after(u: Exp) -> int:
@@ -271,10 +280,18 @@ def exchange_property(ideal: MonomialIdeal) -> ExchangeReport:
     polynomial, and a saturated lex ideal is fixed by its polynomial (it is
     L_P; Reeves-Stillman, J. Algebraic Geom. 6, 1997), so (I^lex)^sat =
     L_P = (J^lex)^sat.  One lex ideal, J^lex, gives both sides, and (i)
-    reads "J^lex is saturated".  A lex ideal is built strongly stable, so
-    `saturate` projects it with no strong-stability witness."""
+    reads "J^lex is saturated".  So the report is a function of J: it is
+    memoised by J's value in `_exchange_of_saturation`, and ideals with one
+    saturation share one report, its lex walk and its saturation."""
     if ideal.is_unit:
         raise ValueError("exchange property needs a proper ideal")
-    sat = saturate(ideal)
+    return _exchange_of_saturation(saturate(ideal))
+
+
+@lru_cache(maxsize=1024)
+def _exchange_of_saturation(sat: MonomialIdeal) -> ExchangeReport:
+    """The exchange report of every ideal whose saturation is sat.  A lex
+    ideal is built strongly stable, so `saturate` projects J^lex with no
+    strong-stability witness."""
     left = sat if sat.is_unit else lex_ideal(sat)  # artinian: both sides are the unit ideal
     return ExchangeReport(left, saturate(left))

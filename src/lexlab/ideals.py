@@ -127,7 +127,7 @@ class MonomialIdeal(Frozen):
         return self._member(u)
 
     def max_generator_degree(self) -> int:
-        return max((total_degree(g) for g in self.gens), default=0)
+        return max(map(sum, self.gens), default=0)
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.ring!r}, {self.gens!r})"

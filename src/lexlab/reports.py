@@ -67,9 +67,10 @@ class VerificationReport:
     @cached_property
     def _exchange(self) -> ExchangeReport:
         """The explicit exchange sides, which must agree with the row-0
-        decision of `condition_i`.  That decision walks I^lex and the sides
-        walk J^lex, J = I^sat, so unless I is saturated the two share no
-        lex walk."""
+        decision of `condition_i`.  That decision walks I^lex; the sides
+        come from `exchange_property`'s memo keyed by J = I^sat, which
+        walks J^lex once per saturation, so unless I is saturated the two
+        share no lex walk."""
         exchange = exchange_property(self.ideal)
         if exchange.holds != self.condition_i:
             raise InternalInconsistency(

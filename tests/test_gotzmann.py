@@ -194,10 +194,23 @@ def test_segments_to_ideal_matches_set_oracle(case):
 def test_lex_next_steps_through_lex_order():
     from lexlab.gotzmann import _lex_next
     from lexlab.ring import enumerate_monomials
-    for n in range(2, 6):
-        for d in range(1, 7):
+    for n in range(2, 7):
+        for d in range(1, 9):
             monos = enumerate_monomials(n, d)
             assert [_lex_next(u) for u in monos[:-1]] == list(monos[1:]), (n, d)
+
+
+def test_lex_next_rejects_the_last_monomial():
+    # x_n^d has no successor, and in one variable no monomial has one; the
+    # scan must not wrap round to x_n and return a tuple of the wrong shape
+    from lexlab.gotzmann import _lex_next
+    from lexlab.ring import enumerate_monomials
+    for n in range(1, 7):
+        for d in range(1, 9):
+            last = enumerate_monomials(n, d)[-1]
+            assert last == (*(0,) * (n - 1), d)
+            with pytest.raises(ValueError, match="follows"):
+                _lex_next(last)
 
 
 def test_lex_ideal_matches_oracle_on_r4_family():
@@ -751,11 +764,29 @@ def test_exchange_walks_only_the_lex_ideal_of_the_saturation(monkeypatch):
     artinian = MonomialIdeal(R3, ((3, 0, 0), (0, 3, 0), (0, 0, 3)))
     assert saturate(non_saturated) != non_saturated and saturate(artinian).is_unit
     for I, walks in ((non_saturated, 1), (artinian, 0)):
+        gotzmann._exchange_of_saturation.cache_clear()
         lex_ideal.cache_clear()
         walk.cache_clear()
         calls.clear()
         exchange_property(I)
         assert len(calls) == walks, I
+
+
+def test_exchange_is_memoised_per_saturation():
+    # the 350 proper members of R4 d <= 3 have 65 saturations, the unit
+    # ideal among them; each report is built once and then shared by value
+    family = [I for I in all_strongly_stable(R4, 3) if not I.is_zero]
+    gotzmann._exchange_of_saturation.cache_clear()
+    reports = [exchange_property(I) for I in family]
+    saturations = {saturate(I) for I in family}
+    assert len(family) == 350 and len(saturations) == 65
+    assert gotzmann._exchange_of_saturation.cache_info().misses == 65
+    artinian = {id(rep) for I, rep in zip(family, reports) if saturate(I).is_unit}
+    assert len(artinian) == 1
+    for I, rep in zip(family, reports):
+        assert rep is exchange_property(I), I
+        if not saturate(I).is_unit:   # the unit ideal has no exchange to ask for
+            assert rep is exchange_property(saturate(I)), I
 
 
 def test_exchange_artinian():
