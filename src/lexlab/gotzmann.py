@@ -5,11 +5,11 @@ same dimensions as I, so it depends only on the series numerator N of R/I.
 One walk over the Hilbert function values builds it, bounding each degree's
 value by the number of monomials lex-after the shadow of the segment before
 (Macaulay), and stops by Gotzmann persistence; it is also the library's one
-check of Macaulay's theorem.  The walk is memoised by (ring, N), with N
-from the Eliahou-Kervaire formula for strongly stable input and from the
+check of Macaulay's theorem.  Its one memo is the walk's, by (ring, N), with
+N from the Eliahou-Kervaire formula for strongly stable input and from the
 pivot otherwise.  The saturation is controlled by the canonical binomial
-representation of the Hilbert polynomial, computed from N in integers, from
-which the generators are read off directly; no rational arithmetic is needed.
+representation of the Hilbert polynomial, read in integers from the forward
+differences of `polynomial_differences`; its generators follow directly.
 Both sides of the exchange property depend on I^sat alone, so its report is
 memoised by the saturation.
 """
@@ -21,7 +21,8 @@ from functools import lru_cache
 from math import comb
 
 from .errors import MacaulayViolation
-from .hilbert import eliahou_kervaire, hilbert_numerator, hilbert_values
+from .hilbert import (binom, eliahou_kervaire, hilbert_numerator, hilbert_values,
+                      polynomial_differences)
 from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, Frozen, RingSpec
 
@@ -50,26 +51,21 @@ class GotzmannData(Frozen):
         return sum(self.v)
 
 
-def _binom(m: int, r: int) -> int:
-    """C(m, r) = m (m - 1) ... (m - r + 1) / r! for any integer m."""
-    return comb(m, r) if m >= 0 else (-1) ** r * comb(r - m - 1, r)
-
-
 def gotzmann_representation(num, n: int) -> GotzmannData:
     """Canonical decomposition of the Hilbert polynomial P of the series
     numerator num into shifted binomials C(X + a_j - j + 1, a_j), j = 1..l.
 
-    P(X) = sum_k N_k C(X - k + n - 1, n - 1) has degree < n, so its forward
-    differences D^k P(0), k < n, fix it, and D^k C(X + m, r) = C(X + m, r - k)
-    gives them in integers.  The next run's exponent a is the last k with
-    D^k P(0) != 0 and its count c is D^a P(0); its c summands after `shift`
-    others sum to C(X + a + 1 - shift, a + 1) - C(X + a + 1 - shift - c, a + 1)
-    (hockey stick), so each run is one subtraction.
+    It reads P's differences D^k P(0) from `polynomial_differences`.  The
+    next run's exponent a is the last k with D^k P(0) != 0 and its count c
+    is D^a P(0); its c summands after `shift` others sum to C(X + a + 1 -
+    shift, a + 1) - C(X + a + 1 - shift - c, a + 1) (hockey stick), whose
+    differences D^k C(X + m, r) = C(X + m, r - k) are integers, so each run
+    is one subtraction.
 
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
     """
-    diffs = [sum(c * _binom(n - 1 - j, n - 1 - k) for j, c in enumerate(num)) for k in range(n)]
+    diffs = polynomial_differences(num, n)
     v = [0] * max(n - 1, 0)
     shift = 0   # summands before this run
     while any(diffs):
@@ -79,7 +75,7 @@ def gotzmann_representation(num, n: int) -> GotzmannData:
         if c <= 0:
             raise MacaulayViolation("not a Gotzmann-representable Hilbert polynomial")
         for k in range(a + 1):   # clears D^a, so the degree drops
-            diffs[k] -= _binom(a + 1 - shift, a + 1 - k) - _binom(a + 1 - shift - c, a + 1 - k)
+            diffs[k] -= binom(a + 1 - shift, a + 1 - k) - binom(a + 1 - shift - c, a + 1 - k)
         v[n - a - 2] = c   # slot n - a - 1, stored 0-based
         shift += c
     return GotzmannData(n, tuple(v))
@@ -219,15 +215,12 @@ def _lex_by_numerator(walk: _Walk) -> MonomialIdeal:
     return MonomialIdeal._strongly_stable(walk.ring, gens)
 
 
-@lru_cache(maxsize=1024)
 def lex_ideal(ideal: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as `ideal`.
 
     It depends only on the series numerator N, the Eliahou-Kervaire one for
-    strongly stable input and the pivot one otherwise, and the walk is
-    memoised by (ring, N) in `_lex_by_numerator` below this by-value memo,
-    so ideals with one Hilbert function share one walk and one result.
-    Clearing this cache leaves the walk memo in place."""
+    strongly stable input and the pivot one otherwise, so its only memo is
+    the walk's, by (ring, N): ideals with one Hilbert function share it."""
     if ideal.is_unit:
         raise ValueError("lex ideal of the unit ideal is not defined")
     if ideal.is_zero:

@@ -6,7 +6,9 @@ Bigatti's pivot recursion on the minimal generators, for every monomial
 ideal.  A strongly stable ideal also has the Eliahou-Kervaire formula,
 which needs no recursion; the library uses it where it is known that the
 input is strongly stable, and the pivot stays the route that does not
-depend on that.
+depend on that.  The Hilbert polynomial P has one route from N, its integer
+forward differences in `polynomial_differences`: the Gotzmann data, the
+dimension, the multiplicity and the rational P of `hf` all read them.
 """
 
 from __future__ import annotations
@@ -188,11 +190,25 @@ def values_from_numerator(num, n: int, upto: int) -> list[int]:
 
 
 def hilbert_function(ideal: MonomialIdeal, d: int) -> int:
-    """dim_K (R/I)_d."""
+    """dim_K (R/I)_d = sum over k <= d of N_k C(d - k + n - 1, n - 1)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    num = hilbert_numerator(ideal)
-    return values_from_numerator(num, ideal.ring.n, d)[d]
+    n, num = ideal.ring.n, hilbert_numerator(ideal)[:d + 1]
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if c)
+
+
+def binom(m: int, r: int) -> int:
+    """C(m, r) = m (m - 1) ... (m - r + 1) / r! for any integer m."""
+    return comb(m, r) if m >= 0 else (-1) ** r * comb(r - m - 1, r)
+
+
+def polynomial_differences(num, n: int) -> list[int]:
+    """D^k P(0) for k < n, D the forward difference and P the Hilbert
+    polynomial of N(t)/(1-t)^n, sum_j N_j C(X - j + n - 1, n - 1), which
+    has degree < n.  D^k C(X + m, r) = C(X + m, r - k) gives them in
+    integers, one binomial per nonzero N_j and k."""
+    terms = [(j, c) for j, c in enumerate(num) if c]
+    return [sum(c * binom(n - 1 - j, n - 1 - k) for j, c in terms) for k in range(n)]
 
 
 # -- Hilbert series data ------------------------------------------------------
@@ -229,12 +245,11 @@ def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertDa
     d0 = max(len(num) - 1, 0)
     upto = max(window, d0 + n + 2)
     values = values_from_numerator(num, n, upto)
-    # N(t)/(1-t)^n = sum_k N_k t^k / (1-t)^n, and t^k/(1-t)^n has the
-    # coefficient binom(d - k + n - 1, n - 1) in every degree d >= k - n + 1
+    # Newton's forward-difference formula: P(X) = sum_k D^k P(0) C(X, k)
     poly: tuple = ()
-    for k, c in enumerate(num):
-        if c:
-            poly = poly_add(poly, tuple(c * b for b in binomial_in_x(n - 1, k)))
+    for k, diff in enumerate(polynomial_differences(num, n)):
+        if diff:
+            poly = poly_add(poly, tuple(diff * b for b in binomial_in_x(k, k)))
     for d in range(d0, upto + 1):
         if poly_eval(poly, d) != values[d]:
             raise InternalInconsistency("Hilbert polynomial does not match values")
@@ -242,31 +257,22 @@ def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertDa
 
 
 def dimension(ideal: MonomialIdeal) -> int:
-    """Krull dimension of R/I, read off the pole order of the series at t=1."""
+    """Krull dimension of R/I: deg P + 1, one more than the index of the
+    last nonzero difference D^k P(0); 0 when P = 0, for artinian R/I."""
     if ideal.is_unit:
         raise ValueError("the zero ring has no dimension here")
-    num = hilbert_numerator(ideal)
-    _, vanishing = _strip_one_minus_t(num)
-    return ideal.ring.n - vanishing
+    diffs = polynomial_differences(hilbert_numerator(ideal), ideal.ring.n)
+    return max((k + 1 for k, diff in enumerate(diffs) if diff), default=0)
 
 
 def multiplicity(ideal: MonomialIdeal) -> int:
-    """Normalized leading coefficient of the Hilbert polynomial (length if artinian)."""
+    """e(R/I): the last nonzero D^k P(0), k! times P's leading coefficient;
+    if P = 0, the length, D^0 of N(t)/(1-t)^(n+1), whose values sum H."""
     if ideal.is_unit:
         raise ValueError("the zero ring has no multiplicity here")
-    num = hilbert_numerator(ideal)
-    reduced, _ = _strip_one_minus_t(num)
-    e = sum(reduced)
+    num, n = hilbert_numerator(ideal), ideal.ring.n
+    nonzero = [diff for diff in polynomial_differences(num, n) if diff]
+    e = nonzero[-1] if nonzero else polynomial_differences(num, n + 1)[0]
     if e <= 0:
         raise InternalInconsistency("multiplicity must be positive for a proper ideal")
     return e
-
-
-def _strip_one_minus_t(num) -> tuple[tuple[int, ...], int]:
-    """Divide out (1-t) as often as possible; returns (quotient, exponent)."""
-    current = poly_trim(num)
-    count = 0
-    while current and sum(current) == 0:
-        current = poly_trim(values_from_numerator(current, 1, len(current) - 2))
-        count += 1
-    return current, count

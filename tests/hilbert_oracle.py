@@ -18,6 +18,12 @@ takes n running sums of N's coefficients instead.
 Lagrange interpolation through n values checks the closed-form Hilbert
 polynomial of ``lexlab.hilbert.hilbert_series``.
 
+Dividing N by 1 - t as often as it goes, the library route before
+``lexlab.hilbert.polynomial_differences``, checks ``dimension`` and
+``multiplicity``, which read the last nonzero forward difference of the
+Hilbert polynomial: n minus the number of divisions is the dimension, and
+the quotient at t = 1 is the multiplicity.
+
 The greedy binomial decomposition ``macaulay_rep``, whose growth sums
 C(k_i + 1, i + 1) over its terms C(k_i, i), is Macaulay's bound on H(d + 1)
 from H(d).  It checks the bound the lex walk ``lexlab.gotzmann._lex_segments``
@@ -98,6 +104,17 @@ def values_by_binomial_sums(num, n: int, upto: int) -> list[int]:
             v += c * comb(d - k + n - 1, n - 1)
         values.append(v)
     return values
+
+
+def dimension_and_multiplicity_by_division(num, n: int) -> tuple[int, int]:
+    """(dim, e) of the quotient with series numerator N != 0: the order of
+    the pole of N(t)/(1-t)^n at t = 1, and the reduced numerator at t = 1."""
+    reduced, divisions = poly_trim(num), 0
+    while sum(reduced) == 0:
+        # dividing by 1 - t takes running sums, whose last one is N(1) = 0
+        reduced = poly_trim(values_from_numerator(reduced, 1, len(reduced) - 2))
+        divisions += 1
+    return n - divisions, sum(reduced)
 
 
 def _interpolate(points) -> tuple[Fraction, ...]:

@@ -10,8 +10,10 @@ monomials and takes their difference, with no use of Macaulay's theorem.
 stops instead one past the largest of the Gotzmann number of the Hilbert
 polynomial, the last degree where the Hilbert function and polynomial
 differ, and the largest generator degree, all found through the rational
-Hilbert polynomial; it counts the Gotzmann number with
-``gotzmann_by_summands``, not with the library's route.  It builds with
+Hilbert polynomial of ``hilbert_polynomial_of``, not the one
+``hilbert_series`` builds from the library's forward differences; it counts
+the Gotzmann number with ``gotzmann_by_summands``, not with the library's
+route, so neither reads ``polynomial_differences``.  It builds with
 ``lex_ideal_from_values`` on the values up to that degree, so that it
 reaches degrees where the set-based builder cannot.
 
@@ -19,8 +21,8 @@ reaches degrees where the set-based builder cannot.
 which reads one run of equal exponents at a time from the forward
 differences of the Hilbert polynomial, all in integers from the series
 numerator N.  The oracle takes the rational Hilbert polynomial instead,
-which ``hilbert_polynomial_of`` builds from N with ``binomial_in_x``, the
-route of the ``hf`` display.  It subtracts one binomial per summand and
+which ``hilbert_polynomial_of`` builds from N with ``binomial_in_x``, one
+shifted binomial per term of N.  It subtracts one binomial per summand and
 returns the exponent sequence itself, so its cost is the Gotzmann number.
 
 ``predict_lc_vanishing`` checks the rows of R/L_P that
@@ -44,11 +46,11 @@ from math import factorial
 
 from ideals_oracle import _saturate_by_powers
 
-from lexlab import GotzmannData, MonomialIdeal, RingSpec, hilbert_series, lex_ideal_from_values
+from lexlab import GotzmannData, MonomialIdeal, RingSpec, lex_ideal_from_values
 from lexlab.errors import InternalInconsistency, MacaulayViolation
 from lexlab.gotzmann import _lex_segments
 from lexlab.hilbert import (binomial_in_x, hilbert_numerator, hilbert_values, poly_add,
-                            poly_sub, poly_trim, values_from_numerator)
+                            poly_eval, poly_sub, poly_trim, values_from_numerator)
 from lexlab.ring import Exp, enumerate_monomials, monomial_mul
 
 
@@ -135,14 +137,14 @@ def lex_ideal_gotzmann_bound(ideal: MonomialIdeal) -> MonomialIdeal:
         return ideal
     ring = ideal.ring
     n = ring.n
-    data = hilbert_series(ideal)
-    gotzmann_number = len(gotzmann_by_summands(data.polynomial, n))
-    # the function and polynomial agree from the numerator's degree d0 on,
-    # which can lie past the window of `hilbert_series`
-    values = values_from_numerator(data.numerator, n, data.d0)
-    last_dev = max((d for d, v in enumerate(values) if v != data.poly_value(d)), default=0)
+    num = hilbert_numerator(ideal)
+    p = hilbert_polynomial_of(num, n)
+    gotzmann_number = len(gotzmann_by_summands(p, n))
+    # the function and polynomial agree from the numerator's degree on
+    values = values_from_numerator(num, n, max(len(num) - 1, 0))
+    last_dev = max((d for d, v in enumerate(values) if v != poly_eval(p, d)), default=0)
     stop = max(gotzmann_number, last_dev, ideal.max_generator_degree()) + 1
-    result = lex_ideal_from_values(ring, values_from_numerator(data.numerator, n, stop + 2))
+    result = lex_ideal_from_values(ring, values_from_numerator(num, n, stop + 2))
     if result.max_generator_degree() > stop:
         raise InternalInconsistency(
             f"lex ideal of {ideal} produced generators beyond the stopping degree")

@@ -297,7 +297,6 @@ def test_criterion_13_verify_main_builds_no_fraction(monkeypatch):
         made[0] += 1
         return new(cls, *args, **kwargs)
 
-    lex_ideal.cache_clear()
     gotzmann._lex_by_numerator.cache_clear()
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for I in r3:

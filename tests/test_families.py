@@ -254,13 +254,12 @@ def _oracle_targets():
 
 def test_families_build_no_lex_ideal(monkeypatch):
     # T comes from the target's numerator and a member is kept by its own,
-    # so an ideal target walks no lex ideal; the cache clear makes a walk of
-    # (x^3, y^3) run here if the enumerator asks for one
+    # so an ideal target walks no lex ideal; `lex_ideal` has no memo above
+    # the walk, so any lex ideal the enumerator asks for reaches `refuse`
     def refuse(walk):
         raise AssertionError(f"the family walked the lex ideal of {walk.num}")
 
     monkeypatch.setattr(gotzmann, "_lex_by_numerator", refuse)
-    lex_ideal.cache_clear()
     members = list(enumerate_strongly_stable(FamilySpec(X3Y3_R4.ring, X3Y3_R4, 6)))
     assert len(members) == 9
     num = hilbert_numerator(X3Y3_R4)

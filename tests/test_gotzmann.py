@@ -19,7 +19,7 @@ from window_oracle import lcm_window
 
 from lexlab import (FamilySpec, MacaulayViolation, MonomialIdeal, RingSpec,
                     enumerate_strongly_stable, exchange_property, gotzmann,
-                    gotzmann_representation, graded_generator_counts, hilbert_series,
+                    gotzmann_representation, graded_generator_counts, hilbert, hilbert_series,
                     is_gotzmann, lex_ideal, lex_ideal_from_values,
                     local_cohomology_table, multiplicity, saturate, saturated_lex_generators,
                     strong_stability_witness, verify_main)
@@ -255,9 +255,9 @@ def test_lex_ideal_matches_gotzmann_bound_oracle_on_large_ideals():
 
 
 def _lex_ideal_afresh(I):
-    # past both memo layers, by value and by numerator, so the walk runs
+    # past the walk's memo, by numerator, so the walk runs
     gotzmann._lex_by_numerator.cache_clear()
-    return gotzmann.lex_ideal.__wrapped__(I)
+    return lex_ideal(I)
 
 
 def test_lex_ideal_with_thousands_of_generators_is_built_in_seconds():
@@ -329,7 +329,6 @@ def test_lex_ideal_is_shared_by_numerator_whichever_member_asks_first():
             continue
         expected = lex_ideal_gotzmann_bound(members[0])
         for first in members:
-            lex_ideal.cache_clear()
             gotzmann._lex_by_numerator.cache_clear()
             assert lex_ideal(first) == expected, first
             for second in members:
@@ -345,7 +344,6 @@ def test_lex_ideal_shares_one_walk_per_numerator():
     first = MonomialIdeal(R3, ((2, 0, 0), (1, 1, 0), (0, 2, 0)))
     second = lex_ideal_gotzmann_bound(first)
     assert first != second
-    lex_ideal.cache_clear()
     gotzmann._lex_by_numerator.cache_clear()
     assert lex_ideal(first) is lex_ideal(second) == second
     info = gotzmann._lex_by_numerator.cache_info()
@@ -544,23 +542,25 @@ def test_gotzmann_representation_builds_no_fraction(monkeypatch):
 
 
 def test_gotzmann_representation_subtracts_once_per_run(monkeypatch):
-    # n binomials per numerator term give D^k P(0), k < n; then a run of
-    # exponent a subtracts two binomials from each of D^0..D^a, once
+    # n binomials per nonzero numerator term give D^k P(0), k < n; then a
+    # run of exponent a subtracts two binomials from each of D^0..D^a, once
     calls = []
-    binom = gotzmann._binom
+    binom = hilbert.binom
 
     def counted(m, r):
         calls.append((m, r))
         return binom(m, r)
 
-    monkeypatch.setattr(gotzmann, "_binom", counted)
+    monkeypatch.setattr(hilbert, "binom", counted)
+    monkeypatch.setattr(gotzmann, "binom", counted)
     for ideal in (FIVE_POINTS, TWO_PLANES, FOUR_SQUARES_R8):
         num, n = _num(ideal)
         calls.clear()
         g = gotzmann_representation(num, n)
         runs = [n - i for i, count in enumerate(g.v, 1) if count]   # a + 1 per run
         assert len(runs) <= n - 1
-        assert len(calls) == n * len(num) + 2 * sum(runs), (n, calls)
+        terms = sum(1 for c in num if c)
+        assert len(calls) == n * terms + 2 * sum(runs), (n, calls)
 
 
 def test_gotzmann_representation_empty():
@@ -765,7 +765,6 @@ def test_exchange_walks_only_the_lex_ideal_of_the_saturation(monkeypatch):
     assert saturate(non_saturated) != non_saturated and saturate(artinian).is_unit
     for I, walks in ((non_saturated, 1), (artinian, 0)):
         gotzmann._exchange_of_saturation.cache_clear()
-        lex_ideal.cache_clear()
         walk.cache_clear()
         calls.clear()
         exchange_property(I)

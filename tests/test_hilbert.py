@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 from helpers import (brute_ideal_dim, brute_quotient_dim, numerator_from_values,
                      oracle_families, proper_monomial_ideals, random_ideal)
 from hilbert_oracle import (_interpolate, _numerator_inclusion_exclusion,
-                            _numerator_unit_pivot, interpolated_polynomial, macaulay_rep,
-                            values_by_binomial_sums)
+                            _numerator_unit_pivot, dimension_and_multiplicity_by_division,
+                            interpolated_polynomial, macaulay_rep, values_by_binomial_sums)
+from lex_oracle import hilbert_polynomial_of
 
-from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension,
-                    hilbert_function, hilbert_numerator, hilbert_series, multiplicity)
+from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension, hilbert,
+                    hilbert_function, hilbert_numerator, hilbert_series, is_strongly_stable,
+                    multiplicity)
 from lexlab.gotzmann import _count_after, _lex_segments, lex_ideal
 from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, hilbert_values, poly_eval,
-                            values_from_numerator)
+                            polynomial_differences, values_from_numerator)
 from lexlab.ring import enumerate_monomials
 
 R2 = RingSpec(2)
@@ -36,6 +39,29 @@ def test_hilbert_function_examples():
 def test_hilbert_function_matches_brute_force():
     for d in range(9):
         assert hilbert_function(EXAMPLE, d) == brute_quotient_dim(EXAMPLE, d)
+
+
+def test_hilbert_function_matches_the_value_expansion_on_families():
+    for n in range(1, 6):
+        for I in all_strongly_stable(RingSpec(n), 3):
+            values = values_from_numerator(hilbert_numerator(I), n, 12)
+            assert [hilbert_function(I, d) for d in range(13)] == values, I
+
+
+def test_hilbert_function_in_a_far_degree_is_read_from_the_numerator(monkeypatch):
+    # the value is one sum over the numerator's terms; expanding every
+    # value up to degree 10^9 would take minutes and gigabytes, so the
+    # expansion is refused here
+    def refuse(*args):
+        raise AssertionError("hilbert_function expanded the values")
+
+    monkeypatch.setattr(hilbert, "hilbert_values", refuse)
+    monkeypatch.setattr(hilbert, "values_from_numerator", refuse)
+    t0 = time.perf_counter()
+    far = [hilbert_function(I, 10**9) for I in (EXAMPLE, TWO_PLANES, MonomialIdeal(R3))]
+    elapsed = time.perf_counter() - t0
+    assert far == [1, 2 * 10**9 + 2, comb(10**9 + 2, 2)]
+    assert elapsed < 1, elapsed
 
 
 def test_strategies_agree_with_enumeration():
@@ -118,6 +144,46 @@ def test_dimension_and_multiplicity_examples():
     assert dimension(MonomialIdeal(R3)) == 3
     with pytest.raises(ValueError):
         dimension(MonomialIdeal(R3, ((0, 0, 0),)))
+
+
+def _dimension_sample():
+    """1,200 seeded random monomial ideals in 1-5 variables, a third of them
+    made artinian by a pure power of every variable."""
+    rng = random.Random(3601)
+    sample = []
+    for _ in range(1200):
+        I = random_ideal(rng, RingSpec(rng.randint(1, 5)), max_gens=6, max_deg=5)
+        if rng.random() < 1 / 3:
+            powers = tuple(tuple(rng.randint(1, 6) if t == i else 0 for t in range(I.ring.n))
+                           for i in range(I.ring.n))
+            I = MonomialIdeal(I.ring, I.gens + powers)
+        sample.append(I)
+    return sample
+
+
+def test_dimension_and_multiplicity_match_the_division_oracle():
+    family = list(oracle_families())
+    sample = _dimension_sample()
+    for I in family + sample:
+        expected = dimension_and_multiplicity_by_division(hilbert_numerator(I), I.ring.n)
+        assert (dimension(I), multiplicity(I)) == expected, I
+    assert len(family) == 2907 and len(sample) == 1200
+    artinian = sum(dimension(I) == 0 for I in sample)
+    stable = sum(is_strongly_stable(I) for I in sample)
+    assert artinian > 300 and len(sample) - stable > 600, (artinian, stable)
+
+
+def test_polynomial_differences_match_the_rational_polynomial():
+    # D^k P(0) = sum_i (-1)^(k - i) C(k, i) P(i), with P built one shifted
+    # binomial per numerator term in Fractions
+    rng = random.Random(3602)
+    for n in range(1, 7):
+        for _ in range(60):
+            num = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(0, 20))]
+            p = hilbert_polynomial_of(num, n)
+            expected = [sum((-1) ** (k - i) * comb(k, i) * poly_eval(p, i) for i in range(k + 1))
+                        for k in range(n)]
+            assert polynomial_differences(num, n) == expected, (num, n)
 
 
 def test_multiplicity_invariant_under_lex():
