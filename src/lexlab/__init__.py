@@ -2,9 +2,8 @@
 
 from types import ModuleType as _ModuleType
 
-from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
-                         depth_and_dim, local_cohomology_table, sequentially_cm_verdict,
-                         tables_agree)
+from .cohomology import (DegreeWindow, LCTable, default_window, depth_and_dim,
+                         local_cohomology_table, tables_agree)
 from .errors import (InvalidArgument, LexlabError, MacaulayViolation, ParseError,
                      UnluckyCoordinates)
 from .families import FamilySpec, all_strongly_stable, borel_filters, enumerate_strongly_stable
@@ -16,7 +15,7 @@ from .hilbert import (dimension, hilbert_function, hilbert_numerator, hilbert_se
 from .ideals import (MonomialIdeal, colon, graded_generator_counts, intersect,
                      is_strongly_stable, maximal_ideal, saturate, strong_stability_witness)
 from .parsing import parse_ideal, parse_monomial, parse_polynomial, parse_ring
-from .reports import probe_rigidity, verify_main
+from .reports import SequentialCMVerdict, probe_rigidity, sequentially_cm_verdict, verify_main
 from .ring import (DEGREVLEX, LEX, Poly, RingSpec, TermOrder, borel_move, compare,
                    enumerate_monomials, total_degree)
 

@@ -38,13 +38,11 @@ exact, by fraction-free elimination.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
 from operator import or_
 
 from .errors import InternalInconsistency, InvalidArgument
-from .groebner import gin
 from .hilbert import _expand_tally, _tally, dimension, hilbert_values
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
@@ -318,23 +316,3 @@ def depth_and_dim(ideal: MonomialIdeal) -> tuple[int, int]:
             raise InternalInconsistency(
                 f"depth {depth} contradicts the last-variable criterion on {ideal}")
     return depth, dim
-
-
-class SequentialCMVerdict(Enum):
-    CONSISTENT = "ConsistentWithSequentiallyCM"
-    NOT_SEQUENTIALLY_CM = "NotSequentiallyCM"
-
-
-def sequentially_cm_verdict(ideal: MonomialIdeal,
-                            gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
-    """Local cohomology of R/I against R/gin(I), compared exactly; only the
-    gin of an ideal that is not strongly stable is probabilistic.  A mismatch
-    refutes sequential Cohen-Macaulayness.
-    """
-    if ideal.is_unit:
-        raise ValueError("verdict needs a proper ideal")
-    if gin_ideal is None:
-        gin_ideal = gin(ideal)
-    if tables_agree(ideal, gin_ideal) is None:
-        return SequentialCMVerdict.CONSISTENT
-    return SequentialCMVerdict.NOT_SEQUENTIALLY_CM

@@ -235,7 +235,10 @@ class HilbertData(Frozen):
 
 
 def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertData:
-    """Exact series data; `window` is the top degree of the value table."""
+    """Exact series data; `window` is the top degree of the value table,
+    the only values expanded.  P is checked against `hilbert_function` at
+    d0 = deg N, ..., d0 + n - 1: from d0 on both are polynomials in d of
+    degree < n, so agreeing at these n points they are equal."""
     n = ideal.ring.n
     if window is None:
         window = ideal.max_generator_degree() + n
@@ -243,17 +246,15 @@ def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertDa
         raise ValueError(f"window must be at least 0, got {window}")
     num = hilbert_numerator(ideal)
     d0 = max(len(num) - 1, 0)
-    upto = max(window, d0 + n + 2)
-    values = values_from_numerator(num, n, upto)
     # Newton's forward-difference formula: P(X) = sum_k D^k P(0) C(X, k)
     poly: tuple = ()
     for k, diff in enumerate(polynomial_differences(num, n)):
         if diff:
             poly = poly_add(poly, tuple(diff * b for b in binomial_in_x(k, k)))
-    for d in range(d0, upto + 1):
-        if poly_eval(poly, d) != values[d]:
+    for d in range(d0, d0 + n):
+        if poly_eval(poly, d) != hilbert_function(ideal, d):
             raise InternalInconsistency("Hilbert polynomial does not match values")
-    return HilbertData(tuple(values[: window + 1]), num, poly, d0)
+    return HilbertData(tuple(values_from_numerator(num, n, window)), num, poly, d0)
 
 
 def dimension(ideal: MonomialIdeal) -> int:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from enum import Enum
 from functools import cached_property
 
-from .cohomology import (DegreeWindow, LCTable, SequentialCMVerdict, default_window,
-                         equal_rows, local_cohomology_table, sequentially_cm_verdict,
-                         tables_agree)
+from .cohomology import (DegreeWindow, LCTable, default_window, equal_rows,
+                         local_cohomology_table, tables_agree)
 from .errors import InternalInconsistency
 from .families import FamilySpec, enumerate_strongly_stable
 from .gotzmann import ExchangeReport, exchange_property, lex_ideal
@@ -26,6 +26,26 @@ def ideal_to_json(ideal: MonomialIdeal) -> dict:
 def ideal_from_json(data: dict) -> MonomialIdeal:
     ring = parse_ring(",".join(data["ring"]))
     return MonomialIdeal(ring, tuple(parse_monomial(g, ring) for g in data["gens"]))
+
+
+class SequentialCMVerdict(Enum):
+    CONSISTENT = "ConsistentWithSequentiallyCM"
+    NOT_SEQUENTIALLY_CM = "NotSequentiallyCM"
+
+
+def sequentially_cm_verdict(ideal: MonomialIdeal,
+                            gin_ideal: MonomialIdeal | None = None) -> SequentialCMVerdict:
+    """Local cohomology of R/I against R/gin(I), compared exactly; only the
+    gin of an ideal that is not strongly stable is probabilistic.  A mismatch
+    refutes sequential Cohen-Macaulayness.
+    """
+    if ideal.is_unit:
+        raise ValueError("verdict needs a proper ideal")
+    if gin_ideal is None:
+        gin_ideal = gin(ideal)
+    if tables_agree(ideal, gin_ideal) is None:
+        return SequentialCMVerdict.CONSISTENT
+    return SequentialCMVerdict.NOT_SEQUENTIALLY_CM
 
 
 class VerificationReport:

@@ -162,8 +162,10 @@ def compare(a: Exp, b: Exp, order: TermOrder = LEX) -> int:
 
 
 @lru_cache(maxsize=512)
-def enumerate_monomials(n: int, d: int, order: TermOrder = LEX) -> tuple[Exp, ...]:
-    """All degree-d monomials in n variables, strictly decreasing in the order."""
+def enumerate_monomials(n: int, d: int) -> tuple[Exp, ...]:
+    """All degree-d monomials in n variables, strictly decreasing in lex,
+    the order the recursion yields them in: the first exponent runs down
+    from d, and each tail is itself lex-decreasing."""
     if d < 0:
         raise ValueError("degree must be non-negative")
 
@@ -175,9 +177,7 @@ def enumerate_monomials(n: int, d: int, order: TermOrder = LEX) -> tuple[Exp, ..
             for tail in gen(rest - 1, deg - e):
                 yield (e,) + tail
 
-    monos = list(gen(n, d))
-    monos.sort(key=order.key, reverse=True)
-    return tuple(monos)
+    return tuple(gen(n, d))
 
 
 class Poly:

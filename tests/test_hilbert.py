@@ -16,6 +16,7 @@ from lex_oracle import hilbert_polynomial_of
 from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension, hilbert,
                     hilbert_function, hilbert_numerator, hilbert_series, is_strongly_stable,
                     multiplicity)
+from lexlab.errors import InternalInconsistency
 from lexlab.gotzmann import _count_after, _lex_segments, lex_ideal
 from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, hilbert_values, poly_eval,
                             polynomial_differences, values_from_numerator)
@@ -134,6 +135,54 @@ def test_hilbert_series_window_validation():
     assert data.d0 == 5
     for d in range(data.d0, len(data.values)):
         assert data.poly_value(d) == data.values[d]
+
+
+def test_hilbert_series_evaluates_the_polynomial_at_n_degrees(monkeypatch):
+    # P and H agree everywhere from d0 on once they agree at d0, ..., d0 + n - 1,
+    # so a window of 100,000 degrees costs no more evaluations than a small one
+    calls = []
+
+    def counting(p, x):
+        calls.append(x)
+        return poly_eval(p, x)
+
+    monkeypatch.setattr(hilbert, "poly_eval", counting)
+    data = hilbert_series(EXAMPLE, 100000)
+    assert calls == [5, 6, 7]
+    assert len(data.values) == 100001 and data.values[-1] == 1
+
+
+def test_hilbert_series_expands_only_the_window(monkeypatch):
+    drawn = []
+
+    def counting(num, n):
+        for v in hilbert_values(num, n):
+            drawn.append(v)
+            yield v
+
+    monkeypatch.setattr(hilbert, "hilbert_values", counting)
+    data = hilbert_series(MonomialIdeal(R2, ((10**6, 0),)), 3)
+    assert len(drawn) <= 4
+    assert (data.values, data.polynomial, data.d0) == ((1, 2, 3, 4), (10**6,), 10**6)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_the_n_degree_check_catches_a_wrong_polynomial(monkeypatch, where):
+    # one more in D^0 P(0) or D^(n-1) P(0) adds C(X, k), which is positive
+    # at d0 + n - 1 >= k, so the check at d0, ..., d0 + n - 1 must fail
+    def off_by_one(num, n):
+        diffs = polynomial_differences(num, n)
+        diffs[where] += 1
+        return diffs
+
+    sample = _dimension_sample() + [MonomialIdeal(RingSpec(n)) for n in range(1, 6)]
+    assert sum(I.ring.n == 1 and not I.gens for I in sample) == 1
+    assert sum(I.ring.n == 1 for I in sample) > 100
+    assert sum(dimension(I) == 0 for I in sample) > 300
+    monkeypatch.setattr(hilbert, "polynomial_differences", off_by_one)
+    for I in list(oracle_families()) + sample:
+        with pytest.raises(InternalInconsistency):
+            hilbert_series(I)
 
 
 def test_dimension_and_multiplicity_examples():

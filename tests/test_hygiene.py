@@ -115,6 +115,20 @@ def test_fraction_is_confined():
     assert importers == {"ring", "parsing", "groebner", "hilbert"}, importers
 
 
+def test_cohomology_engine_does_not_depend_on_buchberger():
+    # the row engine reads tables from numerators and degree complexes; the
+    # gin comparison that needs Groebner bases lives in reports
+    tree = ast.parse((Path(lexlab.__file__).parent / "cohomology.py").read_text())
+    library, stdlib = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (library if node.level else stdlib).add(node.module)
+        elif isinstance(node, ast.Import):
+            stdlib.update(alias.name for alias in node.names)
+    assert library == {"errors", "hilbert", "ideals", "linalg", "ring"}, library
+    assert "enum" not in stdlib, stdlib
+
+
 def test_library_and_tests_are_ascii():
     # a look-alike letter in a name makes it a different name; test ids and
     # greps must match what is typed
