@@ -22,7 +22,7 @@ from math import comb
 
 from .errors import MacaulayViolation
 from .hilbert import (binom, eliahou_kervaire, hilbert_numerator, hilbert_values,
-                      polynomial_differences)
+                      numerator_terms, polynomial_differences)
 from .ideals import MonomialIdeal, graded_generator_counts, is_strongly_stable, saturate
 from .ring import Exp, Frozen, RingSpec
 
@@ -65,7 +65,7 @@ def gotzmann_representation(num, n: int) -> GotzmannData:
     Rejects polynomials of degree > n-2 (the v-vector has no slot for them)
     and anything that is not the Hilbert polynomial of a saturated quotient.
     """
-    diffs = polynomial_differences(num, n)
+    diffs = polynomial_differences(numerator_terms(num), n)
     v = [0] * max(n - 1, 0)
     shift = 0   # summands before this run
     while any(diffs):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
 
@@ -146,59 +147,54 @@ def buchberger(gens, order: TermOrder, ring: RingSpec | None = None) -> GBasis:
         if not polys:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = RingSpec(polys[0].n)
-    reduced = _groebner([_integral(p)[0] for p in polys], _OrderKeys(order))
+    keys, ints = _OrderKeys(order), [_integral(p)[0] for p in polys]
+    reduced = _checked(ints, _reduce_basis(_groebner(ints, keys), keys), keys)
     return GBasis(ring, order, tuple(_as_poly(ring.n, f, lc) for _, lc, f in reduced))
 
 
 def _groebner(polys: list[IntPoly], keys: _OrderKeys) -> list[Entry]:
-    """Reduced primitive basis of the ideal generated by nonzero integer polys."""
-    inputs = [_entry(f, keys) for f in polys]
+    """A primitive Groebner basis of the ideal generated by nonzero integer
+    polys, not inter-reduced.  Pairs leave one heap by the degree, then the
+    order, of their lcm; the coprime and chain criteria skip pairs."""
     basis: list[Entry] = []
-    for p in inputs:
-        r = _reduce(p[2], basis, keys)[0]
+    for f in polys:
+        r = _reduce(f, basis, keys)[0]
         if r:
             basis.append(_entry(r, keys))
     lead = [e[0] for e in basis]
-    pairs: set[tuple[int, int]] = set()
-    pair_key: dict[tuple[int, int], tuple] = {}
+    heap: list[tuple] = []
+    done: set[tuple[int, int]] = set()  # pairs taken off the heap, read by the chain criterion
 
-    def add_pairs(new_pairs) -> None:
-        for i, j in new_pairs:
+    def push_pairs(j: int) -> None:
+        for i in range(j):
             lcm_ij = monomial_lcm(lead[i], lead[j])
-            pair_key[(i, j)] = (total_degree(lcm_ij), keys[lcm_ij])
-        pairs.update(new_pairs)
+            heappush(heap, (total_degree(lcm_ij), keys[lcm_ij], i, j))
 
-    add_pairs([(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))])
-    processed: set[tuple[int, int]] = set()
-    while pairs:
-        i, j = min(pairs, key=pair_key.__getitem__)
-        pairs.discard((i, j))
-        processed.add((i, j))
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, _, i, j = heappop(heap)
+        done.add((i, j))
         lcm_ij = monomial_lcm(lead[i], lead[j])
         if lcm_ij == monomial_mul(lead[i], lead[j]):
             continue  # coprime leading terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lead[k], lcm_ij):
-                continue
-            a, b = tuple(sorted((i, k))), tuple(sorted((k, j)))
-            if a in processed and b in processed:
-                chained = True
-                break
-        if chained:
+        # chain criterion; k = i or k = j never passes, since no (k, k) is done
+        if any(monomial_divides(lead[k], lcm_ij) and (min(i, k), max(i, k)) in done
+               and (min(k, j), max(k, j)) in done for k in range(len(basis))):
             continue
         r = _reduce(_spoly(basis[i], basis[j]), basis, keys)[0]
-        if not r:
-            continue
-        basis.append(_entry(r, keys))
-        lead.append(basis[-1][0])
-        new = len(basis) - 1
-        add_pairs([(t, new) for t in range(new)])
-    reduced = _reduce_basis(basis, keys)
-    for p in inputs:
-        if _reduce(p[2], reduced, keys)[0]:
-            raise InternalInconsistency("an input generator does not reduce to zero")
-    return reduced
+        if r:
+            basis.append(_entry(r, keys))
+            lead.append(basis[-1][0])
+            push_pairs(len(basis) - 1)
+    return basis
+
+
+def _checked(polys: list[IntPoly], basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
+    """The basis, once every input reduces to zero by it."""
+    if any(_reduce(f, basis, keys)[0] for f in polys):
+        raise InternalInconsistency("an input generator does not reduce to zero")
+    return basis
 
 
 def _reduce_basis(basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
@@ -332,7 +328,10 @@ def _gin_trials(ideal_or_polys, ring: RingSpec | None = None, trials: int = 3,
     for ts in trial_seeds:
         change = random_coordinate_change(ring, ts, bound)
         moved = [_substitute(f, change) for f in gens]
-        results.append(MonomialIdeal(ring, tuple(e[0] for e in _groebner(moved, keys))))
+        # the leads of any Groebner basis generate in(I), and MonomialIdeal
+        # keeps the minimal ones, so the trials inter-reduce nothing
+        basis = _checked(moved, _groebner(moved, keys), keys)
+        results.append(MonomialIdeal(ring, tuple(e[0] for e in basis)))
     if any(r != results[0] for r in results[1:]):
         raise UnluckyCoordinates("coordinate trials disagree", tuple(trial_seeds))
     out = results[0]

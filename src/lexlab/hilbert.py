@@ -47,8 +47,6 @@ def poly_sub(p, q) -> tuple:
 
 
 def poly_mul(p, q) -> tuple:
-    if not p or not q:
-        return ()
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
@@ -189,12 +187,21 @@ def values_from_numerator(num, n: int, upto: int) -> list[int]:
     return list(islice(hilbert_values(num, n), upto + 1))
 
 
+def numerator_terms(num) -> list[tuple[int, int]]:
+    """N's nonzero terms (k, N_k), in increasing k: one scan of the dense N."""
+    return [(k, c) for k, c in enumerate(num) if c]
+
+
 def hilbert_function(ideal: MonomialIdeal, d: int) -> int:
     """dim_K (R/I)_d = sum over k <= d of N_k C(d - k + n - 1, n - 1)."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    n, num = ideal.ring.n, hilbert_numerator(ideal)[:d + 1]
-    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if c)
+    return _value(numerator_terms(hilbert_numerator(ideal)[:d + 1]), ideal.ring.n, d)
+
+
+def _value(terms, n: int, d: int) -> int:
+    """H(d) from the nonzero terms (k, N_k) of N with k <= d."""
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in terms)
 
 
 def binom(m: int, r: int) -> int:
@@ -202,12 +209,12 @@ def binom(m: int, r: int) -> int:
     return comb(m, r) if m >= 0 else (-1) ** r * comb(r - m - 1, r)
 
 
-def polynomial_differences(num, n: int) -> list[int]:
+def polynomial_differences(terms, n: int) -> list[int]:
     """D^k P(0) for k < n, D the forward difference and P the Hilbert
     polynomial of N(t)/(1-t)^n, sum_j N_j C(X - j + n - 1, n - 1), which
-    has degree < n.  D^k C(X + m, r) = C(X + m, r - k) gives them in
-    integers, one binomial per nonzero N_j and k."""
-    terms = [(j, c) for j, c in enumerate(num) if c]
+    has degree < n; `terms` are N's nonzero (j, N_j), from `numerator_terms`.
+    D^k C(X + m, r) = C(X + m, r - k) gives them in integers, one binomial
+    per nonzero N_j and k."""
     return [sum(c * binom(n - 1 - j, n - 1 - k) for j, c in terms) for k in range(n)]
 
 
@@ -236,23 +243,24 @@ class HilbertData(Frozen):
 
 def hilbert_series(ideal: MonomialIdeal, window: int | None = None) -> HilbertData:
     """Exact series data; `window` is the top degree of the value table,
-    the only values expanded.  P is checked against `hilbert_function` at
-    d0 = deg N, ..., d0 + n - 1: from d0 on both are polynomials in d of
-    degree < n, so agreeing at these n points they are equal."""
+    the only values expanded.  P is checked against H read from N, as
+    `hilbert_function` reads it, at d0 = deg N, ..., d0 + n - 1: from d0 on
+    both are polynomials in d of degree < n, so agreeing at these n points
+    they are equal.  N is scanned once, for its nonzero terms."""
     n = ideal.ring.n
     if window is None:
         window = ideal.max_generator_degree() + n
     if window < 0:
         raise ValueError(f"window must be at least 0, got {window}")
     num = hilbert_numerator(ideal)
-    d0 = max(len(num) - 1, 0)
+    terms, d0 = numerator_terms(num), max(len(num) - 1, 0)
     # Newton's forward-difference formula: P(X) = sum_k D^k P(0) C(X, k)
     poly: tuple = ()
-    for k, diff in enumerate(polynomial_differences(num, n)):
+    for k, diff in enumerate(polynomial_differences(terms, n)):
         if diff:
             poly = poly_add(poly, tuple(diff * b for b in binomial_in_x(k, k)))
     for d in range(d0, d0 + n):
-        if poly_eval(poly, d) != hilbert_function(ideal, d):
+        if poly_eval(poly, d) != _value(terms, n, d):
             raise InternalInconsistency("Hilbert polynomial does not match values")
     return HilbertData(tuple(values_from_numerator(num, n, window)), num, poly, d0)
 
@@ -262,7 +270,7 @@ def dimension(ideal: MonomialIdeal) -> int:
     last nonzero difference D^k P(0); 0 when P = 0, for artinian R/I."""
     if ideal.is_unit:
         raise ValueError("the zero ring has no dimension here")
-    diffs = polynomial_differences(hilbert_numerator(ideal), ideal.ring.n)
+    diffs = polynomial_differences(numerator_terms(hilbert_numerator(ideal)), ideal.ring.n)
     return max((k + 1 for k, diff in enumerate(diffs) if diff), default=0)
 
 
@@ -271,9 +279,9 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     if P = 0, the length, D^0 of N(t)/(1-t)^(n+1), whose values sum H."""
     if ideal.is_unit:
         raise ValueError("the zero ring has no multiplicity here")
-    num, n = hilbert_numerator(ideal), ideal.ring.n
-    nonzero = [diff for diff in polynomial_differences(num, n) if diff]
-    e = nonzero[-1] if nonzero else polynomial_differences(num, n + 1)[0]
+    terms, n = numerator_terms(hilbert_numerator(ideal)), ideal.ring.n
+    nonzero = [diff for diff in polynomial_differences(terms, n) if diff]
+    e = nonzero[-1] if nonzero else polynomial_differences(terms, n + 1)[0]
     if e <= 0:
         raise InternalInconsistency("multiplicity must be positive for a proper ideal")
     return e

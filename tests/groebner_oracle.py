@@ -4,10 +4,15 @@ oracle for the library's fraction-free integer core (``lexlab.groebner``).
 A polynomial here is a dict from exponent tuples to nonzero `Fraction`s;
 `Poly` is only what the public functions take and give back.  Every
 reduction step divides by a leading coefficient, so the oracle shares no
-arithmetic with the integer core.  It makes the same choices (pair
-selection, coprime and chain criteria, inter-reduction, the final
-input-reduces-to-zero check), so its reduced bases and generic initial
-ideals must equal the library's exactly.
+arithmetic with the integer core.  Nor does it share the core's
+bookkeeping: it picks each pair by a `min` over a set of open pairs where
+the core pops a heap, and it inter-reduces every basis, also in the gin
+trials, which the core's trials skip because they read only leading
+monomials.  Both use the coprime and chain criteria and the final
+input-reduces-to-zero check.  A reduced Groebner basis and an initial
+ideal are unique, whatever the pair order and whether or not the basis
+was inter-reduced, so its reduced bases and generic initial ideals must
+equal the library's exactly.
 """
 
 from fractions import Fraction

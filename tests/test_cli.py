@@ -520,17 +520,30 @@ def test_cli_help_lists_each_commands_options(capsys, command, options):
 
 
 def test_cli_violation_exit_code(capsys, monkeypatch):
-    import lexlab.cli as cli
-    real = verify_main
+    # a doctored table comparison, not a doctored verdict: the report itself
+    # must call a mismatch in row 1 a violation, while the exchange holds
+    monkeypatch.setattr(reports, "tables_agree", lambda ideal, lex: (1, 0))
+    code, out, _ = run(capsys, "verify-main", "--ring", "x,y,z", "--format", "json",
+                       EXAMPLE_TEXT)
+    data = json.loads(out)
+    assert code == 4 and data["verdict"] == "THEOREM VIOLATION"
+    assert (data["condition_i"], data["condition_ii_on_window"]) == (True, False)
+    assert data["first_mismatch"] == [1, 0]
+    assert data["saturations"]["left"] == data["saturations"]["right"]
 
-    def doctored(*args, **kwargs):
-        report = real(*args, **kwargs)
-        report.verdict = "THEOREM VIOLATION"
-        return report
 
-    monkeypatch.setattr(cli, "verify_main", doctored)
-    code, _, _ = run(capsys, "verify-main", "--ring", "x,y,z", EXAMPLE_TEXT)
-    assert code == 4
+@pytest.mark.parametrize("first_mismatch, condition_i, condition_ii, verdict", [
+    (None, True, True, "consistent"),
+    ((0, 3), False, False, "consistent"),
+    ((1, 3), True, False, "THEOREM VIOLATION"),
+])
+def test_report_reads_the_verdict_from_the_first_mismatch(first_mismatch, condition_i,
+                                                          condition_ii, verdict):
+    # row 0 decides (i), any row decides (ii); the verdict flags (i) without (ii)
+    ideal = parse_ideal(EXAMPLE_TEXT, R3)
+    report = reports.VerificationReport(ideal, lex_ideal(ideal), first_mismatch)
+    assert (report.condition_i, report.condition_ii_on_window) == (condition_i, condition_ii)
+    assert report.verdict == verdict
 
 
 def test_cli_enumerate(capsys):

@@ -6,7 +6,7 @@ import groebner_oracle as oracle
 import pytest
 
 import lexlab.groebner
-from helpers import random_ideal, random_stable_ideal
+from helpers import non_stable_ideals, random_ideal, random_stable_ideal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -326,6 +326,46 @@ def test_gin_of_four_cubes():
     G = gin(parse_ideal("x^3, y^3, z^3, w^3", ring))
     assert G == parse_ideal(FOUR_CUBES_GIN, ring)
     assert len(G.gens) == 29
+
+
+def test_gin_trials_read_the_leads_of_the_unreduced_basis(monkeypatch):
+    # the leads of any Groebner basis generate the initial ideal, so the
+    # trials never inter-reduce; buchberger returns the reduced basis
+    ideals = [MonomialIdeal(R3, ((1, 1, 0), (1, 0, 1))), *non_stable_ideals()[:40]]
+    systems = [[parse_polynomial(t, ring) for t in text.split(", ")]
+               for text, ring in (("x^2 - y^2, x*y", R2), ("x^2 - y*z, x*y - z^2", R3),
+                                  ("x^3 + y^3 + z^3 + x*y*z", R3))]
+    rings = [R2, R3, R3]
+    expected = ([_gin_trials(I, seed=k) for k, I in enumerate(ideals)]
+                + [_gin_trials(polys, ring, seed=1) for polys, ring in zip(systems, rings)])
+
+    def no_reduction(*args):
+        raise AssertionError("a basis was inter-reduced")
+
+    monkeypatch.setattr(lexlab.groebner, "_reduce_basis", no_reduction)
+    got = ([_gin_trials(I, seed=k) for k, I in enumerate(ideals)]
+           + [_gin_trials(polys, ring, seed=1) for polys, ring in zip(systems, rings)])
+    assert got == expected
+    assert not any(is_strongly_stable(I) for I in ideals)
+    with pytest.raises(AssertionError, match="inter-reduced"):
+        buchberger(systems[0], DEGREVLEX)
+
+
+def test_every_basis_returned_or_read_reduces_the_inputs_to_zero(monkeypatch):
+    # a basis that lost an input's remainder leaves that input unreduced: the
+    # reduced basis of the hand example ends with x*y, and the unreduced one
+    # starts with the first input
+    groebner = lexlab.groebner
+    reduce_basis, complete = groebner._reduce_basis, groebner._groebner
+    hand = [parse_polynomial(t, R2) for t in ("x^2 - y^2", "x*y")]
+    monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: reduce_basis(*args)[:-1])
+    with pytest.raises(InternalInconsistency, match="does not reduce to zero"):
+        buchberger(hand, DEGREVLEX)
+    monkeypatch.setattr(groebner, "_reduce_basis", reduce_basis)
+    monkeypatch.setattr(groebner, "_groebner", lambda *args: complete(*args)[1:])
+    for ideal_or_polys in (EXAMPLE, MonomialIdeal(R3, ((1, 1, 0), (1, 0, 1))), hand):
+        with pytest.raises(InternalInconsistency, match="does not reduce to zero"):
+            _gin_trials(ideal_or_polys, R2 if ideal_or_polys is hand else None)
 
 
 def test_gin_rejects_a_bound_below_one():

@@ -18,8 +18,9 @@ from lexlab import (MonomialIdeal, RingSpec, all_strongly_stable, dimension, hil
                     multiplicity)
 from lexlab.errors import InternalInconsistency
 from lexlab.gotzmann import _count_after, _lex_segments, lex_ideal
-from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, hilbert_values, poly_eval,
-                            polynomial_differences, values_from_numerator)
+from lexlab.hilbert import (_numerator_pivot, eliahou_kervaire, hilbert_values,
+                            numerator_terms, poly_eval, poly_mul, polynomial_differences,
+                            values_from_numerator)
 from lexlab.ring import enumerate_monomials
 
 R2 = RingSpec(2)
@@ -116,6 +117,8 @@ def test_numerator_principal():
         I = MonomialIdeal(RingSpec(n), (tuple(e),))
         expected = [1] + [0] * (sum(e) - 1) + [-1]
         assert hilbert_numerator(I) == tuple(expected)
+    # a product with an empty (zero) factor is empty
+    assert poly_mul((), (1, -1)) == poly_mul((1, -1), ()) == poly_mul((), ()) == ()
 
 
 def test_hilbert_series_two_planes():
@@ -166,12 +169,37 @@ def test_hilbert_series_expands_only_the_window(monkeypatch):
     assert (data.values, data.polynomial, data.d0) == ((1, 2, 3, 4), (10**6,), 10**6)
 
 
+def test_hilbert_series_scans_the_numerator_once(monkeypatch):
+    # the differences and the n-degree check both read N's nonzero terms,
+    # collected in one pass; a full scan is an iteration or a slice of N
+    scans = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            scans.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                scans.append("slice")
+            return super().__getitem__(index)
+
+    numerator = hilbert.hilbert_numerator
+    monkeypatch.setattr(hilbert, "hilbert_numerator", lambda I: Counted(numerator(I)))
+    for I, values in ((EXAMPLE, (1, 3, 3, 1, 1, 1)), (TWO_PLANES, (1, 4, 6, 8, 10, 12)),
+                      (MonomialIdeal(R2, ((10**6, 0),)), (1, 2, 3, 4, 5, 6))):
+        scans.clear()
+        data = hilbert_series(I, 5)
+        assert scans == ["iter"], (I, scans)
+        assert data.values == values
+
+
 @pytest.mark.parametrize("where", [0, -1])
 def test_the_n_degree_check_catches_a_wrong_polynomial(monkeypatch, where):
     # one more in D^0 P(0) or D^(n-1) P(0) adds C(X, k), which is positive
     # at d0 + n - 1 >= k, so the check at d0, ..., d0 + n - 1 must fail
-    def off_by_one(num, n):
-        diffs = polynomial_differences(num, n)
+    def off_by_one(terms, n):
+        diffs = polynomial_differences(terms, n)
         diffs[where] += 1
         return diffs
 
@@ -232,7 +260,7 @@ def test_polynomial_differences_match_the_rational_polynomial():
             p = hilbert_polynomial_of(num, n)
             expected = [sum((-1) ** (k - i) * comb(k, i) * poly_eval(p, i) for i in range(k + 1))
                         for k in range(n)]
-            assert polynomial_differences(num, n) == expected, (num, n)
+            assert polynomial_differences(numerator_terms(num), n) == expected, (num, n)
 
 
 def test_multiplicity_invariant_under_lex():

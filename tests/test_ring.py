@@ -231,10 +231,12 @@ UNIT = MonomialIdeal(R3, ((0, 0, 0),))
      "bad exponent vector (-1, 3) for n=2"),
     (lambda: saturated_lex_generators(GotzmannData(3, (1, 0)), RingSpec(2)), ValueError,
      "ring size does not match the representation"),
+    (lambda: CoordinateChange(((1,),)), TypeError, "CoordinateChange takes 2 arguments"),
 ], ids=["seq-cm", "multiplicity", "is-gotzmann", "exchange", "hilbert-function",
         "enumerate-monomials", "colon", "leading", "buchberger", "gin", "float-coefficient",
         "string-coefficient", "bool-coefficient", "float-exponent", "long-exponent",
-        "int-exponent", "short-exponent-gin", "negative-exponent-gin", "saturated-lex"])
+        "int-exponent", "short-exponent-gin", "negative-exponent-gin", "saturated-lex",
+        "frozen-arity"])
 def test_library_rejections_keep_their_errors(call, error, message):
     with pytest.raises(Exception) as caught:
         call()
