@@ -11,17 +11,18 @@ reflected numerator sum N_i[k] t^(top+n-k) over (1-t)^n.  Two routes fill
 the rows, one for each kind of input, and no input can take both.
 
 A strongly stable ideal takes a closed form.  With x_1 > ... > x_n, let M_k
-be I with x_(k+1), ..., x_n set to 1, so M_n = I, M_(n-1) = I^sat and
-M_(-1) = R.  R/I is sequentially Cohen-Macaulay with the filtration by the
-M_k/I (Herzog-Sbarra, Sequentially Cohen-Macaulay modules and local
-cohomology, 2002): M_(n-i-1)/M_(n-i) is zero or Cohen-Macaulay of dimension
-i and carries all of H^i(R/I).  So row i is its Hilbert function minus its
-Hilbert polynomial up to the sign (-1)^i, which in the basis above is
-(-1)^(i+n) times its series numerator.  Each M_k is strongly stable, and
-its Eliahou-Kervaire numerator (J. Algebra 129, 1990) is 1 minus one term
-t^deg(u) (1-t)^(m(u)-1) per generator u, so a row comes from only the
-generators that change between two links, counted by (degree, m(u)).  Each
-link is the previous one projected, one set lookup per generator.
+be I with x_(k+1), ..., x_n set to 1, so M_n = I, M_(n-1) = I^sat,
+M_0 = R for I != 0 (every generator goes to 1) and M_(-1) = R.  R/I is
+sequentially Cohen-Macaulay with the filtration by the M_k/I (Herzog-Sbarra,
+Sequentially Cohen-Macaulay modules and local cohomology, 2002):
+M_(n-i-1)/M_(n-i) is zero or Cohen-Macaulay of dimension i and carries all
+of H^i(R/I).  So row i is its Hilbert function minus its Hilbert polynomial
+up to the sign (-1)^i, which in the basis above is (-1)^(i+n) times its
+series numerator.  Each M_k is strongly stable, and its Eliahou-Kervaire
+numerator (J. Algebra 129, 1990) is 1 minus one term t^deg(u) (1-t)^(m(u)-1)
+per generator u, so a row comes from only the generators that change
+between two links, counted by (degree, m(u)).  Each link down to M_1 is the
+previous one projected, one set lookup per generator.
 
 Any other monomial ideal takes Takayama's degree complexes.  For a in Z^n
 let G = {j : a_j < 0}.  Takayama's formula (Bull. Math. Soc. Sci. Math.
@@ -43,7 +44,7 @@ from itertools import product
 from operator import or_
 
 from .errors import InternalInconsistency, InvalidArgument
-from .hilbert import _expand_tally, _tally, dimension, hilbert_values
+from .hilbert import _expand_tally, _tally, dimension
 from .ideals import MonomialIdeal, is_strongly_stable, projection
 from .linalg import fraction_free_rank
 from .ring import Frozen
@@ -86,12 +87,15 @@ def _engine(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
 
 def _herzog_sbarra_rows(ideal: MonomialIdeal) -> tuple[dict[int, int], ...]:
     """Row numerators of R/I for strongly stable I: row i is (-1)^(i+n) times
-    EK(M_(n-i)) - EK(M_(n-i-1)), from the generators not in both."""
+    EK(M_(n-i)) - EK(M_(n-i-1)), from the generators not in both.  The chain
+    projects for k = n-1, ..., 1 only: M_0 is the unit ideal when I != 0 and
+    the zero ideal when I = 0, and M_(-1) = R."""
     n = ideal.ring.n
     links = [ideal.gens]
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, 0, -1):
         links.append(projection(links[-1], k))
-    links = [set(g) for g in links] + [{(0,) * n}]  # links[i]: G(M_(n-i))
+    unit = {(0,) * n}
+    links = [set(g) for g in links] + [unit if ideal.gens else set(), unit]  # G(M_(n-i))
     rows = []
     for i in range(n + 1):
         upper, lower = links[i], links[i + 1]
@@ -253,9 +257,10 @@ class LCTable(Frozen):
 
 
 def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = None) -> LCTable:
-    """h^i(R/I)_j for 0 <= i <= n and j in the window: `hilbert_values`
-    expands each row's reflected numerator, from the row's top down.  The
-    row is sized before it is filled, so a span no list holds fails at once."""
+    """h^i(R/I)_j for 0 <= i <= n and j in the window: n running sums over
+    each row's reflected numerator, inline, read the row from its top down
+    to the window's bottom.  The row is sized before it is filled, so a span
+    no list holds fails at once."""
     window = window or default_window(ideal)
     n = ideal.ring.n
     entries: dict[tuple[int, int], int] = {}
@@ -266,9 +271,13 @@ def local_cohomology_table(ideal: MonomialIdeal, window: DegreeWindow | None = N
         reflected = [0] * (last - min(numerator) + 1)
         for k, c in numerator.items():
             reflected[last - k] = c
-        for j, value in zip(range(last - n, window.lo - 1, -1), hilbert_values(reflected, n)):
-            if value and j <= window.hi:
-                entries[(i, j)] = value
+        top, size, sums = last - n, len(reflected), [0] * n
+        for d in range(top - window.lo + 1):  # degree top - d, down to the window's bottom
+            value = reflected[d] if d < size else 0
+            for t in range(n):
+                value = sums[t] = sums[t] + value
+            if value and top - d <= window.hi:
+                entries[(i, top - d)] = value
     return LCTable(n, window, entries)
 
 

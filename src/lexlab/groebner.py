@@ -167,20 +167,13 @@ def _groebner(polys: list[IntPoly], keys: _OrderKeys) -> list[Entry]:
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            lcm_ij = monomial_lcm(lead[i], lead[j])
-            heappush(heap, (total_degree(lcm_ij), keys[lcm_ij], i, j))
+            heappush(heap, _pair(i, j, lead, keys))
 
     for j in range(len(basis)):
         push_pairs(j)
     while heap:
         _, _, i, j = heappop(heap)
-        done.add((i, j))
-        lcm_ij = monomial_lcm(lead[i], lead[j])
-        if lcm_ij == monomial_mul(lead[i], lead[j]):
-            continue  # coprime leading terms
-        # chain criterion; k = i or k = j never passes, since no (k, k) is done
-        if any(monomial_divides(lead[k], lcm_ij) and (min(i, k), max(i, k)) in done
-               and (min(k, j), max(k, j)) in done for k in range(len(basis))):
+        if _skipped(i, j, lead, done):
             continue
         r = _reduce(_spoly(basis[i], basis[j]), basis, keys)[0]
         if r:
@@ -190,10 +183,36 @@ def _groebner(polys: list[IntPoly], keys: _OrderKeys) -> list[Entry]:
     return basis
 
 
+def _pair(i: int, j: int, lead: list[Exp], keys: _OrderKeys) -> tuple:
+    """The pair i < j with its sort key: the degree, then the order, of the lcm of its leads."""
+    lcm_ij = monomial_lcm(lead[i], lead[j])
+    return total_degree(lcm_ij), keys[lcm_ij], i, j
+
+
+def _skipped(i: int, j: int, lead: list[Exp], done: set[tuple[int, int]]) -> bool:
+    """Whether the pair i < j needs no S-polynomial: its leads are coprime,
+    or the chain criterion holds, some lead[k] dividing their lcm with the
+    pairs of k and i and of k and j already done.  (i, j) is done after."""
+    done.add((i, j))
+    lcm_ij = monomial_lcm(lead[i], lead[j])
+    if lcm_ij == monomial_mul(lead[i], lead[j]):
+        return True
+    # k = i or k = j never passes, since no (k, k) is done
+    return any(monomial_divides(lead[k], lcm_ij) and (min(i, k), max(i, k)) in done
+               and (min(k, j), max(k, j)) in done for k in range(len(lead)))
+
+
 def _checked(polys: list[IntPoly], basis: list[Entry], keys: _OrderKeys) -> list[Entry]:
-    """The basis, once every input reduces to zero by it."""
+    """The basis, once every input reduces to zero by it and it passes
+    Buchberger's criterion: the S-polynomial of every pair that `_skipped`
+    does not skip reduces to zero too.  So it is a Groebner basis of an
+    ideal that holds every input, and its elements come from the inputs."""
     if any(_reduce(f, basis, keys)[0] for f in polys):
         raise InternalInconsistency("an input generator does not reduce to zero")
+    lead, done = [e[0] for e in basis], set()
+    for _, _, i, j in sorted(_pair(i, j, lead, keys) for j in range(len(lead)) for i in range(j)):
+        if not _skipped(i, j, lead, done) and _reduce(_spoly(basis[i], basis[j]), basis, keys)[0]:
+            raise InternalInconsistency("an S-polynomial of the basis does not reduce to zero")
     return basis
 
 

@@ -129,11 +129,13 @@ def eliahou_kervaire(gens: tuple[Exp, ...]) -> tuple[int, ...]:
     by gens (Eliahou-Kervaire, J. Algebra 129, 1990): 1 - sum over u of
     t^deg(u) (1 - t)^(m(u) - 1), m(u) the largest index of a variable dividing
     u; () for the unit ideal.  The generators are counted by (degree, m(u))
-    first, so each distinct pair expands its binomial once."""
-    terms = _expand_tally(_tally({}, gens, 1))
-    out = [1] + [0] * max(terms, default=0)
-    for k, c in terms.items():
-        out[k] -= c
+    first, so each distinct pair subtracts its signed binomials once, straight
+    into the dense coefficient list."""
+    table = _tally({}, gens, 1)
+    out = [1] + [0] * max((d + m for d, m in table), default=0)
+    for (d, m), c in table.items():
+        for a, b in enumerate(_signed_binomials(m), d):
+            out[a] -= c * b
     return poly_trim(out)
 
 
@@ -168,12 +170,13 @@ def _signed_binomials(m: int) -> tuple[int, ...]:
 
 def hilbert_values(num, n: int) -> Iterator[int]:
     """The coefficients of N(t)/(1-t)^n for any N, without end: H(0), H(1),
-    ... when N is a Hilbert series numerator, and a local cohomology row read
-    down from its top when `local_cohomology_table` passes the row's
-    reflected numerator.
+    ... when N is a Hilbert series numerator, as the value table and the lex
+    walk read them.
 
     Dividing by 1-t takes running sums, so n running sums of N's
-    coefficients give the values, n additions per degree."""
+    coefficients give the values, n additions per degree.
+    `local_cohomology_table` takes the same sums inline over each row's
+    reflected numerator."""
     sums = [0] * n
     for d in count():
         v = num[d] if d < len(num) else 0

@@ -186,18 +186,21 @@ def projection(gens, k: int) -> tuple[Exp, ...]:
     G(I) a prefix of the sorted word of w.  g is not a prefix of v / x_m(v)
     alone: it would strictly divide the generator that v came from.  So
     g = (v / x_m(v)) * x_(k+1)^e' with e' >= 1, and g projects to
-    v / x_m(v).  The unit has no last variable and keeps itself."""
+    v / x_m(v).  The unit has no last variable and keeps itself.
+
+    P is keyed by the cut exponents u[:k], and only the kept ones are padded
+    back to n entries with zeros."""
     if not gens:
         return ()
     pad = (0,) * (len(gens[0]) - k)
-    projected = dict.fromkeys(u[:k] + pad for u in gens)  # P, in input order
+    projected = dict.fromkeys(u[:k] for u in gens)  # P cut to x_1..x_k, in input order
     kept = []
     for v in projected:
         m = k - 1
         while m >= 0 and not v[m]:
             m -= 1
         if m < 0 or v[:m] + (v[m] - 1,) + v[m + 1:] not in projected:
-            kept.append(v)
+            kept.append(v + pad)
     return tuple(kept)
 
 

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from taylor_oracle import (Differential, _ext_dimensions_direct, graded_component_rank,
                            oracle_table, taylor_complex, verify_complex)
-from window_oracle import (adjoin_variable, lcm_window, windowed_mismatch,
-                           windowed_rows_equal)
+from window_oracle import (adjoin_variable, lcm_window, table_by_hilbert_values,
+                           windowed_mismatch, windowed_rows_equal)
 
 import lexlab
 from lexlab import cohomology, hilbert
@@ -637,6 +637,40 @@ def test_closed_form_on_zero_unit_and_equal_links(I, last_row):
     assert rows == rows_per_link(I) == _takayama_rows(I), I
     assert rows[-1] == last_row
     assert (rows[0] == {}) == (saturate(I) == I)
+
+
+def test_the_chain_projects_only_down_to_the_first_link(monkeypatch):
+    # M_0 is the unit ideal for I != 0 and the zero ideal for I = 0, so the
+    # rows project for k = n - 1, ..., 1 and never for k = 0
+    ks = []
+    project = cohomology.projection
+    monkeypatch.setattr(cohomology, "projection", lambda gens, k: ks.append(k) or project(gens, k))
+    members = list(all_strongly_stable(R4, 3))
+    assert len(members) == 351
+    _engine.cache_clear()
+    for I in members:
+        _engine(I)
+    assert ks == [3, 2, 1] * len(members)
+
+
+def test_the_inline_fill_matches_the_hilbert_values_fill():
+    # the running sums taken inline against the reflected numerator expanded
+    # by hilbert_values, on the default window and on windows cut at a row's
+    # top or bottom or lying wholly above or below it
+    members = [I for n in (1, 2, 3, 4) for I in all_strongly_stable(RingSpec(n), 3)]
+    ideals = members + [lex_ideal(I) for I in members if not I.is_zero] + non_stable_ideals()
+    ideals += [MonomialIdeal(ring, gens) for ring in (R1, R3) for gens in ((), ((0,) * ring.n,))]
+    assert len(ideals) == 1170
+    for I in ideals:
+        default, n = default_window(I), I.ring.n
+        windows = [default, DegreeWindow(-3, 1)]
+        for numerator in filter(None, _engine(I)):
+            top, bottom = max(numerator) - n, min(numerator) - n
+            windows += [DegreeWindow(default.lo, top - 1), DegreeWindow(bottom + 1, default.hi),
+                        DegreeWindow(top + 1, top + 3), DegreeWindow(bottom - 4, bottom - 1)]
+        for window in windows:
+            assert local_cohomology_table(I, window) == table_by_hilbert_values(I, window), \
+                (I, window)
 
 
 def test_closed_form_rows_take_no_link_numerator(monkeypatch):

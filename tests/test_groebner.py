@@ -368,6 +368,18 @@ def test_every_basis_returned_or_read_reduces_the_inputs_to_zero(monkeypatch):
             _gin_trials(ideal_or_polys, R2 if ideal_or_polys is hand else None)
 
 
+def test_a_basis_missing_an_element_fails_buchbergers_criterion(monkeypatch):
+    # the reduced basis of (x^2 - y^2, x*y) is y^3, x*y, x^2 - y^2; without
+    # y^3 both inputs still reduce to zero, but S(x^2 - y^2, x*y) = -y^3 does not
+    groebner = lexlab.groebner
+    reduce_basis = groebner._reduce_basis
+    hand = [parse_polynomial(t, R2) for t in ("x^2 - y^2", "x*y")]
+    assert [g.terms for g in buchberger(hand, DEGREVLEX).elements][0] == {(0, 3): 1}
+    monkeypatch.setattr(groebner, "_reduce_basis", lambda *args: reduce_basis(*args)[1:])
+    with pytest.raises(InternalInconsistency, match="S-polynomial"):
+        buchberger(hand, DEGREVLEX)
+
+
 def test_gin_rejects_a_bound_below_one():
     with pytest.raises(ValueError):
         gin(EXAMPLE, bound=0)

@@ -9,7 +9,11 @@ work degree by degree on a finite window instead, as the library once did:
 - `windowed_mismatch` and `windowed_rows_equal` compare two tables entry by
   entry on a window;
 - `adjoin_variable` is the extension recursion: the table of S/IS for
-  S = R[X] as tail sums of the table of R/I.
+  S = R[X] as tail sums of the table of R/I;
+- `table_by_hilbert_values` fills a table from the library's row numerators
+  as the library once did, each row's reflected numerator expanded by
+  `lexlab.hilbert.hilbert_values`, against the running sums that
+  `lexlab.local_cohomology_table` now takes inline.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from functools import reduce
 
 from lexlab import DegreeWindow, LCTable, MonomialIdeal
+from lexlab.cohomology import _engine
+from lexlab.hilbert import hilbert_values
 from lexlab.ring import monomial_lcm, total_degree
 
 
@@ -63,3 +69,21 @@ def adjoin_variable(table: LCTable, window: DegreeWindow) -> LCTable:
             if v:
                 entries[(i_out, j)] = v
     return LCTable(table.nvars + 1, window, entries)
+
+
+def table_by_hilbert_values(ideal: MonomialIdeal, window: DegreeWindow) -> LCTable:
+    """h^i(R/I)_j on the window: row i read down from its top, as
+    `hilbert_values` expands its reflected numerator."""
+    n = ideal.ring.n
+    entries: dict[tuple[int, int], int] = {}
+    for i, numerator in enumerate(_engine(ideal)):
+        if not numerator:
+            continue
+        last = max(numerator)
+        reflected = [0] * (last - min(numerator) + 1)
+        for k, c in numerator.items():
+            reflected[last - k] = c
+        for j, value in zip(range(last - n, window.lo - 1, -1), hilbert_values(reflected, n)):
+            if value and j <= window.hi:
+                entries[(i, j)] = value
+    return LCTable(n, window, entries)
